@@ -6,69 +6,11 @@
 
 #include "core/CompileCache.h"
 
-#include <cstring>
+#include "support/Hash.h"
 
 using namespace ucc;
 
 namespace {
-
-/// FNV-1a over a byte buffer (same constants as regalloc/WindowCache).
-uint64_t fnv1a(const std::vector<uint8_t> &Bytes) {
-  uint64_t H = 0xcbf29ce484222325ULL;
-  for (uint8_t B : Bytes) {
-    H ^= B;
-    H *= 0x100000001b3ULL;
-  }
-  return H;
-}
-
-/// Appends fixed-width little-endian fields to a key buffer. The encoding
-/// is canonical: every field is length- or count-prefixed, so no two
-/// distinct inputs serialize to the same bytes.
-class KeyWriter {
-public:
-  explicit KeyWriter(std::vector<uint8_t> &Out) : Out(Out) {}
-
-  void u8(uint8_t V) { Out.push_back(V); }
-  void u32(uint32_t V) { raw(&V, sizeof V); }
-  void i32(int32_t V) { raw(&V, sizeof V); }
-  void i64(int64_t V) { raw(&V, sizeof V); }
-  void u64(uint64_t V) { raw(&V, sizeof V); }
-  void f64(double V) {
-    if (V == 0.0)
-      V = 0.0; // canonicalize -0.0
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof Bits);
-    u64(Bits);
-  }
-  void str(const std::string &S) {
-    u32(static_cast<uint32_t>(S.size()));
-    Out.insert(Out.end(), S.begin(), S.end());
-  }
-  void ints(const std::vector<int> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (int X : V)
-      i32(X);
-  }
-  void doubles(const std::vector<double> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (double X : V)
-      f64(X);
-  }
-  void strs(const std::vector<std::string> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (const std::string &S : V)
-      str(S);
-  }
-
-private:
-  void raw(const void *P, size_t N) {
-    const uint8_t *B = static_cast<const uint8_t *>(P);
-    Out.insert(Out.end(), B, B + N);
-  }
-
-  std::vector<uint8_t> &Out;
-};
 
 /// Canonical encoding of a post-opt IR function. Source locations are
 /// deliberately excluded: they never influence generated code.
@@ -182,7 +124,6 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
     W.u8(static_cast<uint8_t>(U.Strategy));
     W.i32(U.IlpMaxBinaries);
     W.f64(U.IlpTimeLimitSec);
-    W.u8(U.EnableWindowCache ? 1 : 0);
     W.doubles(*In.Freq);
   }
   W.u64(In.NewNamesDigest);
@@ -206,103 +147,9 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
 CompiledFunction CompileCache::lookupOrCompute(
     const Key &K, const std::function<CompiledFunction()> &Compute,
     bool *WasHit) {
-  uint64_t H = fnv1a(K);
-  if (WasHit)
-    *WasHit = false;
-  std::unique_lock<std::mutex> Guard(Lock);
-  if (Capacity == 0) {
-    // Storage disabled: pure pass-through, still counted so cache-off
-    // baselines report comparable accounting.
-    ++Counts.Misses;
-    Guard.unlock();
-    return Compute();
-  }
-
-  std::list<Entry> &Chain = Buckets[H];
-  for (Entry &E : Chain) {
-    if (E.K != K)
-      continue;
-    ++Counts.Hits;
-    if (WasHit)
-      *WasHit = true;
-    if (!E.Ready) {
-      ++Counts.InflightWaits;
-      ++E.Waiters;
-      Filled.wait(Guard, [&] { return E.Ready; });
-      --E.Waiters;
-    }
-    E.LastUse = ++Tick;
-    return E.R;
-  }
-
-  // Miss: publish an in-flight entry, then compile outside the lock so
-  // other functions (and same-key waiters) make progress meanwhile.
-  ++Counts.Misses;
-  Chain.emplace_back();
-  Entry &E = Chain.back();
-  E.K = K;
-  E.LastUse = ++Tick;
-  ++Resident;
-  evictIfNeeded();
-  Guard.unlock();
-
-  CompiledFunction R = Compute();
-
-  Guard.lock();
-  E.R = R;
-  E.Ready = true;
-  Filled.notify_all();
-  return R;
+  return Memo.getOrCompute(K, fnv1a(K), Compute, WasHit);
 }
 
-void CompileCache::evictIfNeeded() {
-  while (Resident > Capacity) {
-    // Find the least-recently-used completed entry; in-flight entries and
-    // entries with waiters are pinned.
-    std::unordered_map<uint64_t, std::list<Entry>>::iterator VictimBucket =
-        Buckets.end();
-    std::list<Entry>::iterator Victim;
-    uint64_t Oldest = ~0ULL;
-    for (auto BI = Buckets.begin(); BI != Buckets.end(); ++BI) {
-      for (auto EI = BI->second.begin(); EI != BI->second.end(); ++EI) {
-        if (!EI->Ready || EI->Waiters > 0)
-          continue;
-        if (EI->LastUse < Oldest) {
-          Oldest = EI->LastUse;
-          VictimBucket = BI;
-          Victim = EI;
-        }
-      }
-    }
-    if (VictimBucket == Buckets.end())
-      return; // everything resident is in flight; let it overflow briefly
-    VictimBucket->second.erase(Victim);
-    if (VictimBucket->second.empty())
-      Buckets.erase(VictimBucket);
-    --Resident;
-    ++Counts.Evictions;
-  }
-}
+CompileCacheStats CompileCache::stats() const { return Memo.counts(); }
 
-CompileCacheStats CompileCache::stats() const {
-  std::lock_guard<std::mutex> Guard(Lock);
-  CompileCacheStats S = Counts;
-  S.Entries = Resident;
-  return S;
-}
-
-void CompileCache::clear() {
-  std::lock_guard<std::mutex> Guard(Lock);
-  for (auto BI = Buckets.begin(); BI != Buckets.end();) {
-    std::list<Entry> &Chain = BI->second;
-    for (auto EI = Chain.begin(); EI != Chain.end();) {
-      if (EI->Ready && EI->Waiters == 0) {
-        EI = Chain.erase(EI);
-        --Resident;
-      } else {
-        ++EI;
-      }
-    }
-    BI = Chain.empty() ? Buckets.erase(BI) : std::next(BI);
-  }
-}
+void CompileCache::clear() { Memo.clear(); }

@@ -22,11 +22,11 @@
 ///     final machine code for this function, its old frame offsets, and
 ///     the old name-table digest — or an explicit "absent" marker.
 ///
-/// The design generalizes regalloc/WindowCache: collision chains under a
-/// 64-bit hash confirmed by a full byte-compare of the canonical key, and
-/// an in-flight latch so that when two threads want the same function only
-/// one compiles while the other waits on a condition variable. Eviction is
-/// LRU with in-flight entries pinned (same policy as serve/PlanService).
+/// The cache itself is a support/MemoCache: the full canonical key bytes
+/// confirm every hit under an FNV-1a bucket hash, an in-flight latch makes
+/// two threads that want the same function compile it once, and an LRU
+/// bounds the resident entries. This file keeps only the key encoding
+/// and the name digests.
 ///
 /// Because the key captures every input, a hit returns a result that is
 /// byte-identical to what a fresh compile would produce — the determinism
@@ -42,26 +42,18 @@
 #include "codegen/MachineIR.h"
 #include "ir/IR.h"
 #include "regalloc/UccAlloc.h"
+#include "support/MemoCache.h"
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace ucc {
 
 /// Exact cache accounting, mirrored into `compile.*` telemetry counters by
-/// the compiler back half.
-struct CompileCacheStats {
-  uint64_t Hits = 0;          ///< lookups answered from the cache
-  uint64_t Misses = 0;        ///< lookups that ran the pipeline
-  uint64_t Evictions = 0;     ///< entries dropped by the LRU policy
-  uint64_t InflightWaits = 0; ///< hits that waited on an in-flight compile
-  uint64_t Entries = 0;       ///< resident entries (including in-flight)
-};
+/// the compiler back half. The compile cache has no admission or expiry
+/// policy, so AdmissionRejects and TtlExpired stay 0.
+using CompileCacheStats = MemoCounts;
 
 /// The memoized per-function pipeline result.
 struct CompiledFunction {
@@ -112,7 +104,7 @@ public:
   /// \p Capacity bounds resident entries; 0 disables storage (every
   /// lookup misses — useful for cache-off baselines with identical code
   /// paths).
-  explicit CompileCache(size_t Capacity = 1024) : Capacity(Capacity) {}
+  explicit CompileCache(size_t Capacity = 1024) : Memo(Capacity) {}
 
   /// Builds the canonical key for \p In (serialize + FNV-1a happens in
   /// lookupOrCompute; the key carries the full bytes so hash collisions
@@ -136,25 +128,7 @@ public:
   void clear();
 
 private:
-  struct Entry {
-    Key K;
-    CompiledFunction R;
-    bool Ready = false;
-    int Waiters = 0; ///< threads blocked on this entry (pins it)
-    uint64_t LastUse = 0;
-  };
-
-  void evictIfNeeded(); // caller holds Lock
-
-  mutable std::mutex Lock;
-  std::condition_variable Filled;
-  /// Hash -> collision chain. std::list gives stable entry addresses while
-  /// other chains grow (threads block on entries across unlocks).
-  std::unordered_map<uint64_t, std::list<Entry>> Buckets;
-  size_t Capacity;
-  size_t Resident = 0;
-  uint64_t Tick = 0;
-  CompileCacheStats Counts;
+  MemoCache<Key, CompiledFunction> Memo;
 };
 
 } // namespace ucc

@@ -17,6 +17,7 @@
 #include "core/VersionStore.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 
@@ -27,11 +28,7 @@
 using namespace ucc;
 
 std::string ucc::sourceHash(const std::string &Text) {
-  uint64_t H = 1469598103934665603ull; // FNV-1a 64-bit
-  for (unsigned char C : Text) {
-    H ^= C;
-    H *= 1099511628211ull;
-  }
+  uint64_t H = fnv1a(Text.data(), Text.size(), StoreHashBasis);
   return format("%016llx", static_cast<unsigned long long>(H));
 }
 

@@ -5,28 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event core shared by the fleet simulator and the legacy-compat
-/// facade: a global binary heap of slot-timestamped events with
-/// deterministic (slot, node, kind, seq) ordering, drained one slot-batch
-/// at a time. Because every event schedules its consequences at least one
-/// slot in the future, a whole batch is a conservative synchronization
-/// window: its events touch only the state of the node they are addressed
-/// to, so the batch can be partitioned by node region and processed on
-/// ThreadPool workers, with new events merged back in region order at the
-/// barrier. See EventSim.h for the model and docs/NETWORK.md for the
-/// determinism contract.
+/// The event core of the fleet simulator: a global binary heap of
+/// slot-timestamped events with deterministic (slot, node, kind, seq)
+/// ordering, drained one slot-batch at a time. Because every event
+/// schedules its consequences at least one slot in the future, a whole
+/// batch is a conservative synchronization window: its events touch only
+/// the state of the node they are addressed to, so the batch can be
+/// partitioned by node region and processed on ThreadPool workers, with
+/// new events merged back in region order at the barrier. See EventSim.h
+/// for the model and docs/NETWORK.md for the determinism contract.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "net/EventSim.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <queue>
 
@@ -38,15 +37,8 @@ namespace {
 // Deterministic hashing (per-link qualities, per-node phases)
 //===----------------------------------------------------------------------===//
 
-uint64_t mix64(uint64_t X) {
-  X += 0x9e3779b97f4a7c15ULL;
-  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-  return X ^ (X >> 31);
-}
-
 uint64_t hashCombine(uint64_t A, uint64_t B) {
-  return mix64(A ^ (B + 0x9e3779b97f4a7c15ULL + (A << 6) + (A >> 2)));
+  return splitmix64(A ^ (B + 0x9e3779b97f4a7c15ULL + (A << 6) + (A >> 2)));
 }
 
 /// Uniform double in [0, 1) from a hash value.
@@ -68,15 +60,14 @@ enum EventKind : uint8_t {
   EvPoll = 3,        ///< an incomplete node re-checks its own progress
   EvArriveStart = 4, ///< a burst starts occupying a receiver's air
   EvKick = 5,        ///< the node considers transmitting
-  EvDeliver = 6,     ///< compat mode: whole-script reception
 };
 
 struct Event {
   int64_t Slot = 0;
-  int64_t Aux = 0; ///< arrivals: start slot; compat: round number
+  int64_t Aux = 0; ///< arrivals: start slot
   int32_t Node = 0; ///< the node whose state this event may touch
   int32_t From = -1;
-  int32_t Hop = 0; ///< arrivals: sender's hop; compat kick: round
+  int32_t Hop = 0; ///< arrivals: sender's hop
   uint32_t Seq = 0;
   uint8_t Kind = EvKick;
 };
@@ -375,8 +366,6 @@ void FleetSim::handle(const Event &E, RegionScratch &S) {
   case EvPoll:
     poll(E, S);
     break;
-  default:
-    assert(false && "compat event kind in fleet simulation");
   }
 }
 
@@ -804,154 +793,4 @@ FleetResult FleetSim::run() {
 FleetResult ucc::simulateFlood(const Topology &T, size_t ScriptBytes,
                                const FleetConfig &Cfg) {
   return FleetSim(T, ScriptBytes, Cfg).run();
-}
-
-//===----------------------------------------------------------------------===//
-// Legacy-compat schedule
-//===----------------------------------------------------------------------===//
-//
-// The compat schedule drives the event core through the seed engine's
-// exact observable behavior: the nodes of BFS level d-1 that cover a
-// farther neighbor kick (transmit) at slot 3(d-1) in ascending node
-// order, level d receives the whole script at slot 3(d-1)+2, and the
-// next level kicks at slot 3d. That reproduces the shared RNG's draw
-// order, every floating-point accumulation order, and the trace-event
-// sequence of the round loop bit for bit — which the zero-tolerance
-// bench gate (campaign joules under loss) depends on.
-
-DisseminationResult ucc::detail::disseminateEventCompat(
-    const Topology &T, size_t ScriptBytes, const PacketFormat &Fmt,
-    const Mica2Power &Power, const RadioChannel &Channel) {
-  ScopedSpan Span("net");
-  DisseminationResult R;
-  R.Packets = Fmt.packetsFor(ScriptBytes);
-  R.BytesOnAir = Fmt.bytesOnAir(ScriptBytes);
-  R.PerNodeJoules.assign(static_cast<size_t>(T.NumNodes), 0.0);
-
-  std::vector<int> Dist = T.hopDistances();
-  for (int D : Dist)
-    R.MaxHops = std::max(R.MaxHops, D);
-
-  double PacketBits =
-      R.Packets > 0 ? static_cast<double>(R.BytesOnAir) * 8.0 / R.Packets
-                    : 0.0;
-  double TxPerPacketJ = PacketBits * Power.radioTxEnergyPerBit();
-  double RxPerPacketJ = PacketBits * Power.radioRxEnergyPerBit();
-
-  RNG Rng(Channel.Seed);
-  // Attempts needed to get one packet across the lossy link. Draw-order
-  // identical to the seed engine's lambda (including the extra draw at
-  // the MaxAttempts boundary — see the retry-accounting test).
-  auto attemptsForPacket = [&]() {
-    int Attempts = 1;
-    while (Attempts < Channel.MaxAttempts && Rng.unitReal() < Channel.LossRate)
-      ++Attempts;
-    if (Attempts >= Channel.MaxAttempts && Rng.unitReal() < Channel.LossRate)
-      ++R.FailedPackets; // gave up; the group must be refetched later
-    return Attempts;
-  };
-
-  Telemetry *Ev = eventTelemetry();
-  auto emitEnergySample = [&](int Node) {
-    Ev->recordEvent(TelemetryEvent::Phase::Counter, "net",
-                    format("energy/node%d", Node), Node,
-                    {{"joules", R.PerNodeJoules[static_cast<size_t>(Node)]}});
-  };
-
-  EventHeap Heap(T.NumNodes);
-  for (int V = 0; V < T.NumNodes; ++V) {
-    int D = Dist[static_cast<size_t>(V)];
-    if (D < 0)
-      continue; // disconnected: neither transmits nor receives
-    bool Forwards = false;
-    for (int Nb : T.Neighbors[static_cast<size_t>(V)])
-      Forwards |= Dist[static_cast<size_t>(Nb)] > D;
-    if (Forwards) {
-      Event E;
-      E.Slot = 3 * static_cast<int64_t>(D);
-      E.Node = V;
-      E.Hop = D + 1; // the round this transmission belongs to
-      E.Kind = EvKick;
-      Heap.push(E);
-    }
-    if (D >= 1) {
-      Event E;
-      E.Slot = 3 * static_cast<int64_t>(D - 1) + 2;
-      E.Node = V;
-      E.Hop = D; // the round this reception belongs to
-      E.Kind = EvDeliver;
-      Heap.push(E);
-    }
-  }
-
-  int Reached = T.NumNodes > 0 ? 1 : 0; // hop 0 is the sink alone
-  std::vector<Event> Batch;
-  while (!Heap.empty()) {
-    Heap.popBatch(Batch);
-    int Delivered = 0;
-    int Round = 0;
-    for (const Event &E : Batch) {
-      int Node = E.Node;
-      if (E.Kind == EvKick) {
-        int Attempts = 0;
-        for (int P = 0; P < R.Packets; ++P) {
-          int A = attemptsForPacket();
-          Attempts += A;
-          if (Ev) {
-            Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
-                            "packet.tx", Node,
-                            {{"round", static_cast<double>(E.Hop)},
-                             {"packet", static_cast<double>(P)},
-                             {"attempts", static_cast<double>(A)}});
-            if (A > 1)
-              Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
-                              "packet.retx", Node,
-                              {{"round", static_cast<double>(E.Hop)},
-                               {"packet", static_cast<double>(P)},
-                               {"extra", static_cast<double>(A - 1)}});
-          }
-        }
-        R.Retransmissions += Attempts - R.Packets;
-        double Tx = TxPerPacketJ * Attempts;
-        ++R.Transmitters;
-        R.TotalTxJoules += Tx;
-        R.PerNodeJoules[static_cast<size_t>(Node)] += Tx;
-        if (Ev)
-          emitEnergySample(Node);
-      } else {
-        Round = E.Hop;
-        double Rx = RxPerPacketJ * R.Packets;
-        R.TotalRxJoules += Rx;
-        R.PerNodeJoules[static_cast<size_t>(Node)] += Rx;
-        if (Ev) {
-          Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "packet.rx",
-                          Node,
-                          {{"round", static_cast<double>(Round)},
-                           {"packets", static_cast<double>(R.Packets)}});
-          emitEnergySample(Node);
-        }
-        ++Delivered;
-      }
-    }
-    if (Delivered > 0) {
-      Reached += Delivered;
-      if (Ev)
-        Ev->recordEvent(TelemetryEvent::Phase::Counter, "net",
-                        "net.progress", 0,
-                        {{"round", static_cast<double>(Round)},
-                         {"reached", static_cast<double>(Reached)}});
-    }
-  }
-
-  if (Telemetry *Tel = currentTelemetry()) {
-    Tel->addCounter("net.floods");
-    Tel->addCounter("net.packets", R.Packets);
-    Tel->addCounter("net.bytes_on_air", static_cast<int64_t>(R.BytesOnAir));
-    Tel->addCounter("net.transmitters", R.Transmitters);
-    Tel->addCounter("net.retransmissions", R.Retransmissions);
-    Tel->addCounter("net.failed_packets", R.FailedPackets);
-    Tel->addGauge("net.tx_joules", R.TotalTxJoules);
-    Tel->addGauge("net.rx_joules", R.TotalRxJoules);
-  }
-  return R;
 }

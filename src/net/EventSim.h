@@ -47,10 +47,9 @@
 /// new events are merged in region order at the barrier. Results and
 /// `net.*` counters are byte-identical for every job count.
 ///
-/// The seed round-based engine remains available as the oracle
-/// (net/Network's disseminateRounds); `disseminate()` is a facade over
-/// this engine's legacy-compat schedule and reproduces the oracle's
-/// packet/hop/joule results exactly.
+/// The paper-figure model — one BFS level per round over an ideal air —
+/// is net/Network's `disseminate()`; this engine is the full radio model
+/// beside it, not a replacement.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -160,21 +159,6 @@ struct FleetResult {
 /// (topology, config, seed) and byte-identical for every Jobs value.
 FleetResult simulateFlood(const Topology &T, size_t ScriptBytes,
                           const FleetConfig &Cfg = FleetConfig());
-
-namespace detail {
-
-/// The legacy-compat schedule of the event engine: BFS-round timing, the
-/// shared loss RNG consumed in (round, node, packet) order, unconditional
-/// delivery — reproduces disseminateRounds() bit-exactly (including every
-/// floating-point accumulation order) so `disseminate()` can run on the
-/// event core without perturbing any seed bench or test result.
-DisseminationResult disseminateEventCompat(const Topology &T,
-                                           size_t ScriptBytes,
-                                           const PacketFormat &Fmt,
-                                           const Mica2Power &Power,
-                                           const RadioChannel &Channel);
-
-} // namespace detail
 
 } // namespace ucc
 

@@ -15,17 +15,13 @@
 /// per-node cumulative `energy/node<N>` samples, and a per-round
 /// `net.progress` counter (nodes reached so far).
 ///
-/// `disseminate()` is a facade: the round loop lives on verbatim as
-/// `disseminateRounds()` (the oracle), while the facade runs the
-/// discrete-event engine's legacy-compat schedule (net/EventSim.h) which
-/// reproduces the loop bit for bit. The campaign layer is engine-agnostic
-/// and goes through the facade.
+/// The full radio model (per-link loss, contention, duty cycling) is the
+/// separate discrete-event engine in net/EventSim.h.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "net/Network.h"
 
-#include "net/EventSim.h"
 #include "support/Format.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
@@ -140,16 +136,6 @@ DisseminationResult ucc::disseminate(const Topology &T, size_t ScriptBytes,
                                      const PacketFormat &Fmt,
                                      const Mica2Power &Power,
                                      const RadioChannel &Channel) {
-  // The event engine's compat schedule replays the round loop below bit
-  // for bit (oracle-checked in tests/FleetSimTest.cpp).
-  return detail::disseminateEventCompat(T, ScriptBytes, Fmt, Power, Channel);
-}
-
-DisseminationResult ucc::disseminateRounds(const Topology &T,
-                                           size_t ScriptBytes,
-                                           const PacketFormat &Fmt,
-                                           const Mica2Power &Power,
-                                           const RadioChannel &Channel) {
   ScopedSpan Span("net");
   DisseminationResult R;
   R.Packets = Fmt.packetsFor(ScriptBytes);

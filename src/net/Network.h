@@ -85,26 +85,15 @@ struct DisseminationResult {
   double totalJoules() const { return TotalTxJoules + TotalRxJoules; }
 };
 
-/// Floods a script of \p ScriptBytes from the sink across \p T.
-///
-/// A facade over the discrete-event engine's legacy-compat schedule
-/// (net/EventSim.h): results — packets, hops, joules, retransmissions,
-/// trace events — are bit-identical to the seed round-based engine for
-/// every channel, seed and topology. Callers that want the full radio
-/// model (per-link loss, contention, duty cycling) use simulateFlood().
+/// Floods a script of \p ScriptBytes from the sink across \p T, one BFS
+/// level per round over an ideal air with per-packet loss retries (the
+/// model the paper figures are baselined on). Callers that want the full
+/// radio model (per-link loss, contention, duty cycling) use
+/// simulateFlood() in net/EventSim.h.
 DisseminationResult disseminate(const Topology &T, size_t ScriptBytes,
                                 const PacketFormat &Fmt = PacketFormat(),
                                 const Mica2Power &Power = Mica2Power(),
                                 const RadioChannel &Channel = RadioChannel());
-
-/// The seed round-based engine (one BFS level per round over an ideal
-/// air), kept verbatim as the oracle the event engine is checked against
-/// in tests. Behavior and telemetry are identical to disseminate().
-DisseminationResult
-disseminateRounds(const Topology &T, size_t ScriptBytes,
-                  const PacketFormat &Fmt = PacketFormat(),
-                  const Mica2Power &Power = Mica2Power(),
-                  const RadioChannel &Channel = RadioChannel());
 
 //===----------------------------------------------------------------------===//
 // Fleet update campaigns

@@ -276,9 +276,7 @@ bool tryIlpSingleBlock(MachineFunction &MF, const FlatList &NewLin,
 
   ILPOptions IO;
   IO.TimeLimitSec = Opts.IlpTimeLimitSec;
-  WindowSolution Sol = Opts.EnableWindowCache
-                           ? solveWindowCached(Spec, IO, /*UsePrefHint=*/true)
-                           : solveWindow(Spec, IO, /*UsePrefHint=*/true);
+  WindowSolution Sol = solveWindowCached(Spec, IO, /*UsePrefHint=*/true);
   if (Sol.Status != SolveStatus::Optimal &&
       Sol.Status != SolveStatus::Feasible)
     return false;

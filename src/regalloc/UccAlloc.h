@@ -58,10 +58,6 @@ struct UccAllocOptions {
   UccStrategy Strategy = UccStrategy::Greedy;
   int IlpMaxBinaries = 400;      ///< model-size budget for the ILP engine
   double IlpTimeLimitSec = 10.0; ///< per-function ILP time budget
-  /// Memoize ILP window solves in the process-global cache keyed by the
-  /// canonical window-model hash (solveWindowCached). Iterative-update
-  /// runs re-solve identical windows; hits skip the solver entirely.
-  bool EnableWindowCache = true;
 };
 
 /// Statistics from one UCC-RA run. Mirrored into the telemetry registry

@@ -133,14 +133,16 @@ WindowSolution solveWindow(const WindowSpec &Spec,
 /// ablation). Windows must need no spills or movs.
 WindowSolution solveWindowExact(const WindowSpec &Spec);
 
-/// Canonical FNV-1a hash of a window model: every field of \p Spec
-/// (structure, coefficients, preferred tags) plus the solver options that
-/// can change the answer. Equal windows hash equal by construction; the
-/// cache below still compares specs field-by-field on a key match.
+/// FNV-1a hash of a window model's canonical key bytes: every field of
+/// \p Spec (structure, coefficients, preferred tags) plus the solver
+/// options that can change the answer. Equal windows hash equal by
+/// construction; the cache below confirms a hash match by comparing the
+/// full key bytes.
 uint64_t windowSpecKey(const WindowSpec &Spec, const ILPOptions &Opts,
                        bool UsePrefHint);
 
-/// `solveWindow` behind a process-global memo cache (WindowCache.cpp).
+/// `solveWindow` behind a process-global, unbounded support/MemoCache
+/// (WindowCache.cpp).
 /// Iterative-update experiments (Fig. 14) re-solve identical windows many
 /// times; the cache guarantees each unique window is solved exactly once
 /// per process — a concurrent requester for an in-flight window blocks on
@@ -153,7 +155,7 @@ WindowSolution solveWindowCached(const WindowSpec &Spec,
                                  bool UsePrefHint = true);
 
 /// Empties the window memo cache (tests and benches that measure
-/// cold-solve behavior).
+/// cold-solve behavior). Windows being solved right now stay.
 void clearWindowCache();
 
 /// Number of distinct windows currently memoized.

@@ -9,210 +9,91 @@
 /// update experiments (Fig. 14) and the per-function UCC-RA loop under
 /// `--jobs` repeatedly build byte-identical window models — same chunk,
 /// same frequencies, same preferred tags — and re-solving them dominated
-/// the hot path. The cache keys on a canonical FNV-1a hash of the full
-/// WindowSpec plus the result-affecting solver options, verifies a hit by
-/// field-by-field spec comparison (hash collisions fall through to a
-/// separate entry), and uses an in-flight latch so a window being solved
-/// on one thread blocks — rather than re-solves — concurrent requesters:
-/// every unique window is solved exactly once per process, which also
-/// keeps deterministic metrics (pivots, nodes) independent of `--jobs`
-/// and of arrival order.
+/// the hot path. The key is a canonical byte encoding of the full
+/// WindowSpec plus the result-affecting solver options; the cache is an
+/// unbounded support/MemoCache, whose in-flight latch makes every unique
+/// window solved exactly once per process. That also keeps deterministic
+/// metrics (pivots, nodes) independent of `--jobs` and of arrival order.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "regalloc/UccIlpModel.h"
 
-#include "support/Telemetry.h"
-
-#include <condition_variable>
-#include <cstring>
-#include <list>
-#include <mutex>
-#include <unordered_map>
+#include "support/Hash.h"
+#include "support/MemoCache.h"
 
 using namespace ucc;
 
 namespace {
 
-//===--- canonical hashing ----------------------------------------------------//
+using WindowMemo = MemoCache<std::vector<uint8_t>, WindowSolution>;
 
-class Fnv1a {
-public:
-  void bytes(const void *Data, size_t Len) {
-    const unsigned char *P = static_cast<const unsigned char *>(Data);
-    for (size_t I = 0; I < Len; ++I) {
-      Hash ^= P[I];
-      Hash *= 0x100000001b3ULL;
-    }
-  }
-  void i32(int32_t V) { bytes(&V, sizeof V); }
-  void u16(uint16_t V) { bytes(&V, sizeof V); }
-  void u64(uint64_t V) { bytes(&V, sizeof V); }
-  void f64(double V) {
-    // Canonicalize -0.0 so numerically equal coefficients hash equal.
-    if (V == 0.0)
-      V = 0.0;
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof Bits);
-    u64(Bits);
-  }
-  void vecI32(const std::vector<int> &V) {
-    u64(V.size());
-    for (int X : V)
-      i32(X);
-  }
-  uint64_t value() const { return Hash; }
-
-private:
-  uint64_t Hash = 0xcbf29ce484222325ULL;
-};
-
-bool sameInstr(const WindowInstr &A, const WindowInstr &B) {
-  return A.Changed == B.Changed && A.Freq == B.Freq && A.Uses == B.Uses &&
-         A.UsePref == B.UsePref && A.Def == B.Def && A.DefPref == B.DefPref &&
-         A.BusyMask == B.BusyMask;
-}
-
-bool sameSpec(const WindowSpec &A, const WindowSpec &B) {
-  if (A.NumVars != B.NumVars || A.NumRegs != B.NumRegs ||
-      A.Instrs.size() != B.Instrs.size() || A.EntryReg != B.EntryReg ||
-      A.ExitReg != B.ExitReg || A.LiveOut != B.LiveOut || A.Pairs != B.Pairs ||
-      A.Etrans != B.Etrans || A.Eexe != B.Eexe || A.Cnt != B.Cnt ||
-      A.Theta != B.Theta)
-    return false;
-  for (size_t I = 0; I < A.Instrs.size(); ++I)
-    if (!sameInstr(A.Instrs[I], B.Instrs[I]))
-      return false;
-  return true;
-}
-
-//===--- the cache ------------------------------------------------------------//
-
-struct CacheEntry {
-  WindowSpec Spec;
-  ILPOptions Opts; // Hint is never stored (derived from the spec)
-  bool UsePrefHint;
-  bool Ready = false;
-  WindowSolution Sol;
-};
-
-struct Cache {
-  std::mutex Lock;
-  std::condition_variable Filled;
-  /// Collision chains per key; entries are stable (std::list) so a solver
-  /// can fill its entry without holding the lock.
-  std::unordered_map<uint64_t, std::list<CacheEntry>> Map;
-};
-
-Cache &cache() {
-  static Cache C;
+WindowMemo &cache() {
+  static WindowMemo C = [] {
+    MemoCounterNames Names;
+    Names.Hits = "ra.window_cache_hits";
+    Names.Misses = "ra.window_cache_misses";
+    return WindowMemo(WindowMemo::Unbounded, 1, Names);
+  }();
   return C;
 }
 
-bool sameOptions(const ILPOptions &A, const ILPOptions &B) {
-  return A.MaxPivots == B.MaxPivots && A.MaxNodes == B.MaxNodes &&
-         A.TimeLimitSec == B.TimeLimitSec;
+/// Every field of the window model plus the solver options that can
+/// change the result (Opts.Hint is derived from the spec, so it is not).
+std::vector<uint8_t> windowKeyBytes(const WindowSpec &Spec,
+                                    const ILPOptions &Opts,
+                                    bool UsePrefHint) {
+  std::vector<uint8_t> Key;
+  KeyWriter W(Key);
+  W.i32(Spec.NumVars);
+  W.i32(Spec.NumRegs);
+  W.u32(static_cast<uint32_t>(Spec.Instrs.size()));
+  for (const WindowInstr &I : Spec.Instrs) {
+    W.u8(I.Changed ? 1 : 0);
+    W.f64(I.Freq);
+    W.ints(I.Uses);
+    W.ints(I.UsePref);
+    W.i32(I.Def);
+    W.i32(I.DefPref);
+    W.u16(I.BusyMask);
+  }
+  W.ints(Spec.EntryReg);
+  W.ints(Spec.ExitReg);
+  W.u32(static_cast<uint32_t>(Spec.LiveOut.size()));
+  for (bool B : Spec.LiveOut)
+    W.u8(B ? 1 : 0);
+  W.u32(static_cast<uint32_t>(Spec.Pairs.size()));
+  for (const auto &[Low, High] : Spec.Pairs) {
+    W.i32(Low);
+    W.i32(High);
+  }
+  W.f64(Spec.Etrans);
+  W.f64(Spec.Eexe);
+  W.f64(Spec.Cnt);
+  W.f64(Spec.Theta);
+  W.i64(Opts.MaxPivots);
+  W.i32(Opts.MaxNodes);
+  W.f64(Opts.TimeLimitSec);
+  W.u8(UsePrefHint ? 1 : 0);
+  return Key;
 }
 
 } // namespace
 
 uint64_t ucc::windowSpecKey(const WindowSpec &Spec, const ILPOptions &Opts,
                             bool UsePrefHint) {
-  Fnv1a H;
-  H.i32(Spec.NumVars);
-  H.i32(Spec.NumRegs);
-  H.u64(Spec.Instrs.size());
-  for (const WindowInstr &I : Spec.Instrs) {
-    H.i32(I.Changed ? 1 : 0);
-    H.f64(I.Freq);
-    H.vecI32(I.Uses);
-    H.vecI32(I.UsePref);
-    H.i32(I.Def);
-    H.i32(I.DefPref);
-    H.u16(I.BusyMask);
-  }
-  H.vecI32(Spec.EntryReg);
-  H.vecI32(Spec.ExitReg);
-  H.u64(Spec.LiveOut.size());
-  for (bool B : Spec.LiveOut)
-    H.i32(B ? 1 : 0);
-  H.u64(Spec.Pairs.size());
-  for (const auto &[Low, High] : Spec.Pairs) {
-    H.i32(Low);
-    H.i32(High);
-  }
-  H.f64(Spec.Etrans);
-  H.f64(Spec.Eexe);
-  H.f64(Spec.Cnt);
-  H.f64(Spec.Theta);
-  H.u64(static_cast<uint64_t>(Opts.MaxPivots));
-  H.i32(Opts.MaxNodes);
-  H.f64(Opts.TimeLimitSec);
-  H.i32(UsePrefHint ? 1 : 0);
-  return H.value();
+  return fnv1a(windowKeyBytes(Spec, Opts, UsePrefHint));
 }
 
 WindowSolution ucc::solveWindowCached(const WindowSpec &Spec,
                                       const ILPOptions &Opts,
                                       bool UsePrefHint) {
-  uint64_t Key = windowSpecKey(Spec, Opts, UsePrefHint);
-  Cache &C = cache();
-  CacheEntry *Mine = nullptr;
-
-  {
-    std::unique_lock<std::mutex> Guard(C.Lock);
-    std::list<CacheEntry> &Chain = C.Map[Key];
-    for (CacheEntry &E : Chain) {
-      if (E.UsePrefHint != UsePrefHint || !sameOptions(E.Opts, Opts) ||
-          !sameSpec(E.Spec, Spec))
-        continue;
-      // Hit — possibly on an in-flight solve; wait for it rather than
-      // solving the same window twice.
-      if (Telemetry *T = currentTelemetry())
-        T->addCounter("ra.window_cache_hits");
-      C.Filled.wait(Guard, [&] { return E.Ready; });
-      return E.Sol;
-    }
-    Chain.emplace_back();
-    Mine = &Chain.back();
-    Mine->Spec = Spec;
-    Mine->Opts = Opts;
-    Mine->Opts.Hint = nullptr;
-    Mine->UsePrefHint = UsePrefHint;
-    if (Telemetry *T = currentTelemetry())
-      T->addCounter("ra.window_cache_misses");
-  }
-
-  // Solve outside the lock (entries are list nodes, so Mine stays valid).
-  WindowSolution Sol = solveWindow(Spec, Opts, UsePrefHint);
-
-  {
-    std::lock_guard<std::mutex> Guard(C.Lock);
-    Mine->Sol = Sol;
-    Mine->Ready = true;
-  }
-  C.Filled.notify_all();
-  return Sol;
+  std::vector<uint8_t> Key = windowKeyBytes(Spec, Opts, UsePrefHint);
+  return cache().getOrCompute(Key, fnv1a(Key), [&] {
+    return solveWindow(Spec, Opts, UsePrefHint);
+  });
 }
 
-void ucc::clearWindowCache() {
-  Cache &C = cache();
-  std::lock_guard<std::mutex> Guard(C.Lock);
-  // In-flight entries must not be erased from under their solver; callers
-  // clear between experiments, not mid-solve. Drop only ready chains.
-  for (auto It = C.Map.begin(); It != C.Map.end();) {
-    std::list<CacheEntry> &Chain = It->second;
-    for (auto E = Chain.begin(); E != Chain.end();)
-      E = E->Ready ? Chain.erase(E) : std::next(E);
-    It = Chain.empty() ? C.Map.erase(It) : std::next(It);
-  }
-}
+void ucc::clearWindowCache() { cache().clear(); }
 
-size_t ucc::windowCacheSize() {
-  Cache &C = cache();
-  std::lock_guard<std::mutex> Guard(C.Lock);
-  size_t N = 0;
-  for (const auto &[Key, Chain] : C.Map)
-    N += Chain.size();
-  return N;
-}
+size_t ucc::windowCacheSize() { return cache().counts().Entries; }

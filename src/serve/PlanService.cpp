@@ -14,58 +14,38 @@
 /// moved, so the steady-state read path is one acquire load with no
 /// shared-cache-line writes.
 ///
-/// The cache is an array of shards, each following regalloc/WindowCache:
-/// entries live in an intrusive LRU list and are found through a
-/// hash-keyed collision chain confirmed field by field, a miss inserts a
-/// not-yet-ready entry and computes outside the lock, and concurrent
-/// requests for the same pair block on the shard's condition variable
-/// until the owner fills it. Entries are shared_ptr so an eviction can
-/// never pull a result out from under a waiter, and in-flight (not Ready)
-/// entries are never evicted. Capacity is a single global budget: the
-/// inserting shard evicts from its own LRU tail while the global resident
-/// count is over budget, which keeps the degenerate everything-hashes-to-
-/// one-shard case exactly as capacious as the uniform case.
-///
-/// Admission (TinyLFU-flavored) and TTL act per shard under the same
-/// lock: every access bumps a small frequency sketch, a computed plan is
-/// granted residency over budget only if it is hotter than the shard's
-/// LRU victim, and a hit older than the TTL is dropped and recomputed.
-/// Neither policy touches the exactly-once latch — the latch entry is
-/// always inserted and always filled; the policies only decide residency
-/// afterward.
+/// The plan cache is a sharded support/MemoCache (docs/PERFORMANCE.md,
+/// "The memo cache"): the latch, the LRU, the global budget and the
+/// counters live there. This file keeps what is serving's own — the key
+/// (FNV-1a over the two endpoint content hashes, confirmed by exact ids),
+/// the shard choice, and the admission and TTL policy, which runs as
+/// MemoCache hooks under the shard lock: every access bumps a small
+/// frequency sketch, a computed plan is granted residency over budget only
+/// if it is hotter than the shard's LRU victim, and a hit older than the
+/// TTL is dropped and recomputed.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/PlanService.h"
 
 #include "support/Format.h"
+#include "support/Hash.h"
+#include "support/MemoCache.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <condition_variable>
-#include <list>
 #include <map>
-#include <unordered_map>
 
 using namespace ucc;
 
 namespace {
 
-uint64_t fnv1aBytes(uint64_t H, const void *Data, size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 uint64_t imageContentHash(const BinaryImage &Image) {
   std::vector<uint8_t> Bytes = Image.serialize();
-  return fnv1aBytes(1469598103934665603ull, Bytes.data(), Bytes.size());
+  return fnv1a(Bytes.data(), Bytes.size(), StoreHashBasis);
 }
 
 /// The canonical cache key: FNV-1a over the two endpoint content hashes,
@@ -73,20 +53,15 @@ uint64_t imageContentHash(const BinaryImage &Image) {
 /// exact (From, To) ids because distinct versions can share content — the
 /// store's own tests commit the same source twice.
 uint64_t pairKey(uint64_t FromHash, uint64_t ToHash) {
-  uint64_t H = fnv1aBytes(1469598103934665603ull, &FromHash,
-                          sizeof(FromHash));
-  return fnv1aBytes(H, &ToHash, sizeof(ToHash));
+  return fnv1a(&ToHash, sizeof(ToHash),
+               fnv1a(&FromHash, sizeof(FromHash), StoreHashBasis));
 }
 
 /// Key -> shard. A splitmix finalizer decorrelates the shard choice from
 /// the in-shard hash map's bucket choice (libstdc++ hashes uint64_t
 /// keys by identity).
 size_t shardFor(uint64_t Key, size_t NumShards) {
-  uint64_t Z = Key + 0x9e3779b97f4a7c15ull;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  Z ^= Z >> 31;
-  return static_cast<size_t>(Z % NumShards);
+  return static_cast<size_t>(splitmix64(Key) % NumShards);
 }
 
 /// Snapshot ids are unique across every service in the process, so a
@@ -126,16 +101,64 @@ struct RequestTrace {
   }
 };
 
-struct CacheEntry {
+/// The exact identity of a cached plan.
+struct PairIds {
   int From = -1;
   int To = -1;
-  uint64_t Key = 0;
-  bool Ready = false;   ///< Plan is filled in; guarded by the shard lock
-  bool Resident = true; ///< still in the LRU list (false after eviction)
-  /// Null until Ready; null AND Ready = a cached planning failure.
-  std::shared_ptr<const UpdatePlan> Plan;
-  double FillSeconds = 0; ///< TTL stamp, set when the plan is filled
-  std::list<std::shared_ptr<CacheEntry>>::iterator Self;
+  bool operator==(const PairIds &) const = default;
+};
+
+/// The serving policy on the plan cache: TinyLFU-flavored admission and
+/// lazy TTL expiry (PlanServiceOptions::Admit / TtlSeconds).
+struct ServePolicy {
+  /// Two-probe min sketch of access frequency (the admission doorkeeper's
+  /// memory). Halved every 8192 recorded accesses so frequency estimates
+  /// stay recency-biased.
+  struct ShardState {
+    std::array<uint8_t, 1024> Freq{};
+    uint32_t SketchOps = 0;
+
+    uint32_t estimate(uint64_t Key) const {
+      return std::min(Freq[Key & 1023], Freq[(Key >> 32) & 1023]);
+    }
+  };
+  struct EntryState {
+    double FillSeconds = 0; ///< TTL stamp, set when the plan is filled
+  };
+
+  bool Frequency = false;
+  double TtlSeconds = 0;
+  std::function<double()> Clock;
+
+  void onLookup(ShardState &S, uint64_t Key) const {
+    if (!Frequency)
+      return;
+    uint8_t &A = S.Freq[Key & 1023];
+    uint8_t &B = S.Freq[(Key >> 32) & 1023];
+    if (A < 255)
+      ++A;
+    if (B < 255)
+      ++B;
+    if (++S.SketchOps >= 8192) {
+      for (uint8_t &C : S.Freq)
+        C = static_cast<uint8_t>(C >> 1);
+      S.SketchOps = 0;
+    }
+  }
+  bool expired(const EntryState &E) const {
+    return TtlSeconds > 0 && Clock() - E.FillSeconds > TtlSeconds;
+  }
+  void onFill(EntryState &E) const {
+    if (TtlSeconds > 0)
+      E.FillSeconds = Clock();
+  }
+  /// Under Frequency admission the budget is enforced once the plan
+  /// exists: over budget, the newcomer must be hotter than the shard's
+  /// LRU victim to displace it; otherwise the newcomer itself is dropped.
+  bool admitsOnFill() const { return Frequency; }
+  bool admit(const ShardState &S, uint64_t NewKey, uint64_t VictimKey) const {
+    return S.estimate(NewKey) > S.estimate(VictimKey);
+  }
 };
 
 } // namespace
@@ -154,95 +177,28 @@ struct PlanService::Snapshot {
   }
 };
 
-/// One cache shard: an independent WindowCache-style LRU plus the shard's
-/// slice of the accounting and a small TinyLFU frequency sketch. All
-/// fields are guarded by Lock; the counters are plain integers because
-/// every mutation already holds it, which is exactly what makes
-/// shardStats() consistent.
-struct PlanService::Shard {
-  std::mutex Lock;
-  std::condition_variable Filled;
-  /// Front = most recently used. shared_ptr entries keep evicted results
-  /// alive for whoever already holds them.
-  std::list<std::shared_ptr<CacheEntry>> Lru;
-  /// Canonical key -> collision chain (content-equal pairs with different
-  /// ids land in the same chain and are told apart by exact id match).
-  std::unordered_map<uint64_t, std::vector<std::shared_ptr<CacheEntry>>>
-      Map;
-
-  uint64_t Hits = 0, Misses = 0, Evictions = 0, AdmissionRejects = 0,
-           TtlExpired = 0, InflightWaits = 0;
-
-  /// Two-probe min sketch of access frequency (the admission doorkeeper's
-  /// memory). Halved every 8192 recorded accesses so frequency estimates
-  /// stay recency-biased.
-  std::array<uint8_t, 1024> Freq{};
-  uint32_t SketchOps = 0;
-
-  /// Prebuilt per-shard telemetry counter names (serve.shard.<i>.*), so
-  /// the hot path never formats strings.
-  std::string CtrHits, CtrMisses, CtrEvictions;
-
-  void recordAccess(uint64_t Key) {
-    uint8_t &A = Freq[Key & 1023];
-    uint8_t &B = Freq[(Key >> 32) & 1023];
-    if (A < 255)
-      ++A;
-    if (B < 255)
-      ++B;
-    if (++SketchOps >= 8192) {
-      for (uint8_t &C : Freq)
-        C = static_cast<uint8_t>(C >> 1);
-      SketchOps = 0;
-    }
-  }
-
-  uint32_t estimate(uint64_t Key) const {
-    return std::min(Freq[Key & 1023], Freq[(Key >> 32) & 1023]);
-  }
-
-  void removeFromMap(const std::shared_ptr<CacheEntry> &E) {
-    auto It = Map.find(E->Key);
-    if (It == Map.end())
-      return;
-    auto &Chain = It->second;
-    Chain.erase(std::remove(Chain.begin(), Chain.end(), E), Chain.end());
-    if (Chain.empty())
-      Map.erase(It);
-  }
-
-  /// Unlinks \p E from the shard (map + LRU). Waiters that already hold
-  /// the shared_ptr are unaffected.
-  void drop(const std::shared_ptr<CacheEntry> &E) {
-    removeFromMap(E);
-    E->Resident = false;
-    Lru.erase(E->Self);
-  }
-
-  /// The entry the LRU policy would evict next: the least recently used
-  /// Ready entry, excluding \p Keep. Null when every entry is in flight.
-  std::shared_ptr<CacheEntry> victim(const CacheEntry *Keep) {
-    for (auto It = Lru.rbegin(); It != Lru.rend(); ++It)
-      if ((*It)->Ready && It->get() != Keep)
-        return *It;
-    return nullptr;
-  }
+struct PlanService::PlanCache
+    : MemoCache<PairIds, std::shared_ptr<const UpdatePlan>, ServePolicy> {
+  using MemoCache::MemoCache;
 };
 
 PlanService::PlanService(VersionStore S, PlanServiceOptions O)
     : Store(std::move(S)), FnCache(std::make_unique<CompileCache>()),
       Opts(std::move(O)) {
-  if (Opts.Shards == 0)
-    Opts.Shards = 1;
-  ClockFn = Opts.Clock ? Opts.Clock : steadySeconds;
-  Shards.reserve(Opts.Shards);
-  for (size_t I = 0; I < Opts.Shards; ++I) {
-    auto Sh = std::make_unique<Shard>();
-    Sh->CtrHits = format("serve.shard.%zu.hits", I);
-    Sh->CtrMisses = format("serve.shard.%zu.misses", I);
-    Sh->CtrEvictions = format("serve.shard.%zu.evictions", I);
-    Shards.push_back(std::move(Sh));
-  }
+  ServePolicy Policy;
+  Policy.Frequency = Opts.Admit == PlanServiceOptions::Admission::Frequency;
+  Policy.TtlSeconds = Opts.TtlSeconds;
+  Policy.Clock = Opts.Clock ? Opts.Clock : steadySeconds;
+  MemoCounterNames Names;
+  Names.Hits = "serve.cache_hits";
+  Names.Misses = "serve.cache_misses";
+  Names.Evictions = "serve.evictions";
+  Names.InflightWaits = "serve.inflight_waits";
+  Names.AdmissionRejects = "serve.admission_rejects";
+  Names.TtlExpired = "serve.ttl_expired";
+  Names.ShardPrefix = "serve.shard.";
+  Cache = std::make_unique<PlanCache>(Opts.CacheCapacity, Opts.Shards,
+                                      std::move(Names), std::move(Policy));
 
   auto Initial = std::make_shared<Snapshot>();
   Initial->Id = GlobalSnapId.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -285,130 +241,6 @@ PlanService::planOnSnapshot(const Snapshot &S, int FromId, int ToId) const {
                              ToId);
 }
 
-std::shared_ptr<const UpdatePlan>
-PlanService::planThroughShard(const std::shared_ptr<const Snapshot> &S,
-                              int FromId, int ToId) const {
-  uint64_t Key = pairKey(S->ImageHash[static_cast<size_t>(FromId)],
-                         S->ImageHash[static_cast<size_t>(ToId)]);
-  Shard &Sh = *Shards[shardFor(Key, Shards.size())];
-  bool UseAdmission =
-      Opts.Admit == PlanServiceOptions::Admission::Frequency;
-  double Now = Opts.TtlSeconds > 0 ? ClockFn() : 0;
-
-  std::shared_ptr<CacheEntry> E;
-  {
-    std::unique_lock<std::mutex> Guard(Sh.Lock);
-    if (UseAdmission)
-      Sh.recordAccess(Key);
-    if (auto It = Sh.Map.find(Key); It != Sh.Map.end())
-      for (const std::shared_ptr<CacheEntry> &Cand : It->second)
-        if (Cand->From == FromId && Cand->To == ToId) {
-          E = Cand;
-          break;
-        }
-    if (E && E->Ready && Opts.TtlSeconds > 0 &&
-        Now - E->FillSeconds > Opts.TtlSeconds) {
-      // Expired: drop it and take the miss path below. Only Ready entries
-      // can expire — an in-flight fill is by definition fresh.
-      Sh.drop(E);
-      TotalEntries.fetch_sub(1, std::memory_order_relaxed);
-      ++Sh.TtlExpired;
-      telemetryCount("serve.ttl_expired");
-      E = nullptr;
-    }
-    if (E) {
-      if (!E->Ready) {
-        // Someone else is computing this exact pair: wait for the latch
-        // instead of solving it twice. The waiter still counts a hit —
-        // the result was (about to be) in the cache.
-        ++Sh.InflightWaits;
-        telemetryCount("serve.inflight_waits");
-        Sh.Filled.wait(Guard, [&] { return E->Ready; });
-      }
-      ++Sh.Hits;
-      if (Telemetry *T = currentTelemetry()) {
-        T->addCounter("serve.cache_hits");
-        T->addCounter(Sh.CtrHits);
-      }
-      if (E->Resident)
-        Sh.Lru.splice(Sh.Lru.begin(), Sh.Lru, E->Self);
-      return E->Plan;
-    }
-    E = std::make_shared<CacheEntry>();
-    E->From = FromId;
-    E->To = ToId;
-    E->Key = Key;
-    Sh.Map[Key].push_back(E);
-    Sh.Lru.push_front(E);
-    E->Self = Sh.Lru.begin();
-    TotalEntries.fetch_add(1, std::memory_order_relaxed);
-    ++Sh.Misses;
-    if (Telemetry *T = currentTelemetry()) {
-      T->addCounter("serve.cache_misses");
-      T->addCounter(Sh.CtrMisses);
-    }
-    if (!UseAdmission) {
-      // Classic LRU: enforce the global budget now, evicting from this
-      // shard's own tail. In-flight entries are skipped — the cache may
-      // transiently exceed its capacity while many pairs compute at once.
-      while (TotalEntries.load(std::memory_order_relaxed) >
-             Opts.CacheCapacity) {
-        std::shared_ptr<CacheEntry> V = Sh.victim(E.get());
-        if (!V)
-          break;
-        Sh.drop(V);
-        TotalEntries.fetch_sub(1, std::memory_order_relaxed);
-        ++Sh.Evictions;
-        if (Telemetry *T = currentTelemetry()) {
-          T->addCounter("serve.evictions");
-          T->addCounter(Sh.CtrEvictions);
-        }
-      }
-    }
-  }
-
-  // Compute outside the lock; composition failures are cached too — they
-  // are as immutable as any other answer for a committed pair.
-  std::shared_ptr<const UpdatePlan> P;
-  if (std::optional<UpdatePlan> Computed =
-          planOnSnapshot(*S, FromId, ToId))
-    P = std::make_shared<const UpdatePlan>(std::move(*Computed));
-  {
-    std::lock_guard<std::mutex> Guard(Sh.Lock);
-    E->Plan = P;
-    E->Ready = true;
-    E->FillSeconds = Opts.TtlSeconds > 0 ? ClockFn() : 0;
-    if (UseAdmission && E->Resident) {
-      // The doorkeeper decides residency only now that the plan exists:
-      // over budget, the newcomer must be hotter than the shard's LRU
-      // victim to displace it; otherwise the newcomer itself is dropped.
-      // Waiters already holding the entry still get their plan.
-      while (TotalEntries.load(std::memory_order_relaxed) >
-             Opts.CacheCapacity) {
-        std::shared_ptr<CacheEntry> V = Sh.victim(E.get());
-        if (!V)
-          break;
-        if (Sh.estimate(E->Key) <= Sh.estimate(V->Key)) {
-          Sh.drop(E);
-          TotalEntries.fetch_sub(1, std::memory_order_relaxed);
-          ++Sh.AdmissionRejects;
-          telemetryCount("serve.admission_rejects");
-          break;
-        }
-        Sh.drop(V);
-        TotalEntries.fetch_sub(1, std::memory_order_relaxed);
-        ++Sh.Evictions;
-        if (Telemetry *T = currentTelemetry()) {
-          T->addCounter("serve.evictions");
-          T->addCounter(Sh.CtrEvictions);
-        }
-      }
-    }
-  }
-  Sh.Filled.notify_all();
-  return P;
-}
-
 std::shared_ptr<const UpdatePlan> PlanService::plan(int FromId,
                                                     int ToId) const {
   RequestTrace Trace;
@@ -426,25 +258,18 @@ std::shared_ptr<const UpdatePlan> PlanService::plan(int FromId,
     return nullptr;
   }
 
-  if (Opts.CacheCapacity == 0) {
-    uint64_t Key = pairKey(S->ImageHash[static_cast<size_t>(FromId)],
-                           S->ImageHash[static_cast<size_t>(ToId)]);
-    Shard &Sh = *Shards[shardFor(Key, Shards.size())];
-    {
-      std::lock_guard<std::mutex> Guard(Sh.Lock);
-      ++Sh.Misses;
-      if (Telemetry *T = currentTelemetry()) {
-        T->addCounter("serve.cache_misses");
-        T->addCounter(Sh.CtrMisses);
-      }
-    }
-    if (std::optional<UpdatePlan> Computed =
-            planOnSnapshot(*S, FromId, ToId))
-      return std::make_shared<const UpdatePlan>(std::move(*Computed));
-    return nullptr;
-  }
-
-  return planThroughShard(S, FromId, ToId);
+  // Composition failures are cached too (as null) — they are as
+  // immutable as any other answer for a committed pair.
+  uint64_t Key = pairKey(S->ImageHash[static_cast<size_t>(FromId)],
+                         S->ImageHash[static_cast<size_t>(ToId)]);
+  return Cache->getOrCompute(
+      PairIds{FromId, ToId}, Key,
+      [&]() -> std::shared_ptr<const UpdatePlan> {
+        if (std::optional<UpdatePlan> P = planOnSnapshot(*S, FromId, ToId))
+          return std::make_shared<const UpdatePlan>(std::move(*P));
+        return nullptr;
+      },
+      nullptr, shardFor(Key, Cache->shardCount()));
 }
 
 std::vector<std::shared_ptr<const UpdatePlan>>
@@ -579,41 +404,25 @@ PlanServiceStats PlanService::stats() const {
   S.BatchDeduped = NBatchDeduped.load(std::memory_order_relaxed);
   S.Precomputed = NPrecomputed.load(std::memory_order_relaxed);
   S.Commits = NCommits.load(std::memory_order_relaxed);
-  // Each shard's slice is read under that shard's lock — never from a
-  // racy global — so concurrent eviction cannot tear a shard's (hits,
-  // misses, evictions, entries) quadruple.
-  for (const std::unique_ptr<Shard> &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh->Lock);
-    S.Hits += Sh->Hits;
-    S.Misses += Sh->Misses;
-    S.Evictions += Sh->Evictions;
-    S.AdmissionRejects += Sh->AdmissionRejects;
-    S.TtlExpired += Sh->TtlExpired;
-    S.InflightWaits += Sh->InflightWaits;
-    S.CacheEntries += Sh->Lru.size();
-  }
+  MemoCounts C = Cache->counts();
+  S.Hits = C.Hits;
+  S.Misses = C.Misses;
+  S.Evictions = C.Evictions;
+  S.AdmissionRejects = C.AdmissionRejects;
+  S.TtlExpired = C.TtlExpired;
+  S.InflightWaits = C.InflightWaits;
+  S.CacheEntries = C.Entries;
   return S;
 }
 
 std::vector<PlanShardStats> PlanService::shardStats() const {
   std::vector<PlanShardStats> Out;
-  Out.reserve(Shards.size());
-  for (const std::unique_ptr<Shard> &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh->Lock);
-    PlanShardStats S;
-    S.Hits = Sh->Hits;
-    S.Misses = Sh->Misses;
-    S.Evictions = Sh->Evictions;
-    S.AdmissionRejects = Sh->AdmissionRejects;
-    S.TtlExpired = Sh->TtlExpired;
-    S.InflightWaits = Sh->InflightWaits;
-    S.Entries = Sh->Lru.size();
-    Out.push_back(S);
-  }
+  for (size_t I = 0; I < Cache->shardCount(); ++I)
+    Out.push_back(Cache->shardCounts(I));
   return Out;
 }
 
-size_t PlanService::shardCount() const { return Shards.size(); }
+size_t PlanService::shardCount() const { return Cache->shardCount(); }
 
 std::optional<size_t> PlanService::shardIndex(int FromId, int ToId) const {
   std::shared_ptr<const Snapshot> S = snapshot();
@@ -621,27 +430,10 @@ std::optional<size_t> PlanService::shardIndex(int FromId, int ToId) const {
     return std::nullopt;
   uint64_t Key = pairKey(S->ImageHash[static_cast<size_t>(FromId)],
                          S->ImageHash[static_cast<size_t>(ToId)]);
-  return shardFor(Key, Shards.size());
+  return shardFor(Key, Cache->shardCount());
 }
 
-void PlanService::clearCache() const {
-  for (const std::unique_ptr<Shard> &Sh : Shards) {
-    std::lock_guard<std::mutex> Guard(Sh->Lock);
-    // Drop Ready entries only; in-flight ones still have an owner that
-    // will fill them and waiters parked on the latch. A clear is a reset,
-    // not an eviction — serve.evictions counts capacity pressure only.
-    for (auto It = Sh->Lru.begin(); It != Sh->Lru.end();) {
-      if ((*It)->Ready) {
-        Sh->removeFromMap(*It);
-        (*It)->Resident = false;
-        It = Sh->Lru.erase(It);
-        TotalEntries.fetch_sub(1, std::memory_order_relaxed);
-      } else {
-        ++It;
-      }
-    }
-  }
-}
+void PlanService::clearCache() const { Cache->clear(); }
 
 std::optional<CampaignResult>
 ucc::planFleetCampaign(const PlanService &Service, const Topology &T,

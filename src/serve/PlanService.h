@@ -14,16 +14,16 @@
 ///    number with a per-thread snapshot cache, so steady-state `plan`
 ///    reads touch no lock and no shared cache line beyond one acquire
 ///    load, and `commit` never blocks them;
-///  * a plan cache split into N independent shards (canonical pair hash →
-///    shard), each with its own mutex, LRU list, and exactly-once
-///    in-flight latch (generalizing regalloc/WindowCache), so concurrent
-///    requests for distinct pairs never contend on a shared lock; plans
-///    are held behind `shared_ptr<const UpdatePlan>`, so a cache hit is a
-///    pointer copy, not a deep copy of the composed script;
-///  * admission and TTL policies per shard: a TinyLFU-flavored frequency
-///    doorkeeper that refuses residency to one-hit wonders once the cache
-///    is full (scan-resistant), and an optional time-to-live so a
-///    long-lived service re-validates stale plans;
+///  * a plan cache on support/MemoCache split into N shards (canonical
+///    pair hash → shard), each with its own lock, LRU list, and
+///    exactly-once in-flight latch, so concurrent requests for distinct
+///    pairs never contend on a shared lock; plans are held behind
+///    `shared_ptr<const UpdatePlan>`, so a cache hit is a pointer copy,
+///    not a deep copy of the composed script;
+///  * admission and TTL policies as hooks on that cache: a TinyLFU-
+///    flavored frequency doorkeeper that refuses residency to one-hit
+///    wonders once the cache is full (scan-resistant), and an optional
+///    time-to-live so a long-lived service re-validates stale plans;
 ///  * batched requests (`planBatch`) that dedupe shared pairs and fan out
 ///    across support/ThreadPool, plus a precompute pass (`warm`) that
 ///    seeds the shards from an observed fleet-version histogram.
@@ -44,6 +44,7 @@
 #define UCC_SERVE_PLANSERVICE_H
 
 #include "core/VersionStore.h"
+#include "support/MemoCache.h"
 #include "support/Metrics.h"
 
 #include <atomic>
@@ -120,15 +121,7 @@ struct PlanServiceStats {
 };
 
 /// One shard's slice of the accounting (read under that shard's lock).
-struct PlanShardStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t Evictions = 0;
-  uint64_t AdmissionRejects = 0;
-  uint64_t TtlExpired = 0;
-  uint64_t InflightWaits = 0;
-  size_t Entries = 0;
-};
+using PlanShardStats = MemoCounts;
 
 /// The thread-safe serving front end. `plan`/`planBatch`/`warm` may be
 /// called concurrently from any number of threads, concurrently with
@@ -218,14 +211,11 @@ public:
 
 private:
   struct Snapshot;
-  struct Shard;
+  struct PlanCache;
 
   std::shared_ptr<const Snapshot> snapshot() const;
   std::optional<UpdatePlan> planOnSnapshot(const Snapshot &S, int FromId,
                                            int ToId) const;
-  std::shared_ptr<const UpdatePlan>
-  planThroughShard(const std::shared_ptr<const Snapshot> &S, int FromId,
-                   int ToId) const;
 
   VersionStore Store; ///< guarded by CommitLock
   std::mutex CommitLock;
@@ -242,11 +232,8 @@ private:
   std::shared_ptr<const Snapshot> Snap; ///< guarded by SnapLock
   std::atomic<uint64_t> CurrentSnapId{0};
 
-  std::vector<std::unique_ptr<Shard>> Shards;
-  /// Resident entries across all shards (the global capacity budget).
-  mutable std::atomic<size_t> TotalEntries{0};
   PlanServiceOptions Opts;
-  std::function<double()> ClockFn; ///< resolved TTL clock
+  std::unique_ptr<PlanCache> Cache;
 
   mutable std::atomic<uint64_t> NPlans{0}, NRejected{0}, NBatches{0},
       NBatchDeduped{0}, NPrecomputed{0}, NCommits{0};

@@ -14,6 +14,8 @@
 #ifndef UCC_SUPPORT_RNG_H
 #define UCC_SUPPORT_RNG_H
 
+#include "support/Hash.h"
+
 #include <cassert>
 #include <cmath>
 #include <cstdint>
@@ -27,8 +29,8 @@ public:
   explicit RNG(uint64_t Seed = 0x9e3779b97f4a7c15ULL) {
     // Split the seed through two rounds of splitmix64 so that small seeds
     // still produce well-mixed initial state.
-    State0 = splitmix(Seed);
-    State1 = splitmix(State0);
+    State0 = splitmix64(Seed);
+    State1 = splitmix64(State0);
   }
 
   /// Returns the next raw 64-bit value.
@@ -63,13 +65,6 @@ public:
   }
 
 private:
-  static uint64_t splitmix(uint64_t X) {
-    X += 0x9e3779b97f4a7c15ULL;
-    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-    return X ^ (X >> 31);
-  }
-
   uint64_t State0;
   uint64_t State1;
 };

@@ -1,24 +1,21 @@
 //===- tests/CompileCacheTest.cpp - the function-level compile cache ------===//
 //
-// core/CompileCache under a microscope: exact hit/miss/eviction
-// accounting, key discrimination (content twins, option changes, the old
-// record slice), the exactly-once in-flight latch under real ThreadPool
-// contention, and the end-to-end anchor — a cached compile chain is
-// byte-identical to the uncached one.
+// core/CompileCache under a microscope: exact hit/miss accounting through
+// CompileCacheStats, key discrimination (content twins, option changes,
+// the old record slice), and the end-to-end anchor — a cached compile
+// chain is byte-identical to the uncached one. The cache mechanics (LRU
+// order, capacity 0, the in-flight latch) are tested once, in
+// MemoCacheTest.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/CompileCache.h"
 #include "core/Compiler.h"
 #include "core/VersionStore.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace ucc;
@@ -78,52 +75,6 @@ TEST(CompileCache, HitMissAccountingIsExact) {
   EXPECT_EQ(S.Entries, 2u);
 }
 
-TEST(CompileCache, LruEvictionAtCapacity) {
-  CompileCache Cache(2);
-  CompileCache::Key A{1}, B{2}, C{3};
-
-  Cache.lookupOrCompute(A, [] { return marked("a"); });
-  Cache.lookupOrCompute(B, [] { return marked("b"); });
-  Cache.lookupOrCompute(A, [] { return marked("x"); }); // A now MRU
-  Cache.lookupOrCompute(C, [] { return marked("c"); }); // evicts B (LRU)
-
-  bool Hit = false;
-  CompiledFunction R =
-      Cache.lookupOrCompute(A, [] { return marked("y"); }, &Hit);
-  EXPECT_TRUE(Hit) << "A was MRU at the eviction, it must survive";
-  EXPECT_EQ(R.Final.Name, "a");
-
-  Cache.lookupOrCompute(B, [] { return marked("b2"); }, &Hit);
-  EXPECT_FALSE(Hit) << "B was the LRU entry, it must have been evicted";
-
-  CompileCacheStats S = Cache.stats();
-  EXPECT_EQ(S.Evictions, 2u) << "C evicted B, then B's return evicted C";
-  EXPECT_EQ(S.Entries, 2u);
-}
-
-TEST(CompileCache, CapacityZeroIsPassThrough) {
-  CompileCache Cache(0);
-  CompileCache::Key A{9};
-  int Computes = 0;
-  for (int K = 0; K < 3; ++K) {
-    bool Hit = true;
-    CompiledFunction R = Cache.lookupOrCompute(
-        A,
-        [&] {
-          ++Computes;
-          return marked("a");
-        },
-        &Hit);
-    EXPECT_FALSE(Hit);
-    EXPECT_EQ(R.Final.Name, "a");
-  }
-  EXPECT_EQ(Computes, 3);
-  CompileCacheStats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 3u);
-  EXPECT_EQ(S.Hits, 0u);
-  EXPECT_EQ(S.Entries, 0u);
-}
-
 TEST(CompileCache, ClearDropsEntriesKeepsCounters) {
   CompileCache Cache(4);
   Cache.lookupOrCompute(CompileCache::Key{1}, [] { return marked("a"); });
@@ -137,34 +88,6 @@ TEST(CompileCache, ClearDropsEntriesKeepsCounters) {
   Cache.lookupOrCompute(CompileCache::Key{1}, [] { return marked("a"); },
                         &Hit);
   EXPECT_FALSE(Hit);
-}
-
-TEST(CompileCache, InflightLatchComputesExactlyOnce) {
-  // Many threads race on one key; the latch must let exactly one compute
-  // while the rest block and then share the published result. The sleep
-  // widens the in-flight window so the race actually happens.
-  CompileCache Cache(8);
-  CompileCache::Key K{7, 7, 7};
-  std::atomic<int> Computes{0};
-  const int Threads = 8;
-  std::vector<std::string> Results(Threads);
-
-  parallelFor(Threads, Threads, [&](int T) {
-    CompiledFunction R = Cache.lookupOrCompute(K, [&] {
-      ++Computes;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return marked("once");
-    });
-    Results[static_cast<size_t>(T)] = R.Final.Name;
-  });
-
-  EXPECT_EQ(Computes.load(), 1)
-      << "concurrent same-key lookups must compute exactly once";
-  for (const std::string &R : Results)
-    EXPECT_EQ(R, "once");
-  CompileCacheStats S = Cache.stats();
-  EXPECT_EQ(S.Misses, 1u);
-  EXPECT_EQ(S.Hits, static_cast<uint64_t>(Threads - 1));
 }
 
 TEST(CompileCache, ContentTwinsGetDistinctKeys) {

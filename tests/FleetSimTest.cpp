@@ -1,9 +1,7 @@
 //===- tests/FleetSimTest.cpp - discrete-event fleet simulator ------------===//
 //
-// Oracle checks (the event engine's compat schedule against the seed
-// round-based engine, bit for bit), fleet-mode radio/MAC/duty-cycle
-// semantics, and the parallel determinism contract (jobs 1 vs 8
-// byte-identical results and net.* counters).
+// Fleet-mode radio/MAC/duty-cycle semantics and the parallel determinism
+// contract (jobs 1 vs 8 byte-identical results and net.* counters).
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,46 +23,6 @@ Topology splitTopology() {
   T.NumNodes = 5;
   T.Neighbors = {{1}, {0, 2}, {1}, {4}, {3}};
   return T;
-}
-
-void expectBitIdentical(const DisseminationResult &A,
-                        const DisseminationResult &B) {
-  EXPECT_EQ(A.Packets, B.Packets);
-  EXPECT_EQ(A.BytesOnAir, B.BytesOnAir);
-  EXPECT_EQ(A.MaxHops, B.MaxHops);
-  EXPECT_EQ(A.Transmitters, B.Transmitters);
-  EXPECT_EQ(A.Retransmissions, B.Retransmissions);
-  EXPECT_EQ(A.FailedPackets, B.FailedPackets);
-  EXPECT_DOUBLE_EQ(A.TotalTxJoules, B.TotalTxJoules);
-  EXPECT_DOUBLE_EQ(A.TotalRxJoules, B.TotalRxJoules);
-  ASSERT_EQ(A.PerNodeJoules.size(), B.PerNodeJoules.size());
-  for (size_t I = 0; I < A.PerNodeJoules.size(); ++I)
-    EXPECT_DOUBLE_EQ(A.PerNodeJoules[I], B.PerNodeJoules[I]) << "node " << I;
-}
-
-TEST(FleetSim, CompatScheduleMatchesRoundOracleEverywhere) {
-  const Topology Topos[] = {Topology::line(1),  Topology::line(2),
-                            Topology::line(17), Topology::grid(5, 4),
-                            Topology::star(9),  splitTopology()};
-  const double Losses[] = {0.0, 0.3, 0.9};
-  const uint64_t Seeds[] = {1, 42};
-  const int Attempts[] = {1, 2, 16};
-  const size_t Bytes[] = {0, 10, 777};
-  for (const Topology &T : Topos)
-    for (double Loss : Losses)
-      for (uint64_t Seed : Seeds)
-        for (int MaxAttempts : Attempts)
-          for (size_t ScriptBytes : Bytes) {
-            RadioChannel Ch;
-            Ch.LossRate = Loss;
-            Ch.Seed = Seed;
-            Ch.MaxAttempts = MaxAttempts;
-            DisseminationResult Oracle = disseminateRounds(
-                T, ScriptBytes, PacketFormat(), Mica2Power(), Ch);
-            DisseminationResult Event =
-                disseminate(T, ScriptBytes, PacketFormat(), Mica2Power(), Ch);
-            expectBitIdentical(Event, Oracle);
-          }
 }
 
 TEST(FleetSim, IdealChannelFloodCompletesTheFleet) {

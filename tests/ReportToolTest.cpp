@@ -4,8 +4,10 @@
 // exercises the aggregation/regression pipeline on disk: ingest synthetic
 // bench reports, aggregate to BENCH.json, seed a baseline, then inject a
 // regression and assert the non-zero exit plus the markdown diff. One test
-// also runs a real bench binary (`bench_fig03_power_model --report-json`)
-// to pin the producer side of the contract.
+// drives run mode over fake bench scripts, one of which fails after
+// writing its report; another runs a real bench binary
+// (`bench_fig03_power_model --report-json`) to pin the producer side of
+// the contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -240,6 +242,59 @@ TEST_F(ReportFixture, MalformedReportIsAUsageError) {
   writeFile("bad.json", "{\"schema_version\":1}");
   EXPECT_EQ(uccReport(path("bad.json") + " --out " + path("BENCH.json")),
             2);
+}
+
+TEST_F(ReportFixture, RunModeComparesEveryBenchThatWroteAReport) {
+  // Run mode with a bench that writes its report and then exits 1 (a
+  // failed self-check), placed before two benches that must still run
+  // and be compared. The benches missing from the directory exit
+  // non-zero without a report. The run exits 2 and names every failure.
+  ASSERT_EQ(std::system(("mkdir -p " + path("benches")).c_str()), 0);
+  auto fakeBench = [&](const std::string &Name, int Value, int Exit) {
+    std::string Script = "#!/bin/sh\nprintf '{\"schema_version\":1,"
+                         "\"bench\":\"" +
+                         Name + "\",\"metrics\":{\"value\":" +
+                         std::to_string(Value) + "}}' > \"$2\"\nexit " +
+                         std::to_string(Exit) + "\n";
+    writeFile("benches/bench_" + Name, Script);
+    std::system(("chmod +x " + path("benches/bench_" + Name)).c_str());
+  };
+  fakeBench("plan_service", 1, 1);
+  fakeBench("compile_commits", 1, 0);
+  fakeBench("fleet_scale", 2, 0); // regressed against the baseline below
+  writeFile("baseline.json",
+            "{\"schema_version\":1,\"profiles\":{\"full\":{\"benches\":{"
+            "\"plan_service\":{\"metrics\":{\"value\":1}},"
+            "\"compile_commits\":{\"metrics\":{\"value\":1}},"
+            "\"fleet_scale\":{\"metrics\":{\"value\":1}}}}}}\n");
+
+  EXPECT_EQ(uccReport("--bench-dir " + path("benches") + " --baseline " +
+                      path("baseline.json") + " --report " +
+                      path("report.md")),
+            2);
+  std::string Err = readFile("err.txt");
+  EXPECT_NE(Err.find("bench_plan_service (exit status 1)"),
+            std::string::npos)
+      << Err;
+  EXPECT_NE(Err.find("bench_fig03_power_model (exit status 127)"),
+            std::string::npos)
+      << Err;
+  EXPECT_NE(Err.find("REGRESSION fleet_scale.value"), std::string::npos)
+      << "benches after the failed one are still compared\n"
+      << Err;
+  std::string Md = readFile("report.md");
+  EXPECT_NE(Md.find("## plan_service"), std::string::npos) << Md;
+  EXPECT_NE(Md.find("## compile_commits"), std::string::npos) << Md;
+  EXPECT_NE(Md.find("Bench exited non-zero:** bench_plan_service"),
+            std::string::npos)
+      << Md;
+
+  // A failed run never rewrites the baseline.
+  std::string Before = readFile("baseline.json");
+  EXPECT_EQ(uccReport("--bench-dir " + path("benches") + " --baseline " +
+                      path("baseline.json") + " --update-baseline"),
+            2);
+  EXPECT_EQ(readFile("baseline.json"), Before);
 }
 
 TEST_F(ReportFixture, RealBenchBinaryProducesIngestibleReport) {

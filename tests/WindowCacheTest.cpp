@@ -3,6 +3,7 @@
 // The regalloc window memo cache: hits return the original solution
 // (metrics included), the hash key separates windows that differ in any
 // model field, concurrent requesters of one window solve it exactly once,
+// a clearWindowCache() racing them never takes a waiter's solution away,
 // and the hit/miss telemetry counters report truthfully.
 //
 //===----------------------------------------------------------------------===//
@@ -12,6 +13,9 @@
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 using namespace ucc;
 
@@ -128,6 +132,34 @@ TEST(WindowCache, ConcurrentRequestersSolveOnce) {
   for (size_t I = 1; I < Sols.size(); ++I)
     expectSameSolution(Sols[0], Sols[I]);
   EXPECT_EQ(windowCacheSize(), 1u);
+  clearWindowCache();
+}
+
+TEST(WindowCache, ClearRacingLatchedWaitersKeepsTheirSolution) {
+  // Waiters parked on an in-flight solve wake after the fill; a
+  // clearWindowCache() landing between the fill and their wake-up drops
+  // the entry. Each waiter must still return the solution — under ASan a
+  // dropped entry read by its waiter is a use-after-free. Every round
+  // solves a fresh window so the waiters really latch.
+  clearWindowCache();
+  for (int Round = 0; Round < 500; ++Round) {
+    WindowSpec Spec = simpleSpec(3, 6, 3);
+    Spec.Cnt = 1000.0 + Round;
+    WindowSolution Fresh = solveWindow(Spec);
+    std::atomic<bool> Stop{false};
+    std::thread Clearer([&] {
+      while (!Stop)
+        clearWindowCache();
+    });
+    std::vector<WindowSolution> Sols(6);
+    parallelFor(6, 6, [&](int I) {
+      Sols[static_cast<size_t>(I)] = solveWindowCached(Spec);
+    });
+    Stop = true;
+    Clearer.join();
+    for (const WindowSolution &Sol : Sols)
+      expectSameSolution(Sol, Fresh);
+  }
   clearWindowCache();
 }
 

@@ -18,8 +18,10 @@
 ///              --update-baseline
 ///
 /// Run mode (`--bench-dir`) executes every known bench binary with
-/// `--report-json` (plus `--quick` when requested) and ingests the result;
-/// ingest mode takes already-written report files as positional arguments.
+/// `--report-json` (plus `--quick` when requested) and ingests every report
+/// that got written — a bench whose own self-check fails still reports
+/// its metrics, and the rest of the suite still runs; ingest mode takes
+/// already-written report files as positional arguments.
 /// Metrics whose name ends in `_seconds` are machine-dependent wall-clock
 /// measurements: they are carried through to BENCH.json but never compared
 /// against the baseline. Everything else — pivot counts, branch-and-bound
@@ -30,7 +32,9 @@
 /// loosens a metric.
 ///
 /// Exit code: 0 on success, 1 when a baseline comparison found a
-/// regression, 2 on usage or I/O errors.
+/// regression, 2 on usage or I/O errors or when a bench exited non-zero
+/// (reported after the comparison, naming every such bench; a failed run
+/// never rewrites the baseline).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,8 +47,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 using namespace ucc;
 
@@ -132,9 +139,13 @@ BenchResult ingestReport(const json::Value &Doc, const std::string &From) {
   return R;
 }
 
-/// Runs one bench binary with --report-json and ingests the result.
-BenchResult runBench(const std::string &BenchDir, const std::string &Name,
-                     bool Quick, const std::string &ScratchDir) {
+/// Runs one bench binary with --report-json and ingests its report when
+/// it wrote one, whatever its exit status. A non-zero exit is appended to
+/// \p Failed.
+std::optional<BenchResult> runBench(const std::string &BenchDir,
+                                    const std::string &Name, bool Quick,
+                                    const std::string &ScratchDir,
+                                    std::vector<std::string> &Failed) {
   std::string Binary = BenchDir + "/bench_" + Name;
   std::string ReportPath = ScratchDir + "/" + Name + ".json";
   std::string Cmd = "'" + Binary + "' --report-json '" + ReportPath + "'" +
@@ -142,8 +153,13 @@ BenchResult runBench(const std::string &BenchDir, const std::string &Name,
   std::fprintf(stderr, "ucc-report: running bench_%s%s\n", Name.c_str(),
                Quick ? " (quick)" : "");
   int Rc = std::system(Cmd.c_str());
-  if (Rc != 0)
-    die("bench_" + Name + " failed (exit status " + format("%d", Rc) + ")");
+  if (Rc != 0) {
+    int Status = WIFEXITED(Rc) ? WEXITSTATUS(Rc) : Rc;
+    Failed.push_back(format("bench_%s (exit status %d)", Name.c_str(), Status));
+    std::fprintf(stderr, "ucc-report: %s\n", Failed.back().c_str());
+  }
+  if (!std::ifstream(ReportPath))
+    return std::nullopt;
   return ingestReport(loadJsonFile(ReportPath), ReportPath);
 }
 
@@ -455,14 +471,28 @@ int main(int Argc, char **Argv) {
 
   std::string Profile = Quick ? "quick" : "full";
   std::vector<BenchResult> Current;
+  std::vector<std::string> FailedBenches;
   if (!BenchDir.empty()) {
     char ScratchTemplate[] = "/tmp/ucc-report-XXXXXX";
     const char *Scratch = mkdtemp(ScratchTemplate);
     if (!Scratch)
       die("cannot create scratch directory");
     for (const char *Name : BenchNames)
-      Current.push_back(runBench(BenchDir, Name, Quick, Scratch));
+      if (std::optional<BenchResult> R =
+              runBench(BenchDir, Name, Quick, Scratch, FailedBenches))
+        Current.push_back(std::move(*R));
   }
+  // Called once every report is ingested and compared: a failed bench
+  // fails the run, but never hides the other benches' results.
+  auto dieIfBenchFailed = [&] {
+    if (FailedBenches.empty())
+      return;
+    std::string Names;
+    for (const std::string &F : FailedBenches)
+      Names += (Names.empty() ? "" : ", ") + F;
+    die(format("%zu bench(es) exited non-zero: %s", FailedBenches.size(),
+               Names.c_str()));
+  };
   for (const std::string &Path : ReportFiles)
     Current.push_back(ingestReport(loadJsonFile(Path), Path));
 
@@ -474,12 +504,15 @@ int main(int Argc, char **Argv) {
   }
 
   if (DoUpdateBaseline) {
+    dieIfBenchFailed();
     updateBaseline(BaselinePath, Current, Profile);
     return 0;
   }
 
-  if (BaselinePath.empty())
+  if (BaselinePath.empty()) {
+    dieIfBenchFailed();
     return 0;
+  }
 
   json::Value Baseline = loadJsonFile(BaselinePath);
   if (Baseline.numberOr("schema_version", 0) != 1)
@@ -498,16 +531,18 @@ int main(int Argc, char **Argv) {
                    D.Allowed);
     }
   std::string Md = renderMarkdown(Rows, Profile, Regressions);
+  for (const std::string &F : FailedBenches)
+    Md += "\n**Bench exited non-zero:** " + F + "\n";
   if (!ReportPath.empty())
     writeTextFile(ReportPath, Md);
   else
     std::fputs(Md.c_str(), stdout);
-  if (Regressions > 0) {
+  if (Regressions > 0)
     std::fprintf(stderr, "ucc-report: FAIL (%d regression(s))\n",
                  Regressions);
-    return 1;
-  }
-  std::fprintf(stderr, "ucc-report: PASS (%zu metric rows)\n",
-               Rows.size());
-  return 0;
+  else
+    std::fprintf(stderr, "ucc-report: PASS (%zu metric rows)\n",
+                 Rows.size());
+  dieIfBenchFailed();
+  return Regressions > 0 ? 1 : 0;
 }
