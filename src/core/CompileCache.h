@@ -51,8 +51,7 @@
 namespace ucc {
 
 /// Exact cache accounting, mirrored into `compile.*` telemetry counters by
-/// the compiler back half. The compile cache has no admission or expiry
-/// policy, so AdmissionRejects and TtlExpired stay 0.
+/// the compiler back half.
 using CompileCacheStats = MemoCounts;
 
 /// The memoized per-function pipeline result.

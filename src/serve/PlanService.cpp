@@ -17,12 +17,8 @@
 /// The plan cache is a sharded support/MemoCache (docs/PERFORMANCE.md,
 /// "The memo cache"): the latch, the LRU, the global budget and the
 /// counters live there. This file keeps what is serving's own — the key
-/// (FNV-1a over the two endpoint content hashes, confirmed by exact ids),
-/// the shard choice, and the admission and TTL policy, which runs as
-/// MemoCache hooks under the shard lock: every access bumps a small
-/// frequency sketch, a computed plan is granted residency over budget only
-/// if it is hotter than the shard's LRU victim, and a hit older than the
-/// TTL is dropped and recomputed.
+/// (FNV-1a over the two endpoint content hashes, confirmed by exact ids)
+/// and the shard choice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +31,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <map>
 
@@ -68,12 +63,6 @@ size_t shardFor(uint64_t Key, size_t NumShards) {
 /// thread-local cached snapshot can never be mistaken for one belonging
 /// to a different service that reused the same address.
 std::atomic<uint64_t> GlobalSnapId{0};
-
-double steadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Records the enclosing scope's wall time into a latency histogram,
 /// early returns included.
@@ -108,59 +97,6 @@ struct PairIds {
   bool operator==(const PairIds &) const = default;
 };
 
-/// The serving policy on the plan cache: TinyLFU-flavored admission and
-/// lazy TTL expiry (PlanServiceOptions::Admit / TtlSeconds).
-struct ServePolicy {
-  /// Two-probe min sketch of access frequency (the admission doorkeeper's
-  /// memory). Halved every 8192 recorded accesses so frequency estimates
-  /// stay recency-biased.
-  struct ShardState {
-    std::array<uint8_t, 1024> Freq{};
-    uint32_t SketchOps = 0;
-
-    uint32_t estimate(uint64_t Key) const {
-      return std::min(Freq[Key & 1023], Freq[(Key >> 32) & 1023]);
-    }
-  };
-  struct EntryState {
-    double FillSeconds = 0; ///< TTL stamp, set when the plan is filled
-  };
-
-  bool Frequency = false;
-  double TtlSeconds = 0;
-  std::function<double()> Clock;
-
-  void onLookup(ShardState &S, uint64_t Key) const {
-    if (!Frequency)
-      return;
-    uint8_t &A = S.Freq[Key & 1023];
-    uint8_t &B = S.Freq[(Key >> 32) & 1023];
-    if (A < 255)
-      ++A;
-    if (B < 255)
-      ++B;
-    if (++S.SketchOps >= 8192) {
-      for (uint8_t &C : S.Freq)
-        C = static_cast<uint8_t>(C >> 1);
-      S.SketchOps = 0;
-    }
-  }
-  bool expired(const EntryState &E) const {
-    return TtlSeconds > 0 && Clock() - E.FillSeconds > TtlSeconds;
-  }
-  void onFill(EntryState &E) const {
-    if (TtlSeconds > 0)
-      E.FillSeconds = Clock();
-  }
-  /// Under Frequency admission the budget is enforced once the plan
-  /// exists: over budget, the newcomer must be hotter than the shard's
-  /// LRU victim to displace it; otherwise the newcomer itself is dropped.
-  bool admitsOnFill() const { return Frequency; }
-  bool admit(const ShardState &S, uint64_t NewKey, uint64_t VictimKey) const {
-    return S.estimate(NewKey) > S.estimate(VictimKey);
-  }
-};
-
 } // namespace
 
 /// The immutable version index one plan() call reads: dense ids, like the
@@ -178,27 +114,21 @@ struct PlanService::Snapshot {
 };
 
 struct PlanService::PlanCache
-    : MemoCache<PairIds, std::shared_ptr<const UpdatePlan>, ServePolicy> {
+    : MemoCache<PairIds, std::shared_ptr<const UpdatePlan>> {
   using MemoCache::MemoCache;
 };
 
 PlanService::PlanService(VersionStore S, PlanServiceOptions O)
     : Store(std::move(S)), FnCache(std::make_unique<CompileCache>()),
       Opts(std::move(O)) {
-  ServePolicy Policy;
-  Policy.Frequency = Opts.Admit == PlanServiceOptions::Admission::Frequency;
-  Policy.TtlSeconds = Opts.TtlSeconds;
-  Policy.Clock = Opts.Clock ? Opts.Clock : steadySeconds;
   MemoCounterNames Names;
   Names.Hits = "serve.cache_hits";
   Names.Misses = "serve.cache_misses";
   Names.Evictions = "serve.evictions";
   Names.InflightWaits = "serve.inflight_waits";
-  Names.AdmissionRejects = "serve.admission_rejects";
-  Names.TtlExpired = "serve.ttl_expired";
   Names.ShardPrefix = "serve.shard.";
   Cache = std::make_unique<PlanCache>(Opts.CacheCapacity, Opts.Shards,
-                                      std::move(Names), std::move(Policy));
+                                      std::move(Names));
 
   auto Initial = std::make_shared<Snapshot>();
   Initial->Id = GlobalSnapId.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -408,8 +338,6 @@ PlanServiceStats PlanService::stats() const {
   S.Hits = C.Hits;
   S.Misses = C.Misses;
   S.Evictions = C.Evictions;
-  S.AdmissionRejects = C.AdmissionRejects;
-  S.TtlExpired = C.TtlExpired;
   S.InflightWaits = C.InflightWaits;
   S.CacheEntries = C.Entries;
   return S;

@@ -8,7 +8,7 @@
 /// The request-serving layer over core/VersionStore: a long-lived sink
 /// process answers `plan(from, to)` for a whole fleet at high rates, so the
 /// store facade alone — single-threaded, recomputing every diff — is the
-/// wrong shape. PlanService wraps a store with four serving mechanisms:
+/// wrong shape. PlanService wraps a store with three serving mechanisms:
 ///
 ///  * an immutable snapshot index published through an atomic sequence
 ///    number with a per-thread snapshot cache, so steady-state `plan`
@@ -19,11 +19,9 @@
 ///    exactly-once in-flight latch, so concurrent requests for distinct
 ///    pairs never contend on a shared lock; plans are held behind
 ///    `shared_ptr<const UpdatePlan>`, so a cache hit is a pointer copy,
-///    not a deep copy of the composed script;
-///  * admission and TTL policies as hooks on that cache: a TinyLFU-
-///    flavored frequency doorkeeper that refuses residency to one-hit
-///    wonders once the cache is full (scan-resistant), and an optional
-///    time-to-live so a long-lived service re-validates stale plans;
+///    not a deep copy of the composed script. Residency is plain LRU
+///    under one global budget: a cached plan is never stale, so nothing
+///    expires and every computed plan is admitted;
 ///  * batched requests (`planBatch`) that dedupe shared pairs and fan out
 ///    across support/ThreadPool, plus a precompute pass (`warm`) that
 ///    seeds the shards from an observed fleet-version histogram.
@@ -33,8 +31,8 @@
 /// makes them cacheable forever; correctness is anchored by sharing the
 /// exact planner (core planBetweenVersions) with VersionStore::plan, so a
 /// served plan is byte-identical to a direct store plan regardless of
-/// shard count, thread count, or policy. Serving activity is visible as
-/// the `serve.*` telemetry counters — including per-shard
+/// shard count, thread count, or cache capacity. Serving activity is
+/// visible as the `serve.*` telemetry counters — including per-shard
 /// `serve.shard.<i>.*` (see docs/OBSERVABILITY.md) — and as
 /// PlanServiceStats for callers that need exact accounting in tests.
 ///
@@ -49,7 +47,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,26 +68,6 @@ struct PlanServiceOptions {
   /// across mutexes; 1 reproduces the single-lock cache exactly (tests
   /// that script LRU order pin this).
   size_t Shards = 8;
-
-  /// Cache admission policy. `Always` admits every computed plan (classic
-  /// LRU). `Frequency` is a TinyLFU-flavored doorkeeper: while the cache
-  /// is over budget, a newly computed plan becomes resident only if its
-  /// access frequency (per-shard sketch, periodically halved) exceeds the
-  /// would-be LRU victim's — one-pass scans stop thrashing the working
-  /// set. Either way the plan is computed once and returned; admission
-  /// only decides residency.
-  enum class Admission { Always, Frequency };
-  Admission Admit = Admission::Always;
-
-  /// Plan time-to-live in seconds; 0 = plans never expire. Expiry is
-  /// lazy: an expired entry is dropped on its next lookup (counted as
-  /// serve.ttl_expired plus a miss) and recomputed.
-  double TtlSeconds = 0;
-
-  /// Clock used for TTL stamps, seconds on any monotonic scale. Unset =
-  /// steady_clock. Tests inject a fake clock to make expiry
-  /// deterministic.
-  std::function<double()> Clock;
 };
 
 /// Exact cache accounting, mirrored into the `serve.*` telemetry
@@ -108,10 +85,6 @@ struct PlanServiceStats {
   /// cached, not counted as hit or miss).
   uint64_t Rejected = 0;
   uint64_t Evictions = 0;
-  /// Computed plans refused residency by the admission policy.
-  uint64_t AdmissionRejects = 0;
-  /// Cached plans dropped because they outlived TtlSeconds.
-  uint64_t TtlExpired = 0;
   uint64_t InflightWaits = 0;
   uint64_t Batches = 0;
   uint64_t BatchDeduped = 0;

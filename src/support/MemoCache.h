@@ -9,9 +9,10 @@
 /// the value remembered for Key and calls Compute only when there is
 /// none. Three layers memoize through it — regalloc's ILP window solves,
 /// core's per-function back halves (CompileCache) and serve's plans
-/// (PlanService) — and each supplies only its key encoding and, for
-/// serving, a policy. The shared mechanism (docs/PERFORMANCE.md, "The
-/// memo cache"):
+/// (PlanService) — and each supplies only its key encoding. None of the
+/// three values can go stale once computed, so one residency policy (LRU)
+/// serves them all. The shared mechanism (docs/PERFORMANCE.md, "The memo
+/// cache"):
 ///
 ///  - Identity. The caller passes its canonical key plus a 64-bit bucket
 ///    hash of it (FNV-1a, support/Hash.h). A hit needs the hash AND full
@@ -19,9 +20,9 @@
 ///  - Exactly once. A miss publishes an in-flight entry and computes
 ///    outside the lock; concurrent lookups of the same key wait on the
 ///    shard's latch and share the result. Entries are reference counted
-///    and a waiter holds its own reference, so clear(), eviction or
-///    admission may unlink an entry before the waiter wakes without
-///    pulling the value out from under it.
+///    and a waiter holds its own reference, so clear() or eviction may
+///    unlink an entry before the waiter wakes without pulling the value
+///    out from under it.
 ///  - LRU under one budget. Each shard keeps an intrusive LRU list (O(1)
 ///    touch and unlink). The capacity bounds resident entries across all
 ///    shards together: an inserting shard evicts from its own tail while
@@ -33,10 +34,6 @@
 ///    counters survive it.
 ///  - Exact per-shard accounting, read under the shard lock and mirrored
 ///    into telemetry counters under caller-chosen names.
-///
-/// A Policy (default MemoPolicy) hooks admission and expiry into the same
-/// lock and the same LRU; it never touches the latch — an in-flight entry
-/// is always filled and always reaches its waiters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,58 +56,29 @@ namespace ucc {
 
 /// Exact accounting of one shard (or of all shards, summed).
 struct MemoCounts {
-  uint64_t Hits = 0;             ///< lookups answered from the cache
-  uint64_t Misses = 0;           ///< lookups that ran Compute
-  uint64_t Evictions = 0;        ///< entries dropped for the budget
-  uint64_t InflightWaits = 0;    ///< hits that waited on an in-flight entry
-  uint64_t AdmissionRejects = 0; ///< computed values refused residency
-  uint64_t TtlExpired = 0;       ///< entries dropped by Policy::expired
-  size_t Entries = 0;            ///< resident entries, in-flight included
+  uint64_t Hits = 0;          ///< lookups answered from the cache
+  uint64_t Misses = 0;        ///< lookups that ran Compute
+  uint64_t Evictions = 0;     ///< entries dropped for the budget
+  uint64_t InflightWaits = 0; ///< hits that waited on an in-flight entry
+  size_t Entries = 0;         ///< resident entries, in-flight included
 };
 
 /// Telemetry counters a MemoCache bumps; an empty name is not reported.
 struct MemoCounterNames {
-  std::string Hits, Misses, Evictions, InflightWaits, AdmissionRejects,
-      TtlExpired;
+  std::string Hits, Misses, Evictions, InflightWaits;
   /// When set, shard I also bumps `<ShardPrefix><I>.hits`, `.misses` and
   /// `.evictions`.
   std::string ShardPrefix;
 };
 
-/// The default policy: classic LRU, every computed value admitted, no
-/// expiry. A caller policy provides the same members; all of them run
-/// under the shard lock.
-struct MemoPolicy {
-  /// Per-shard policy state (e.g. a frequency sketch).
-  struct ShardState {};
-  /// Per-entry policy state (e.g. a fill time stamp).
-  struct EntryState {};
-
-  /// Every lookup, before the search.
-  void onLookup(ShardState &, uint64_t /*Hash*/) const {}
-  /// A computed entry found by a lookup; true drops it (counted as
-  /// TtlExpired) and the lookup proceeds as a miss.
-  bool expired(const EntryState &) const { return false; }
-  /// The owner has just filled the entry.
-  void onFill(EntryState &) const {}
-  /// False: the budget is enforced when a miss inserts its entry. True:
-  /// it is enforced when the value is filled, and admit() decides whether
-  /// the newcomer displaces the shard's LRU victim or is dropped itself.
-  bool admitsOnFill() const { return false; }
-  bool admit(const ShardState &, uint64_t /*NewHash*/,
-             uint64_t /*VictimHash*/) const {
-    return true;
-  }
-};
-
-template <typename K, typename V, typename Policy = MemoPolicy>
+template <typename K, typename V>
 class MemoCache {
 public:
   static constexpr size_t Unbounded = SIZE_MAX;
 
   explicit MemoCache(size_t Capacity = Unbounded, size_t NumShards = 1,
-                     MemoCounterNames Names = {}, Policy Pol = Policy())
-      : Capacity(Capacity), Names(std::move(Names)), Pol(std::move(Pol)) {
+                     MemoCounterNames Names = {})
+      : Capacity(Capacity), Names(std::move(Names)) {
     NumShards = std::max<size_t>(NumShards, 1);
     for (size_t I = 0; I < NumShards; ++I) {
       auto S = std::make_unique<Shard>();
@@ -146,16 +114,7 @@ public:
     }
 
     std::unique_lock<std::mutex> Guard(S.Lock);
-    Pol.onLookup(S.State, Hash);
-    std::shared_ptr<Entry> *Found = find(S, Key, Hash);
-    if (Found && (*Found)->Ready && Pol.expired((*Found)->State)) {
-      // Only computed entries expire: an in-flight fill is fresh.
-      drop(S, Found->get());
-      ++S.Counts.TtlExpired;
-      bump(Names.TtlExpired);
-      Found = nullptr;
-    }
-    if (Found) {
+    if (std::shared_ptr<Entry> *Found = find(S, Key, Hash)) {
       ++S.Counts.Hits;
       bump(Names.Hits, &S.HitsName);
       if (WasHit)
@@ -181,8 +140,7 @@ public:
     Total.fetch_add(1, std::memory_order_relaxed);
     ++S.Counts.Misses;
     bump(Names.Misses, &S.MissesName);
-    if (!Pol.admitsOnFill())
-      enforceBudget(S, Mine.get(), /*Admit=*/false);
+    enforceBudget(S);
     Guard.unlock();
 
     V Value = Compute();
@@ -190,9 +148,6 @@ public:
     Guard.lock();
     Mine->Value = Value;
     Mine->Ready = true;
-    Pol.onFill(Mine->State);
-    if (Pol.admitsOnFill())
-      enforceBudget(S, Mine.get(), /*Admit=*/true);
     Guard.unlock();
     S.Filled.notify_all();
     return Value;
@@ -230,8 +185,6 @@ public:
       Sum.Misses += C.Misses;
       Sum.Evictions += C.Evictions;
       Sum.InflightWaits += C.InflightWaits;
-      Sum.AdmissionRejects += C.AdmissionRejects;
-      Sum.TtlExpired += C.TtlExpired;
       Sum.Entries += C.Entries;
     }
     return Sum;
@@ -249,7 +202,6 @@ private:
     bool Resident = true;  ///< linked into the shard (map + LRU)
     Entry *Prev = nullptr; ///< LRU neighbor toward the head (MRU)
     Entry *Next = nullptr; ///< LRU neighbor toward the tail (LRU)
-    typename Policy::EntryState State;
   };
 
   struct Shard {
@@ -260,7 +212,6 @@ private:
     Entry *Head = nullptr; ///< most recently used
     Entry *Tail = nullptr; ///< least recently used
     MemoCounts Counts;
-    typename Policy::ShardState State;
     std::string HitsName, MissesName, EvictionsName;
   };
 
@@ -308,21 +259,14 @@ private:
   }
 
   /// Evicts from \p S's LRU tail while the global budget is exceeded,
-  /// never touching \p Newcomer or an in-flight entry. With \p Admit the
-  /// policy may instead reject the newcomer, which ends the loop.
-  void enforceBudget(Shard &S, Entry *Newcomer, bool Admit) {
+  /// never touching an in-flight entry (the newcomer is one).
+  void enforceBudget(Shard &S) {
     while (Total.load(std::memory_order_relaxed) > Capacity) {
       Entry *Victim = S.Tail;
-      while (Victim && (!Victim->Ready || Victim == Newcomer))
+      while (Victim && !Victim->Ready)
         Victim = Victim->Prev;
       if (!Victim)
         return;
-      if (Admit && !Pol.admit(S.State, Newcomer->Hash, Victim->Hash)) {
-        drop(S, Newcomer);
-        ++S.Counts.AdmissionRejects;
-        bump(Names.AdmissionRejects);
-        return;
-      }
       drop(S, Victim);
       ++S.Counts.Evictions;
       bump(Names.Evictions, &S.EvictionsName);
@@ -342,7 +286,6 @@ private:
 
   const size_t Capacity;
   const MemoCounterNames Names;
-  const Policy Pol;
   std::vector<std::unique_ptr<Shard>> Shards;
   /// Resident entries across all shards: the one budget.
   std::atomic<size_t> Total{0};

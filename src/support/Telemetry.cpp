@@ -171,9 +171,9 @@ void Telemetry::declareStandardCounters() {
       // first use (shard count is a runtime knob, so they cannot be
       // pre-declared here).
       "serve.plans", "serve.cache_hits", "serve.cache_misses",
-      "serve.rejected", "serve.evictions", "serve.admission_rejects",
-      "serve.ttl_expired", "serve.inflight_waits", "serve.batches",
-      "serve.batch_deduped", "serve.precomputed", "serve.commits",
+      "serve.rejected", "serve.evictions", "serve.inflight_waits",
+      "serve.batches", "serve.batch_deduped", "serve.precomputed",
+      "serve.commits",
       // sim: the SAVR simulator (section 5.1's Avrora stand-in).
       "sim.runs", "sim.steps", "sim.cycles", "sim.radio_packets",
       "sim.radio_words",

@@ -4,10 +4,10 @@
 // caches, tested once: exact hit/miss accounting, LRU order at capacity,
 // capacity-0 pass-through, unbounded capacity, hash collisions confirmed
 // by the full key, clear() keeping in-flight entries and counters, the
-// exactly-once latch under contention, one budget split across shards,
-// and the admission/expiry hooks. The concurrent tests run under ASan and
-// TSan in CI; the clear()-versus-waiter race is repeated so a waiter that
-// loses its entry shows up as a use-after-free or a data race there.
+// exactly-once latch under contention, and one budget split across
+// shards. The concurrent tests run under ASan and TSan in CI; the
+// clear()-versus-waiter race is repeated so a waiter that loses its entry
+// shows up as a use-after-free or a data race there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -231,46 +231,6 @@ TEST(MemoCache, OneBudgetSplitAcrossShards) {
   bool Hit = false;
   C.getOrCompute(3, 3, [] { return std::string("WRONG"); }, &Hit, 0);
   EXPECT_TRUE(Hit) << "3 was more recent than 1 and 2";
-}
-
-/// Admits nothing over budget and expires every entry whose stamp is set.
-struct RejectingPolicy : MemoPolicy {
-  struct EntryState {
-    bool Stale = false;
-  };
-  bool *MarkStale = nullptr;
-  bool expired(const EntryState &E) const { return E.Stale; }
-  void onFill(EntryState &E) const { E.Stale = *MarkStale; }
-  bool admitsOnFill() const { return true; }
-  bool admit(const ShardState &, uint64_t, uint64_t) const { return false; }
-};
-
-TEST(MemoCache, PolicyHooksDecideResidencyNotTheAnswer) {
-  bool MarkStale = false;
-  RejectingPolicy P;
-  P.MarkStale = &MarkStale;
-  MemoCache<int, std::string, RejectingPolicy> C(1, 1, {}, P);
-  auto get = [&](int Key, const std::string &V, bool *Hit = nullptr) {
-    return C.getOrCompute(Key, static_cast<uint64_t>(Key),
-                          [&] { return V; }, Hit);
-  };
-  EXPECT_EQ(get(1, "a"), "a");
-  EXPECT_EQ(get(2, "b"), "b") << "a rejected newcomer is still answered";
-  MemoCounts S = C.counts();
-  EXPECT_EQ(S.AdmissionRejects, 1u);
-  EXPECT_EQ(S.Evictions, 0u);
-  EXPECT_EQ(S.Entries, 1u);
-
-  // Expiry: an expired entry is dropped on lookup and recomputed.
-  C.clear();
-  MarkStale = true;
-  get(3, "c");
-  bool Hit = true;
-  EXPECT_EQ(get(3, "c2", &Hit), "c2");
-  EXPECT_FALSE(Hit);
-  S = C.counts();
-  EXPECT_EQ(S.TtlExpired, 1u);
-  EXPECT_EQ(S.Entries, 1u);
 }
 
 TEST(MemoCache, ClearRacingLatchedWaitersNeverLosesTheirValue) {

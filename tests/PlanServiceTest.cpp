@@ -181,8 +181,7 @@ TEST(PlanService, ShardedAccountingInvariants) {
   // Satellite invariants under a mixed workload on a sharded cache:
   // every slice is gathered under its shard's lock, and the quiesced
   // totals reconcile exactly — Plans == Hits + Misses + Rejected, and
-  // residency == Misses - Evictions (nothing else removes entries with
-  // admission and TTL off).
+  // residency == Misses - Evictions (nothing else removes entries).
   PlanServiceOptions Opts;
   Opts.CacheCapacity = 4;
   Opts.Shards = 4;
@@ -200,8 +199,6 @@ TEST(PlanService, ShardedAccountingInvariants) {
   EXPECT_EQ(S.Plans, 36u + 10u + 2u);
   EXPECT_EQ(S.Rejected, 2u);
   EXPECT_EQ(S.Plans, S.Hits + S.Misses + S.Rejected);
-  EXPECT_EQ(S.AdmissionRejects, 0u);
-  EXPECT_EQ(S.TtlExpired, 0u);
   EXPECT_EQ(S.CacheEntries, static_cast<size_t>(S.Misses - S.Evictions));
   // The budget is enforced by the inserting shard's own tail, so a shard
   // whose only entry is the newcomer can overshoot transiently — but
@@ -276,77 +273,6 @@ TEST(PlanService, CapacityIsAGlobalBudgetNotAPerShardQuota) {
   S = Service.stats();
   EXPECT_EQ(S.Hits, 3u);
   EXPECT_EQ(S.Evictions, 0u);
-}
-
-TEST(PlanService, AdmissionFrequencyKeepsHotPairsAgainstScans) {
-  // TinyLFU-flavored doorkeeper: once the cache is full, a one-pass scan
-  // must not thrash the hot working set — the scan's one-hit wonders are
-  // computed and served but refused residency.
-  PlanServiceOptions Opts;
-  Opts.CacheCapacity = 2;
-  Opts.Shards = 1;
-  Opts.Admit = PlanServiceOptions::Admission::Frequency;
-  PlanService Service(buildChain(8), Opts);
-
-  // Build frequency for the hot pairs while filling the cache.
-  for (int K = 0; K < 3; ++K) {
-    EXPECT_TRUE(Service.plan(0, 7) != nullptr);
-    EXPECT_TRUE(Service.plan(1, 7) != nullptr);
-  }
-  PlanServiceStats S = Service.stats();
-  EXPECT_EQ(S.Misses, 2u);
-  EXPECT_EQ(S.Hits, 4u);
-  EXPECT_EQ(S.CacheEntries, 2u);
-
-  // A cold scan over four other pairs.
-  for (int From = 2; From <= 5; ++From)
-    EXPECT_TRUE(Service.plan(From, 7) != nullptr);
-  S = Service.stats();
-  EXPECT_EQ(S.AdmissionRejects, 4u)
-      << "every scan pair is refused residency";
-  EXPECT_EQ(S.Evictions, 0u);
-  EXPECT_EQ(S.CacheEntries, 2u);
-  EXPECT_EQ(S.CacheEntries,
-            static_cast<size_t>(S.Misses - S.Evictions - S.AdmissionRejects));
-
-  // The hot pairs survived the scan.
-  EXPECT_TRUE(Service.plan(0, 7) != nullptr);
-  EXPECT_TRUE(Service.plan(1, 7) != nullptr);
-  EXPECT_EQ(Service.stats().Hits, 6u);
-}
-
-TEST(PlanService, TtlExpiresCachedPlans) {
-  // Lazy expiry on an injected clock: an entry older than TtlSeconds is
-  // dropped at its next lookup (counted serve.ttl_expired, then the
-  // request proceeds as a miss) and re-cached with a fresh stamp.
-  double FakeNow = 0.0;
-  PlanServiceOptions Opts;
-  Opts.Shards = 1;
-  Opts.TtlSeconds = 10.0;
-  Opts.Clock = [&FakeNow] { return FakeNow; };
-  PlanService Service(buildChain(), Opts);
-
-  std::vector<uint8_t> First = planBytes(Service.plan(0, 3)); // miss
-  FakeNow = 5.0;
-  EXPECT_TRUE(Service.plan(0, 3) != nullptr); // within TTL: hit
-  PlanServiceStats S = Service.stats();
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.TtlExpired, 0u);
-
-  FakeNow = 16.0; // 16s after the fill: expired
-  EXPECT_EQ(planBytes(Service.plan(0, 3)), First);
-  S = Service.stats();
-  EXPECT_EQ(S.TtlExpired, 1u);
-  EXPECT_EQ(S.Misses, 2u) << "expiry recomputes";
-  EXPECT_EQ(S.Hits, 1u);
-  EXPECT_EQ(S.CacheEntries, 1u);
-  EXPECT_EQ(S.CacheEntries,
-            static_cast<size_t>(S.Misses - S.Evictions - S.TtlExpired));
-
-  // The refill stamped the entry at 16s, so it serves again until 26s.
-  FakeNow = 20.0;
-  EXPECT_TRUE(Service.plan(0, 3) != nullptr);
-  EXPECT_EQ(Service.stats().Hits, 2u);
 }
 
 TEST(PlanService, LatencyHistogramCoversEveryRequest) {

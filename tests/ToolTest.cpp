@@ -477,6 +477,16 @@ TEST_F(ToolFixture, BatchPlanAndServeBenchDiagnostics) {
   EXPECT_EQ(uccc("serve-bench --requests 50"), 2);
   EXPECT_NE(capturedOutput().find("requires --store"), std::string::npos)
       << capturedOutput();
+  // The plan cache has one residency policy (LRU): no admission or TTL
+  // flags.
+  EXPECT_EQ(uccc("serve-bench" + Store + " --admission freq"), 2);
+  EXPECT_NE(capturedOutput().find("unknown argument '--admission'"),
+            std::string::npos)
+      << capturedOutput();
+  EXPECT_EQ(uccc("serve-bench" + Store + " --ttl 5"), 2);
+  EXPECT_NE(capturedOutput().find("unknown argument '--ttl'"),
+            std::string::npos)
+      << capturedOutput();
 
   // Operational errors (exit 1): a store too small to serve from, and a
   // batch that names a version the store does not have.

@@ -123,7 +123,6 @@ namespace {
       "  uccc serve-bench --store <dir> [--requests <n>] [--cache <n>]\n"
       "               [--zipf <s>] [--target <id>] [--seed <n>] [--warm]\n"
       "               [--batch <n>] [--threads <n>] [--shards <n>]\n"
-      "               [--admission always|freq] [--ttl <seconds>]\n"
       "               [--metrics <file>] [--metrics-every <n>]\n"
       "               [--slo-p99-us <us> --flight-record <file>]\n"
       "  uccc monitor --metrics <file> [--once] [--interval-ms <n>]\n"
@@ -266,7 +265,6 @@ private:
                                       "--batch",     "--cache",
                                       "--requests",  "--zipf",
                                       "--threads",   "--shards",
-                                      "--admission", "--ttl",
                                       "--metrics",   "--metrics-every",
                                       "--slo-p99-us",
                                       "--flight-record",
@@ -806,8 +804,6 @@ int cmdServeBench(Args &A) {
   std::string BatchArg = A.option("--batch");
   std::string ThreadsArg = A.option("--threads");
   std::string ShardsArg = A.option("--shards");
-  std::string AdmissionArg = A.option("--admission");
-  std::string TtlArg = A.option("--ttl");
   std::string MetricsPath = A.option("--metrics");
   std::string EveryArg = A.option("--metrics-every");
   std::string SloArg = A.option("--slo-p99-us");
@@ -853,19 +849,6 @@ int cmdServeBench(Args &A) {
     if (N <= 0)
       dieCli("--shards expects a positive integer");
     ServeOpts.Shards = static_cast<size_t>(N);
-  }
-  if (!AdmissionArg.empty()) {
-    if (AdmissionArg == "always")
-      ServeOpts.Admit = PlanServiceOptions::Admission::Always;
-    else if (AdmissionArg == "freq" || AdmissionArg == "frequency")
-      ServeOpts.Admit = PlanServiceOptions::Admission::Frequency;
-    else
-      dieCli("--admission expects 'always' or 'freq'");
-  }
-  if (!TtlArg.empty()) {
-    ServeOpts.TtlSeconds = parseDouble(TtlArg, "--ttl");
-    if (ServeOpts.TtlSeconds <= 0.0)
-      dieCli("--ttl expects a positive number of seconds");
   }
   if (!EveryArg.empty() && MetricsPath.empty())
     dieCli("--metrics-every requires --metrics");
@@ -1061,20 +1044,8 @@ int cmdServeBench(Args &A) {
               static_cast<unsigned long long>(S.Evictions),
               static_cast<unsigned long long>(S.InflightWaits),
               S.CacheEntries);
-  if (S.AdmissionRejects || S.TtlExpired || S.Rejected ||
-      ServeOpts.Admit == PlanServiceOptions::Admission::Frequency ||
-      ServeOpts.TtlSeconds > 0)
-    std::printf("  policy: admission %s (%llu reject(s)), ttl %s "
-                "(%llu expired), %llu unknown-id reject(s)\n",
-                ServeOpts.Admit ==
-                        PlanServiceOptions::Admission::Frequency
-                    ? "freq"
-                    : "always",
-                static_cast<unsigned long long>(S.AdmissionRejects),
-                ServeOpts.TtlSeconds > 0
-                    ? format("%.3gs", ServeOpts.TtlSeconds).c_str()
-                    : "off",
-                static_cast<unsigned long long>(S.TtlExpired),
+  if (S.Rejected)
+    std::printf("  %llu unknown-id reject(s)\n",
                 static_cast<unsigned long long>(S.Rejected));
   return 0;
 }
@@ -1141,13 +1112,9 @@ void renderMonitor(const std::string &Path,
               monitorField(Last, "counters", "serve.precomputed"),
               monitorField(Last, "counters", "serve.batches"),
               monitorField(Last, "counters", "serve.commits"));
-  double ARej = monitorField(Last, "counters", "serve.admission_rejects");
-  double Expired = monitorField(Last, "counters", "serve.ttl_expired");
   double Unknown = monitorField(Last, "counters", "serve.rejected");
-  if (ARej + Expired + Unknown > 0.0)
-    std::printf("  policy      admission rejects %.0f  ttl expired %.0f  "
-                "unknown-id rejects %.0f\n",
-                ARej, Expired, Unknown);
+  if (Unknown > 0.0)
+    std::printf("  rejects     unknown-id %.0f\n", Unknown);
   // Per-shard hit counters (serve.shard.<i>.hits) appear once a sharded
   // service has served traffic; summarize the spread so a hot shard is
   // visible at a glance.
