@@ -26,6 +26,7 @@
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -194,6 +195,13 @@ private:
   bool Quick = false;
   std::vector<std::pair<std::string, double>> Metrics;
 };
+
+/// Wall seconds since \p Start, a steady-clock reading.
+inline double secondsSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       Start)
+      .count();
+}
 
 /// Compiles or dies (benches have no recovery story).
 inline ucc::CompileOutput compileOrDie(const std::string &Source,

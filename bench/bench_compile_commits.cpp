@@ -135,55 +135,40 @@ struct ChainResult {
   CompileCacheStats CacheBefore;   ///< snapshot when the clock started
 };
 
-double secondsSince(std::chrono::steady_clock::time_point Begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Begin)
-      .count();
-}
-
 /// Commits the whole chain into a fresh store under the given jobs/cache
-/// configuration. Cache-on goes through an UpdateSession (which owns a
-/// CompileCache); cache-off calls the store directly with a null cache —
-/// the exact code path minus the lookup.
+/// configuration. Cache-on points Opts.Cache at a chain-local
+/// CompileCache; cache-off leaves it null — the exact code path minus the
+/// lookup.
 ChainResult runChain(const std::vector<std::string> &Sources, int Jobs,
                      bool WithCache) {
   ChainResult R;
   CompileOptions Opts = uccOptions();
   Opts.Jobs = Jobs;
+  CompileCache Cache;
+  if (WithCache)
+    Opts.Cache = &Cache;
   VersionStore Store;
   DiagnosticEngine Diag;
 
-  auto commitOrDie = [&](int Expect, int Id) {
-    if (Id != Expect) {
-      std::fprintf(stderr, "bench_compile_commits: commit %d failed:\n%s",
-                   Expect, Diag.str().c_str());
+  auto commit = [&](size_t V) {
+    int Id = V == 0 ? Store.addInitial(Sources[V], Opts, Diag)
+                    : Store.addUpdate(Sources[V], Opts, Diag);
+    if (Id != static_cast<int>(V)) {
+      std::fprintf(stderr, "bench_compile_commits: commit %zu failed:\n%s",
+                   V, Diag.str().c_str());
       std::exit(1);
     }
   };
 
   const size_t FirstTimed = 1 + WarmupCommits;
-  if (WithCache) {
-    UpdateSession Session(Store, Opts);
-    commitOrDie(0, Session.commit(Sources[0], Diag));
-    for (size_t V = 1; V < FirstTimed; ++V)
-      commitOrDie(static_cast<int>(V), Session.commit(Sources[V], Diag));
-    R.CacheBefore = Session.compileCacheStats();
-    auto Begin = std::chrono::steady_clock::now();
-    for (size_t V = FirstTimed; V < Sources.size(); ++V)
-      commitOrDie(static_cast<int>(V), Session.commit(Sources[V], Diag));
-    R.UpdateSeconds = secondsSince(Begin);
-    R.Cache = Session.compileCacheStats();
-  } else {
-    commitOrDie(0, Store.addInitial(Sources[0], Opts, Diag));
-    for (size_t V = 1; V < FirstTimed; ++V)
-      commitOrDie(static_cast<int>(V),
-                  Store.addUpdate(Sources[V], Opts, Diag));
-    auto Begin = std::chrono::steady_clock::now();
-    for (size_t V = FirstTimed; V < Sources.size(); ++V)
-      commitOrDie(static_cast<int>(V),
-                  Store.addUpdate(Sources[V], Opts, Diag));
-    R.UpdateSeconds = secondsSince(Begin);
-  }
+  for (size_t V = 0; V < FirstTimed; ++V)
+    commit(V);
+  R.CacheBefore = Cache.stats();
+  auto Begin = std::chrono::steady_clock::now();
+  for (size_t V = FirstTimed; V < Sources.size(); ++V)
+    commit(V);
+  R.UpdateSeconds = secondsSince(Begin);
+  R.Cache = Cache.stats();
 
   for (const StoredVersion &V : Store.versions()) {
     R.Images.push_back(V.Image.serialize());

@@ -31,12 +31,6 @@ using namespace uccbench;
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
 /// Synthetic firmware image: mostly high-entropy words (instruction
 /// encodings rarely repeat exactly) with a repetitive minority (common
 /// idioms — push/pop/nop sequences).

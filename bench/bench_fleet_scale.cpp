@@ -32,12 +32,6 @@ using namespace uccbench;
 
 namespace {
 
-double secondsSince(std::chrono::steady_clock::time_point Start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Start)
-      .count();
-}
-
 /// A contended fleet: moderate loss, CSMA on, short duty cycle.
 FleetConfig harshConfig() {
   FleetConfig Cfg;

@@ -18,6 +18,10 @@
 // is printed but the gate is skipped, since there is no parallelism to
 // measure.
 //
+// Every timed phase replays the stream through serve/LoadDriver, the same
+// request driver `uccc serve-bench` runs, so latency percentiles are
+// LatencyHistogram quantiles (log buckets, about 3% resolution).
+//
 // Wall-clock metrics carry the `_seconds` suffix so the baseline gate
 // skips them; everything else (request mix, hit/miss accounting, route
 // choices, script bytes, the scripted eviction and scan scenarios) is
@@ -28,13 +32,12 @@
 #include "BenchUtil.h"
 
 #include "core/VersionStore.h"
+#include "serve/LoadDriver.h"
 #include "serve/PlanService.h"
 #include "support/Format.h"
 #include "support/RNG.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -129,23 +132,30 @@ VersionStore buildStore(int Versions) {
   return Store;
 }
 
-double secondsSince(std::chrono::steady_clock::time_point Begin) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       Begin)
-      .count();
-}
-
-double percentileUs(std::vector<double> Latencies, double Q) {
-  std::sort(Latencies.begin(), Latencies.end());
-  size_t At = static_cast<size_t>(Q * (Latencies.size() - 1));
-  return Latencies[At] * 1e6;
-}
-
 PlanServiceOptions serveOpts(size_t Capacity, size_t NumShards = 8) {
   PlanServiceOptions Opts;
   Opts.CacheCapacity = Capacity;
   Opts.Shards = NumShards;
   return Opts;
+}
+
+/// Replays \p Opts over \p Stream through the shared serve/LoadDriver and
+/// hard-fails the bench on the first request the service answers null.
+LoadResult mustRun(const PlanService &Svc,
+                   const std::vector<std::pair<int, int>> &Stream,
+                   const LoadOptions &Opts, LatencyHistogram &Latency,
+                   const char *Phase) {
+  LoadResult Run = runLoad(Svc, Stream, Opts, Latency);
+  if (Run.Failed) {
+    std::fprintf(stderr, "bench_plan_service: %s plan %d -> %d failed\n",
+                 Phase, Run.Failed->first, Run.Failed->second);
+    std::exit(1);
+  }
+  return Run;
+}
+
+double quantileUs(const LatencyHistogram &H, double Q) {
+  return H.quantileSeconds(Q) * 1e6;
 }
 
 /// One closed-loop multi-threaded measurement.
@@ -225,8 +235,10 @@ int main(int Argc, char **Argv) {
   // The byte-identity oracle: the raw store's answer for every distinct
   // pair the stream touches. Every serving configuration below — any
   // shard count, thread count, cache on or off — must reproduce these
-  // bytes exactly.
+  // bytes exactly, so the route and script-byte metrics read them here.
   std::map<std::pair<int, int>, std::vector<uint8_t>> RefBytes;
+  int ChainedRoutes = 0;
+  size_t TotalScriptBytes = 0;
   for (const auto &[From, To] : Unique) {
     auto Direct = Reference.plan(From, To);
     if (!Direct) {
@@ -234,7 +246,11 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     RefBytes[{From, To}] = Direct->Update.serialize();
+    TotalScriptBytes += Direct->ScriptBytes;
+    if (Direct->Route == UpdatePlan::RouteKind::Chained)
+      ++ChainedRoutes;
   }
+  // Byte identity is the acceptance anchor, so any divergence hard-fails.
   auto verifyService = [&](const PlanService &Svc) {
     int Bad = 0;
     for (const auto &[From, To] : Unique) {
@@ -252,31 +268,14 @@ int main(int Argc, char **Argv) {
 
   // --- Cache-cold: capacity 0 disables caching, every request pays the
   // full direct-diff + chain-compose planning cost.
-  double ColdSeconds;
-  double ColdP95Us;
-  double ColdP99Us;
-  int Mismatches = 0;
-  {
-    PlanService Cold(buildStore(Versions), serveOpts(0));
-    std::vector<double> Latency;
-    Latency.reserve(static_cast<size_t>(ColdRequests));
-    auto Begin = std::chrono::steady_clock::now();
-    for (int K = 0; K < ColdRequests; ++K) {
-      auto T0 = std::chrono::steady_clock::now();
-      auto P = Cold.plan(Stream[static_cast<size_t>(K)].first,
-                         Stream[static_cast<size_t>(K)].second);
-      if (!P) {
-        std::fprintf(stderr, "bench_plan_service: cold plan failed\n");
-        return 1;
-      }
-      Latency.push_back(secondsSince(T0));
-    }
-    Mismatches += verifyService(Cold); // byte identity with caching off
-    ColdSeconds = secondsSince(Begin);
-    ColdP95Us = percentileUs(Latency, 0.95);
-    ColdP99Us = percentileUs(Latency, 0.99);
-  }
-  double ColdPlansPerSec = ColdRequests / ColdSeconds;
+  PlanService Cold(buildStore(Versions), serveOpts(0));
+  LatencyHistogram ColdLatency;
+  double ColdPlansPerSec =
+      mustRun(Cold, Stream, {.Requests = ColdRequests}, ColdLatency, "cold")
+          .plansPerSec();
+  int Mismatches = verifyService(Cold); // byte identity with caching off
+  double ColdP95Us = quantileUs(ColdLatency, 0.95);
+  double ColdP99Us = quantileUs(ColdLatency, 0.99);
   Bench.sampleMetrics(); // phase boundary: cold loop done
 
   // --- Cache-warm: precompute from the observed fleet histogram, prefill
@@ -284,45 +283,29 @@ int main(int Argc, char **Argv) {
   int Warmed = Service.warm(Fleet, Head, Bench.jobs());
   Service.planBatch(Unique, Bench.jobs()); // prefill the diverse pairs
   PlanServiceStats Before = Service.stats();
-  // Scope the service's always-on latency histogram to the measured warm
-  // traffic so the published serve.p*_us gauges describe this phase.
-  Service.resetLatency();
 
-  std::vector<double> WarmLatency;
-  WarmLatency.reserve(static_cast<size_t>(WarmSeqRequests));
-  auto WarmBegin = std::chrono::steady_clock::now();
-  for (int K = 0; K < WarmSeqRequests; ++K) {
-    const auto &Req = Stream[static_cast<size_t>(K) %
-                             Stream.size()];
-    auto T0 = std::chrono::steady_clock::now();
-    auto P = Service.plan(Req.first, Req.second);
-    if (!P) {
-      std::fprintf(stderr, "bench_plan_service: warm plan failed\n");
-      return 1;
-    }
-    WarmLatency.push_back(secondsSince(T0));
-  }
-  double WarmSeconds = secondsSince(WarmBegin);
-  double WarmPlansPerSec = WarmSeqRequests / WarmSeconds;
-  double WarmP95Us = percentileUs(WarmLatency, 0.95);
-  double WarmP99Us = percentileUs(WarmLatency, 0.99);
+  LatencyHistogram WarmLatency;
+  double WarmPlansPerSec =
+      mustRun(Service, Stream, {.Requests = WarmSeqRequests}, WarmLatency,
+              "warm")
+          .plansPerSec();
+  double WarmP95Us = quantileUs(WarmLatency, 0.95);
+  double WarmP99Us = quantileUs(WarmLatency, 0.99);
 
-  // Publish the warm-phase SLO gauges and snapshot: the service's own
-  // histogram (reset at the phase start) agrees with the raw-sample
-  // percentiles above to within the log-bucket resolution.
+  // Publish the warm-phase SLO gauges and snapshot.
   if (Telemetry *T = Bench.telemetry()) {
-    const LatencyHistogram &H = Service.latency();
-    T->setGauge("serve.p50_us", H.quantileSeconds(0.50) * 1e6);
-    T->setGauge("serve.p95_us", H.quantileSeconds(0.95) * 1e6);
-    T->setGauge("serve.p99_us", H.quantileSeconds(0.99) * 1e6);
+    T->setGauge("serve.p50_us", quantileUs(WarmLatency, 0.50));
+    T->setGauge("serve.p95_us", WarmP95Us);
+    T->setGauge("serve.p99_us", WarmP99Us);
   }
   Bench.sampleMetrics(); // phase boundary: warm sequential loop done
 
-  auto BatchBegin = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<const UpdatePlan>> BatchPlans =
-      Service.planBatch(Stream, Bench.jobs());
-  double BatchSeconds = secondsSince(BatchBegin);
-  double BatchPlansPerSec = Requests / BatchSeconds;
+  // The whole stream as one batch.
+  LatencyHistogram BatchLatency;
+  double BatchPlansPerSec =
+      mustRun(Service, Stream, {.Requests = Requests, .Batch = Requests},
+              BatchLatency, "batch")
+          .plansPerSec();
   PlanServiceStats After = Service.stats();
   Bench.sampleMetrics(); // phase boundary: batch fan-out done
 
@@ -330,24 +313,7 @@ int main(int Argc, char **Argv) {
   uint64_t MeasuredMisses = After.Misses - Before.Misses;
   double Speedup = WarmPlansPerSec / ColdPlansPerSec;
 
-  // --- Byte identity: every distinct pair the stream touched, service vs
-  // direct store. This is the acceptance anchor, so it hard-fails.
-  int ChainedRoutes = 0;
-  size_t TotalScriptBytes = 0;
-  for (const auto &[From, To] : Unique) {
-    auto Served = Service.plan(From, To);
-    if (!Served || Served->Update.serialize() != RefBytes[{From, To}]) {
-      std::fprintf(stderr,
-                   "bench_plan_service: plan %d -> %d diverges from the "
-                   "direct store plan\n",
-                   From, To);
-      ++Mismatches;
-      continue;
-    }
-    TotalScriptBytes += Served->ScriptBytes;
-    if (Served->Route == UpdatePlan::RouteKind::Chained)
-      ++ChainedRoutes;
-  }
+  Mismatches += verifyService(Service); // byte identity after warm traffic
 
   // --- The contended multi-threaded scenarios: a closed loop (every
   // thread grabs the next request as soon as it finishes the last) over
@@ -355,43 +321,11 @@ int main(int Argc, char **Argv) {
   // stream, same cache capacity — only the lock granularity changes.
   auto runClosedLoop = [&](const PlanService &Svc,
                            const std::vector<std::pair<int, int>> &Reqs) {
-    std::atomic<int> Next{0};
-    std::atomic<int> Failed{0};
-    std::vector<std::vector<double>> Lat(static_cast<size_t>(Threads));
-    auto Begin = std::chrono::steady_clock::now();
-    std::vector<std::thread> Pool;
-    Pool.reserve(static_cast<size_t>(Threads));
-    for (int T = 0; T < Threads; ++T)
-      Pool.emplace_back([&, T] {
-        std::vector<double> &My = Lat[static_cast<size_t>(T)];
-        My.reserve(static_cast<size_t>(MtRequests / Threads + 1));
-        for (;;) {
-          int K = Next.fetch_add(1, std::memory_order_relaxed);
-          if (K >= MtRequests)
-            return;
-          const auto &Req = Reqs[static_cast<size_t>(K) % Reqs.size()];
-          auto T0 = std::chrono::steady_clock::now();
-          if (!Svc.plan(Req.first, Req.second))
-            Failed.fetch_add(1, std::memory_order_relaxed);
-          My.push_back(secondsSince(T0));
-        }
-      });
-    for (std::thread &T : Pool)
-      T.join();
-    double Seconds = secondsSince(Begin);
-    if (Failed.load() != 0) {
-      std::fprintf(stderr,
-                   "bench_plan_service: multi-threaded plan failed\n");
-      std::exit(1);
-    }
-    std::vector<double> All;
-    All.reserve(static_cast<size_t>(MtRequests));
-    for (const std::vector<double> &L : Lat)
-      All.insert(All.end(), L.begin(), L.end());
-    MtStats R;
-    R.PlansPerSec = MtRequests / Seconds;
-    R.P95Us = percentileUs(All, 0.95);
-    return R;
+    LatencyHistogram Latency;
+    LoadResult Run = mustRun(Svc, Reqs,
+                             {.Requests = MtRequests, .Threads = Threads},
+                             Latency, "multi-threaded");
+    return MtStats{Run.plansPerSec(), quantileUs(Latency, 0.95)};
   };
 
   std::map<size_t, MtStats> Sweep;
@@ -536,8 +470,7 @@ int main(int Argc, char **Argv) {
   Bench.metric("warm_p95_us_seconds", WarmP95Us);
   Bench.metric("cold_p99_us_seconds", ColdP99Us);
   Bench.metric("warm_p99_us_seconds", WarmP99Us);
-  Bench.metric("serve_p99_us_seconds",
-               Service.latency().quantileSeconds(0.99) * 1e6);
+  Bench.metric("serve_p99_us_seconds", WarmP99Us);
 
   if (Mismatches != 0)
     return 1;

@@ -73,7 +73,7 @@ struct CompileOptions {
   /// When set, unchanged functions skip isel -> RA -> frame layout on
   /// recompiles; results are byte-identical with the cache on or off.
   /// Non-owning — the caller keeps the cache alive across compiles (the
-  /// serving layer and UpdateSession own one per store).
+  /// serving layer owns one per store).
   CompileCache *Cache = nullptr;
 };
 

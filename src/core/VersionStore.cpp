@@ -391,58 +391,3 @@ std::optional<UpdatePlan> VersionStore::plan(int FromId, int ToId) const {
   return planBetweenVersions([this](int Id) { return find(Id); }, FromId,
                              ToId);
 }
-
-UpdateSession::UpdateSession(VersionStore &Store, CompileOptions Opts)
-    : Store(Store), Opts(std::move(Opts)) {
-  if (!this->Opts.Cache) {
-    Cache = std::make_unique<CompileCache>();
-    this->Opts.Cache = Cache.get();
-  }
-}
-
-UpdateSession::~UpdateSession() = default;
-
-int UpdateSession::commit(const std::string &Source,
-                          DiagnosticEngine &Diag) {
-  return Store.size() == 0 ? Store.addInitial(Source, Opts, Diag)
-                           : Store.addUpdate(Source, Opts, Diag);
-}
-
-CompileCacheStats UpdateSession::compileCacheStats() const {
-  return Opts.Cache ? Opts.Cache->stats() : CompileCacheStats{};
-}
-
-std::optional<UpdatePlan> UpdateSession::planFromPrevious() const {
-  if (Store.size() < 2)
-    return std::nullopt;
-  const StoredVersion *Tip = Store.latest();
-  return Store.plan(Tip->Parent, Tip->Id);
-}
-
-std::optional<CampaignResult>
-ucc::planFleetCampaign(const VersionStore &Store, const Topology &T,
-                       const std::vector<int> &NodeVersions,
-                       int TargetVersion, DiagnosticEngine &Diag,
-                       const PacketFormat &Fmt, const Mica2Power &Power,
-                       const RadioChannel &Channel) {
-  if (!Store.find(TargetVersion)) {
-    Diag.error({}, format("unknown target version %d", TargetVersion));
-    return std::nullopt;
-  }
-  // Plan once per distinct stale version before any flood: a campaign
-  // either fully plans or does not run.
-  std::vector<int> Stale = staleVersions(NodeVersions, TargetVersion);
-  std::map<int, size_t> BytesFor;
-  for (int V : Stale) {
-    auto P = Store.plan(V, TargetVersion);
-    if (!P) {
-      Diag.error({}, format("cannot plan update %d -> %d", V,
-                            TargetVersion));
-      return std::nullopt;
-    }
-    BytesFor[V] = P->ScriptBytes;
-  }
-  return runUpdateCampaign(
-      T, NodeVersions, TargetVersion,
-      [&](int From) { return BytesFor.at(From); }, Fmt, Power, Channel);
-}

@@ -15,10 +15,9 @@
 /// On top of the store sits the planner: an update between ANY two stored
 /// versions is planned either as a fresh endpoint diff (Direct) or as the
 /// composition of the per-step scripts along the parent chain (Chained),
-/// whichever costs fewer edit-script bytes on air. An UpdateSession wraps
-/// the commit loop (compile against the latest record, store the result),
-/// and planFleetCampaign binds the planner into the net layer's
-/// mixed-version fleet campaign.
+/// whichever costs fewer edit-script bytes on air. serve/PlanService
+/// serves the planner to a fleet, and its planFleetCampaign binds it into
+/// the net layer's mixed-version fleet campaign.
 ///
 /// A store is either purely in-memory (default constructed) or backed by a
 /// directory (`open`), where it persists a JSON manifest plus one image and
@@ -35,7 +34,6 @@
 #include "net/Network.h"
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -138,51 +136,6 @@ private:
 std::optional<UpdatePlan> planBetweenVersions(
     const std::function<const StoredVersion *(int)> &Find, int FromId,
     int ToId);
-
-/// The stateful replacement for hand-rolled compile/recompile chains: each
-/// commit compiles the new source against the stored chain tip and appends
-/// the result.
-class UpdateSession {
-public:
-  /// A session owns a function-level compile cache (core/CompileCache.h)
-  /// shared by every commit, so functions untouched between versions skip
-  /// isel -> RA -> frame layout. Pass Opts with a non-null Cache to share
-  /// an external cache instead; results are byte-identical either way.
-  UpdateSession(VersionStore &Store, CompileOptions Opts);
-  ~UpdateSession();
-
-  /// Compiles \p Source (initial compile when the store is empty, update-
-  /// conscious recompile against the latest version otherwise) and stores
-  /// it. Returns the new version id, or -1.
-  int commit(const std::string &Source, DiagnosticEngine &Diag);
-
-  /// Plans previous-tip -> current-tip. Requires at least two versions.
-  std::optional<UpdatePlan> planFromPrevious() const;
-
-  VersionStore &store() { return Store; }
-
-  /// Accounting for the session's compile cache (hits accumulate across
-  /// commits).
-  CompileCacheStats compileCacheStats() const;
-
-private:
-  VersionStore &Store;
-  CompileOptions Opts;
-  std::unique_ptr<CompileCache> Cache; ///< used when Opts.Cache is null
-};
-
-/// Plans and runs a fleet campaign bringing a mixed-version network to
-/// \p TargetVersion: every distinct deployed version gets its own plan()
-/// against the target (so each cohort's flood carries the cheaper of the
-/// direct and chained scripts). Returns nullopt when any node runs a
-/// version the store cannot plan from.
-std::optional<CampaignResult>
-planFleetCampaign(const VersionStore &Store, const Topology &T,
-                  const std::vector<int> &NodeVersions, int TargetVersion,
-                  DiagnosticEngine &Diag,
-                  const PacketFormat &Fmt = PacketFormat(),
-                  const Mica2Power &Power = Mica2Power(),
-                  const RadioChannel &Channel = RadioChannel());
 
 /// FNV-1a hash of \p Text rendered as 16 hex digits (the store's source
 /// fingerprint; exposed for tests and tools).

@@ -31,7 +31,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 
 using namespace ucc;
@@ -63,20 +62,6 @@ size_t shardFor(uint64_t Key, size_t NumShards) {
 /// thread-local cached snapshot can never be mistaken for one belonging
 /// to a different service that reused the same address.
 std::atomic<uint64_t> GlobalSnapId{0};
-
-/// Records the enclosing scope's wall time into a latency histogram,
-/// early returns included.
-struct LatencyStopwatch {
-  LatencyHistogram &H;
-  std::chrono::steady_clock::time_point T0 =
-      std::chrono::steady_clock::now();
-  explicit LatencyStopwatch(LatencyHistogram &H) : H(H) {}
-  ~LatencyStopwatch() {
-    H.record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           T0)
-                 .count());
-  }
-};
 
 /// Installs a fresh TraceContext when events are being recorded and no
 /// context is active — the request is externally originated and becomes
@@ -175,9 +160,7 @@ std::shared_ptr<const UpdatePlan> PlanService::plan(int FromId,
                                                     int ToId) const {
   RequestTrace Trace;
   ScopedSpan Span("serve.plan");
-  LatencyStopwatch Timer(Latency);
   std::shared_ptr<const Snapshot> S = snapshot();
-  NPlans.fetch_add(1, std::memory_order_relaxed);
   telemetryCount("serve.plans");
 
   // Unknown ids are answered (null) but never cached: the snapshot that
@@ -328,7 +311,6 @@ int PlanService::latestId() const {
 
 PlanServiceStats PlanService::stats() const {
   PlanServiceStats S;
-  S.Plans = NPlans.load(std::memory_order_relaxed);
   S.Rejected = NRejected.load(std::memory_order_relaxed);
   S.Batches = NBatches.load(std::memory_order_relaxed);
   S.BatchDeduped = NBatchDeduped.load(std::memory_order_relaxed);
@@ -340,6 +322,7 @@ PlanServiceStats PlanService::stats() const {
   S.Evictions = C.Evictions;
   S.InflightWaits = C.InflightWaits;
   S.CacheEntries = C.Entries;
+  S.Plans = S.Hits + S.Misses + S.Rejected;
   return S;
 }
 

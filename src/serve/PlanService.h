@@ -43,7 +43,6 @@
 
 #include "core/VersionStore.h"
 #include "support/MemoCache.h"
-#include "support/Metrics.h"
 
 #include <atomic>
 #include <cstdint>
@@ -72,13 +71,13 @@ struct PlanServiceOptions {
 
 /// Exact cache accounting, mirrored into the `serve.*` telemetry
 /// counters. Summed across shards; each shard's slice is gathered under
-/// that shard's own lock, so a quiesced service satisfies
-/// Plans == Hits + Misses + Rejected exactly. InflightWaits counts
+/// that shard's own lock. Every plan() call is exactly one hit, miss or
+/// reject, so Plans is derived as their sum. InflightWaits counts
 /// requests that found their pair already being computed and blocked on
 /// the latch; it depends on thread scheduling and is observability-only
 /// (never asserted or regression-gated).
 struct PlanServiceStats {
-  uint64_t Plans = 0;
+  uint64_t Plans = 0; ///< Hits + Misses + Rejected
   uint64_t Hits = 0;
   uint64_t Misses = 0;
   /// Requests for ids the snapshot does not know (answered null, never
@@ -164,16 +163,6 @@ public:
   /// and distribution tests can construct same-shard request mixes.
   std::optional<size_t> shardIndex(int FromId, int ToId) const;
 
-  /// Per-request latency distribution (every plan() call records into it,
-  /// cache hits and misses alike). Always on — two clock reads and a few
-  /// relaxed atomic increments per request — so `uccc monitor` and the
-  /// flight recorder can read p50/p95/p99 without enabling telemetry.
-  const LatencyHistogram &latency() const { return Latency; }
-
-  /// Clears the latency distribution (for phase-scoped measurements:
-  /// cold vs warm windows).
-  void resetLatency() const { Latency.reset(); }
-
   /// Drops every cached plan (the latch state of in-flight computations is
   /// preserved). For cold-vs-warm measurements.
   void clearCache() const;
@@ -208,15 +197,15 @@ private:
   PlanServiceOptions Opts;
   std::unique_ptr<PlanCache> Cache;
 
-  mutable std::atomic<uint64_t> NPlans{0}, NRejected{0}, NBatches{0},
-      NBatchDeduped{0}, NPrecomputed{0}, NCommits{0};
-  mutable LatencyHistogram Latency;
+  mutable std::atomic<uint64_t> NRejected{0}, NBatches{0}, NBatchDeduped{0},
+      NPrecomputed{0}, NCommits{0};
 };
 
 /// The serving-layer fleet campaign: plans every cohort's script through
 /// the service (so repeated campaigns over similar fleets hit the cache)
-/// and floods them via net/runUpdateCampaign. Same result, flood for
-/// flood, as the store-backed core planFleetCampaign.
+/// and floods them via net/runUpdateCampaign. Fails (nullopt, with a
+/// diagnostic) for an unknown target or any cohort the service cannot
+/// plan, before any flood runs.
 std::optional<CampaignResult>
 planFleetCampaign(const PlanService &Service, const Topology &T,
                   const std::vector<int> &NodeVersions, int TargetVersion,

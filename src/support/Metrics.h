@@ -12,8 +12,8 @@
 ///
 ///  - `LatencyHistogram` — a thread-safe, mergeable log-bucketed latency
 ///    histogram (same bucket geometry as `DurationDist`, so quantiles
-///    carry the same ~3% midpoint error). Serving paths record into it on
-///    every request with two atomic increments; p50/p95/p99 are read on
+///    carry the same ~3% midpoint error). serve/LoadDriver records every
+///    request it issues into one per thread; p50/p95/p99 are read on
 ///    demand without stopping the writers.
 ///
 ///  - `MetricsSnapshotter` — periodically samples a registry's

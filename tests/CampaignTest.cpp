@@ -2,12 +2,13 @@
 //
 // A fleet campaign floods one script per deployed-version cohort. The net
 // layer only sees script sizes (by design — it must not know the compiler);
-// planFleetCampaign binds the version-store planner into it.
+// planFleetCampaign binds the serving layer's planner into it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/VersionStore.h"
 #include "net/Network.h"
+#include "serve/PlanService.h"
 #include "support/Telemetry.h"
 #include "workloads/Workloads.h"
 
@@ -143,9 +144,10 @@ TEST(Campaign, PlanFleetCampaignShipsThePlannedScripts) {
   ASSERT_EQ(Store.addUpdate(Case.NewSource, Opts, Diag), 1) << Diag.str();
   ASSERT_EQ(Store.addUpdate(Case.OldSource, Opts, Diag), 2) << Diag.str();
 
+  PlanService Service(std::move(Store));
   Topology T = Topology::line(7);
   std::vector<int> Versions = {2, 0, 1, 2, 0, 1, 0};
-  auto R = planFleetCampaign(Store, T, Versions, 2, Diag);
+  auto R = planFleetCampaign(Service, T, Versions, 2, Diag);
   ASSERT_TRUE(R.has_value()) << Diag.str();
   ASSERT_EQ(R->Cohorts.size(), 2u);
   EXPECT_EQ(R->NodesUpdated, 5);
@@ -153,14 +155,14 @@ TEST(Campaign, PlanFleetCampaignShipsThePlannedScripts) {
 
   // Every cohort's flood carries exactly the planner's chosen script, and
   // that script patches the cohort's image to the target image.
+  const VersionStore &S = Service.store();
   for (const UpdateCohort &C : R->Cohorts) {
-    auto P = Store.plan(C.FromVersion, 2);
+    auto P = S.plan(C.FromVersion, 2);
     ASSERT_TRUE(P.has_value());
     EXPECT_EQ(C.ScriptBytes, P->ScriptBytes);
     BinaryImage Patched;
-    ASSERT_TRUE(
-        applyUpdate(Store.find(C.FromVersion)->Image, P->Update, Patched));
-    EXPECT_EQ(Patched.serialize(), Store.find(2)->Image.serialize());
+    ASSERT_TRUE(applyUpdate(S.find(C.FromVersion)->Image, P->Update, Patched));
+    EXPECT_EQ(Patched.serialize(), S.find(2)->Image.serialize());
   }
 }
 
@@ -169,10 +171,12 @@ TEST(Campaign, PlanFleetCampaignRejectsUnknownVersions) {
   const UpdateCase &Case = updateCases()[5];
   DiagnosticEngine Diag;
   ASSERT_EQ(Store.addInitial(Case.OldSource, CompileOptions(), Diag), 0);
+  PlanService Service(std::move(Store));
 
   Topology T = Topology::line(3);
   std::vector<int> Versions = {0, 9, 0}; // node 1 claims an unknown version
-  EXPECT_FALSE(planFleetCampaign(Store, T, Versions, 0, Diag).has_value());
+  EXPECT_FALSE(
+      planFleetCampaign(Service, T, Versions, 0, Diag).has_value());
   EXPECT_TRUE(Diag.hasErrors());
 }
 

@@ -197,9 +197,10 @@ TEST(CompileCache, CachedChainMatchesUncachedByteForByte) {
   EXPECT_EQ(After.Hits, Before.Hits + 3u) << "all three functions hit";
 }
 
-TEST(CompileCache, UpdateSessionAccountsHitsAcrossCommits) {
-  // Through the session facade: the second commit of a chain where only
-  // one function changes must hit on at least one unchanged function.
+TEST(CompileCache, StoreCommitsAccountHitsAcrossCommits) {
+  // Through the store's commit loop with one cache shared by every
+  // commit: the second commit of a chain where only one function changes
+  // must hit on at least one unchanged function.
   const char *V1 = R"(
     int stable(int x) { return x + 1; }
     int churn(int x) { return x + 2; }
@@ -212,15 +213,17 @@ TEST(CompileCache, UpdateSessionAccountsHitsAcrossCommits) {
   )";
 
   VersionStore Store;
-  UpdateSession Session(Store, uccOptions());
+  CompileCache Cache;
+  CompileOptions Opts = uccOptions();
+  Opts.Cache = &Cache;
   DiagnosticEngine Diag;
-  ASSERT_EQ(Session.commit(V1, Diag), 0) << Diag.str();
-  ASSERT_EQ(Session.commit(V2, Diag), 1) << Diag.str();
-  ASSERT_EQ(Session.commit(V2, Diag), 2) << Diag.str();
+  ASSERT_EQ(Store.addInitial(V1, Opts, Diag), 0) << Diag.str();
+  ASSERT_EQ(Store.addUpdate(V2, Opts, Diag), 1) << Diag.str();
+  ASSERT_EQ(Store.addUpdate(V2, Opts, Diag), 2) << Diag.str();
 
-  CompileCacheStats S = Session.compileCacheStats();
+  CompileCacheStats S = Cache.stats();
   EXPECT_GT(S.Hits, 0u) << "unchanged functions must be served from the "
-                           "session cache";
+                           "shared cache";
   EXPECT_GT(S.Misses, 0u);
   EXPECT_EQ(S.Evictions, 0u);
 }

@@ -3,14 +3,17 @@
 // The serving layer's contract: plans byte-identical to the raw store,
 // exact hit/miss/eviction accounting summed across shards, an
 // exactly-once in-flight latch under contention, snapshot isolation
-// across concurrent commits, batch dedupe, and the admission/TTL cache
-// policies. The concurrent tests run under TSan in CI — they are the
-// data-race regression net for the snapshot publication and the sharded
-// cache latch.
+// across concurrent commits, batch dedupe, the fleet campaign, and the
+// load driver that replays request streams against it. The concurrent
+// tests run under TSan in CI — they are the data-race regression net for
+// the snapshot publication, the sharded cache latch and the driver's
+// closed loop.
 //
 //===----------------------------------------------------------------------===//
 
+#include "serve/LoadDriver.h"
 #include "serve/PlanService.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
 
@@ -18,6 +21,7 @@
 
 #include <atomic>
 #include <thread>
+#include <tuple>
 
 using namespace ucc;
 
@@ -180,12 +184,15 @@ TEST(PlanService, HitMissEvictionAccounting) {
 TEST(PlanService, ShardedAccountingInvariants) {
   // Satellite invariants under a mixed workload on a sharded cache:
   // every slice is gathered under its shard's lock, and the quiesced
-  // totals reconcile exactly — Plans == Hits + Misses + Rejected, and
-  // residency == Misses - Evictions (nothing else removes entries).
+  // totals reconcile exactly — every plan() call is one hit, miss or
+  // reject, and residency == Misses - Evictions (nothing else removes
+  // entries).
   PlanServiceOptions Opts;
   Opts.CacheCapacity = 4;
   Opts.Shards = 4;
   PlanService Service(buildChain(6), Opts);
+  Telemetry T;
+  TelemetryScope Scope(T);
 
   for (int From = 0; From < 6; ++From)
     for (int To = 0; To < 6; ++To)
@@ -195,10 +202,13 @@ TEST(PlanService, ShardedAccountingInvariants) {
   EXPECT_TRUE(Service.plan(0, 99) == nullptr);
   EXPECT_TRUE(Service.plan(-1, 2) == nullptr);
 
+  // Plans is derived from the cache counts; it must still equal the
+  // plan() calls issued above, as the per-call serve.plans counter does.
+  const uint64_t Issued = 36u + 10u + 2u;
   PlanServiceStats S = Service.stats();
-  EXPECT_EQ(S.Plans, 36u + 10u + 2u);
+  EXPECT_EQ(S.Plans, Issued);
+  EXPECT_EQ(T.counter("serve.plans"), static_cast<int64_t>(Issued));
   EXPECT_EQ(S.Rejected, 2u);
-  EXPECT_EQ(S.Plans, S.Hits + S.Misses + S.Rejected);
   EXPECT_EQ(S.CacheEntries, static_cast<size_t>(S.Misses - S.Evictions));
   // The budget is enforced by the inserting shard's own tail, so a shard
   // whose only entry is the newcomer can overshoot transiently — but
@@ -273,36 +283,6 @@ TEST(PlanService, CapacityIsAGlobalBudgetNotAPerShardQuota) {
   S = Service.stats();
   EXPECT_EQ(S.Hits, 3u);
   EXPECT_EQ(S.Evictions, 0u);
-}
-
-TEST(PlanService, LatencyHistogramCoversEveryRequest) {
-  PlanService Service(buildChain());
-  EXPECT_EQ(Service.latency().count(), 0u);
-
-  EXPECT_TRUE(Service.plan(0, 3) != nullptr); // miss (slow path)
-  EXPECT_TRUE(Service.plan(0, 3) != nullptr); // hit (fast path)
-  EXPECT_TRUE(Service.plan(0, 99) == nullptr); // failure still counts
-  std::vector<std::pair<int, int>> Batch = {{0, 3}, {1, 3}};
-  Service.planBatch(Batch);
-
-  // One histogram entry per plan() call, batch items included.
-  const LatencyHistogram &H = Service.latency();
-  EXPECT_EQ(H.count(), 5u);
-  EXPECT_GT(H.maxSeconds(), 0.0);
-  double P50 = H.quantileSeconds(0.5);
-  double P99 = H.quantileSeconds(0.99);
-  EXPECT_GE(P50, H.minSeconds());
-  EXPECT_LE(P99, H.maxSeconds());
-  EXPECT_LE(P50, P99);
-
-  // resetLatency scopes the histogram to a measurement phase without
-  // disturbing the cumulative service stats.
-  uint64_t PlansBefore = Service.stats().Plans;
-  Service.resetLatency();
-  EXPECT_EQ(Service.latency().count(), 0u);
-  EXPECT_EQ(Service.stats().Plans, PlansBefore);
-  EXPECT_TRUE(Service.plan(1, 3) != nullptr);
-  EXPECT_EQ(Service.latency().count(), 1u);
 }
 
 TEST(PlanService, CapacityZeroDisablesCaching) {
@@ -495,7 +475,8 @@ TEST(PlanService, ClearCacheResetsEntriesButNotAccounting) {
 
 TEST(PlanService, CampaignThroughServiceMatchesStoreBackedCampaign) {
   // The serving-layer campaign must be flood-for-flood identical to the
-  // core store-backed one (same plans, same seeds, same joules).
+  // net-layer campaign fed straight from VersionStore::plan (same plans,
+  // same seeds, same joules).
   VersionStore Store = buildChain();
   Topology T = Topology::line(9);
   std::vector<int> Deployed = {3, 0, 1, 2, 0, 1, 3, 2, 0};
@@ -503,34 +484,105 @@ TEST(PlanService, CampaignThroughServiceMatchesStoreBackedCampaign) {
   Channel.LossRate = 0.15;
   Channel.Seed = 7;
 
-  DiagnosticEngine Diag;
-  auto ViaStore = planFleetCampaign(Store, T, Deployed, 3, Diag,
-                                    PacketFormat(), Mica2Power(), Channel);
-  ASSERT_TRUE(ViaStore.has_value()) << Diag.str();
+  CampaignResult ViaStore = runUpdateCampaign(
+      T, Deployed, 3,
+      [&](int From) {
+        auto P = Store.plan(From, 3);
+        EXPECT_TRUE(P.has_value());
+        return P ? P->ScriptBytes : 0;
+      },
+      PacketFormat(), Mica2Power(), Channel);
 
+  DiagnosticEngine Diag;
   PlanService Service(buildChain());
   auto ViaService =
       planFleetCampaign(Service, T, Deployed, 3, Diag, PacketFormat(),
                         Mica2Power(), Channel);
   ASSERT_TRUE(ViaService.has_value()) << Diag.str();
 
-  ASSERT_EQ(ViaService->Cohorts.size(), ViaStore->Cohorts.size());
-  for (size_t K = 0; K < ViaStore->Cohorts.size(); ++K) {
+  ASSERT_EQ(ViaService->Cohorts.size(), ViaStore.Cohorts.size());
+  for (size_t K = 0; K < ViaStore.Cohorts.size(); ++K) {
     EXPECT_EQ(ViaService->Cohorts[K].FromVersion,
-              ViaStore->Cohorts[K].FromVersion);
-    EXPECT_EQ(ViaService->Cohorts[K].Nodes, ViaStore->Cohorts[K].Nodes);
+              ViaStore.Cohorts[K].FromVersion);
+    EXPECT_EQ(ViaService->Cohorts[K].Nodes, ViaStore.Cohorts[K].Nodes);
     EXPECT_EQ(ViaService->Cohorts[K].ScriptBytes,
-              ViaStore->Cohorts[K].ScriptBytes);
+              ViaStore.Cohorts[K].ScriptBytes);
     EXPECT_DOUBLE_EQ(ViaService->Cohorts[K].Flood.totalJoules(),
-                     ViaStore->Cohorts[K].Flood.totalJoules());
+                     ViaStore.Cohorts[K].Flood.totalJoules());
   }
-  EXPECT_EQ(ViaService->totalBytesOnAir(), ViaStore->totalBytesOnAir());
+  EXPECT_EQ(ViaService->totalBytesOnAir(), ViaStore.totalBytesOnAir());
 
   // An unknown target is a planning error, not a crash.
   DiagnosticEngine Diag2;
   EXPECT_FALSE(planFleetCampaign(Service, T, Deployed, 9, Diag2)
                    .has_value());
   EXPECT_TRUE(Diag2.hasErrors());
+}
+
+// serve/LoadDriver, the one request loop behind `uccc serve-bench` and
+// bench_plan_service.
+
+TEST(LoadDriver, HistogramCountsEveryRequestInEveryMode) {
+  PlanService Service(buildChain());
+  std::vector<std::pair<int, int>> Stream = {{0, 3}, {1, 3}, {2, 3}};
+  // {batch, threads, progress calls}: one call per sequential request or
+  // batch of 8 (8 + 8 + 4), none from a threaded run.
+  for (auto [Batch, Threads, Calls] :
+       {std::tuple{0, 1, 20}, std::tuple{8, 1, 3}, std::tuple{0, 4, 0}}) {
+    LatencyHistogram H;
+    int Seen = 0;
+    LoadResult R = runLoad(Service, Stream,
+                           {.Requests = 20, .Batch = Batch, .Threads = Threads},
+                           H,
+                           [&](int Done, const LatencyHistogram &SoFar) {
+                             ++Seen;
+                             EXPECT_EQ(SoFar.count(),
+                                       static_cast<uint64_t>(Done));
+                           });
+    EXPECT_FALSE(R.Failed.has_value());
+    EXPECT_EQ(R.Issued, 20);
+    EXPECT_EQ(H.count(), 20u) << Batch << " " << Threads;
+    EXPECT_EQ(Seen, Calls);
+    EXPECT_GT(R.plansPerSec(), 0.0);
+  }
+}
+
+TEST(LoadDriver, ThreadedClosedLoopOverWarmCacheAddsExactlyNHits) {
+  PlanService Service(buildChain());
+  std::vector<std::pair<int, int>> Stream = {{0, 3}, {1, 3}, {2, 3}};
+  Service.planBatch(Stream); // every pair is now cached
+  PlanServiceStats Before = Service.stats();
+  // The workers' scratch registries must land in the caller's.
+  Telemetry T;
+  TelemetryScope Scope(T);
+  LatencyHistogram H;
+  LoadResult R = runLoad(Service, Stream, {.Requests = 300, .Threads = 4}, H);
+  PlanServiceStats After = Service.stats();
+  EXPECT_FALSE(R.Failed.has_value());
+  EXPECT_EQ(H.count(), 300u);
+  EXPECT_EQ(After.Hits - Before.Hits, 300u);
+  EXPECT_EQ(After.Misses, Before.Misses);
+  EXPECT_EQ(T.counter("serve.plans"), 300);
+  EXPECT_EQ(T.counter("serve.cache_hits"), 300);
+}
+
+TEST(LoadDriver, UnknownPairIsReportedNotDropped) {
+  PlanService Service(buildChain());
+  std::vector<std::pair<int, int>> Stream = {{0, 3}, {1, 3}, {7, 3}, {2, 3}};
+  // Sequential and batched runs stop right after the failing request (the
+  // first batch of 3 holds it); how many requests a threaded run issues
+  // before its workers see the failure is scheduling.
+  for (LoadOptions Opts : {LoadOptions{.Requests = 8},
+                           LoadOptions{.Requests = 8, .Batch = 3},
+                           LoadOptions{.Requests = 8, .Threads = 4}}) {
+    LatencyHistogram H;
+    LoadResult R = runLoad(Service, Stream, Opts, H);
+    ASSERT_TRUE(R.Failed.has_value()) << Opts.Batch << " " << Opts.Threads;
+    EXPECT_EQ(*R.Failed, std::make_pair(7, 3));
+    EXPECT_GE(R.Issued, 1);
+    EXPECT_TRUE(Opts.Threads > 1 || R.Issued == 3) << R.Issued;
+    EXPECT_EQ(H.count(), static_cast<uint64_t>(R.Issued));
+  }
 }
 
 TEST(StaleVersions, DistinctSortedAndSinkSkipped) {

@@ -649,6 +649,23 @@ TEST_F(ToolFixture, ServeBenchTracedBatchCrossesWorkerTracks) {
         << "worker track " << Tid << " must be labeled for Perfetto";
 }
 
+TEST_F(ToolFixture, IntegerFlagsRejectOutOfRangeValues) {
+  // 2^32 + 1 would wrap to 1 if narrowed to int: a usage error instead,
+  // checked before the store is opened.
+  EXPECT_EQ(uccc("serve-bench --store " + path("s") +
+                 " --requests 4294967297"),
+            2);
+  EXPECT_NE(capturedOutput().find("--requests expects an integer, got "
+                                  "'4294967297'"),
+            std::string::npos)
+      << capturedOutput();
+  EXPECT_EQ(uccc("plan --store " + path("s") + " --from -4294967296 --to 1"),
+            2);
+  EXPECT_NE(capturedOutput().find("--from expects an integer"),
+            std::string::npos)
+      << capturedOutput();
+}
+
 TEST_F(ToolFixture, MonitorAndMetricsFlagDiagnostics) {
   writeFile("v1.mc", SourceV1);
   std::string Store = " --store " + path("store");

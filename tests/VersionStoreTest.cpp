@@ -334,23 +334,30 @@ TEST_F(ScratchDir, MissingArtifactIsRejected) {
   EXPECT_TRUE(Diag.hasErrors());
 }
 
-TEST(UpdateSession, CommitLoopBuildsTheChain) {
+TEST(VersionStore, CommitLoopBuildsTheChain) {
+  // A commit loop sharing one compile cache across commits builds the
+  // same chain as uncached commits.
   VersionStore Store;
-  UpdateSession Session(Store, uccOptions());
+  CompileCache Cache;
+  CompileOptions Opts = uccOptions();
+  Opts.Cache = &Cache;
   const UpdateCase &Case = updateCases()[5];
   DiagnosticEngine Diag;
-  EXPECT_EQ(Session.commit(Case.OldSource, Diag), 0) << Diag.str();
-  EXPECT_FALSE(Session.planFromPrevious().has_value());
-  EXPECT_EQ(Session.commit(Case.NewSource, Diag), 1) << Diag.str();
-  EXPECT_EQ(Session.commit(Case.OldSource, Diag), 2) << Diag.str();
+  EXPECT_EQ(Store.addInitial(Case.OldSource, Opts, Diag), 0) << Diag.str();
+  EXPECT_FALSE(Store.plan(Store.latest()->Parent, Store.latest()->Id)
+                   .has_value())
+      << "the root has no previous version to plan from";
+  EXPECT_EQ(Store.addUpdate(Case.NewSource, Opts, Diag), 1) << Diag.str();
+  EXPECT_EQ(Store.addUpdate(Case.OldSource, Opts, Diag), 2) << Diag.str();
 
-  auto P = Session.planFromPrevious();
+  const StoredVersion *Tip = Store.latest();
+  auto P = Store.plan(Tip->Parent, Tip->Id);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->From, 1);
   EXPECT_EQ(P->To, 2);
   EXPECT_EQ(P->ChainSteps, 1);
 
-  // The session is sugar over the store: the same three-step chain the
+  // The cache changes nothing: the same three-step chain the uncached
   // manual API builds.
   VersionStore Manual;
   buildChain(Manual);

@@ -54,6 +54,7 @@
 
 #include "core/Compiler.h"
 #include "core/VersionStore.h"
+#include "serve/LoadDriver.h"
 #include "serve/PlanService.h"
 #include "sim/Simulator.h"
 #include "support/Format.h"
@@ -65,8 +66,8 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -138,11 +139,12 @@ namespace {
   std::exit(2);
 }
 
-/// Strict integer parse: the whole string must be a number.
+/// Strict integer parse: the whole string must be a number that fits in
+/// an int.
 int parseInt(const std::string &Text, const char *What) {
   char *End = nullptr;
-  long V = std::strtol(Text.c_str(), &End, 10);
-  if (Text.empty() || *End != '\0')
+  long long V = std::strtoll(Text.c_str(), &End, 10); // saturates
+  if (Text.empty() || *End != '\0' || V < INT_MIN || V > INT_MAX)
     dieCli(format("%s expects an integer, got '%s'", What, Text.c_str()));
   return static_cast<int>(V);
 }
@@ -793,8 +795,9 @@ int cmdCampaign(Args &A) {
 /// Zipf-skewed request stream (most requests from the versions closest to
 /// the target, a long tail further back) through one PlanService and
 /// reports throughput, latency percentiles and cache accounting. The
-/// bench/bench_plan_service harness is the regression-gated variant; this
-/// command is for poking at a real store.
+/// requests run through serve/LoadDriver, the same driver as the
+/// regression-gated bench/bench_plan_service harness; this command is for
+/// poking at a real store.
 int cmdServeBench(Args &A) {
   std::string RequestsArg = A.option("--requests");
   std::string CacheArg = A.option("--cache");
@@ -885,8 +888,11 @@ int cmdServeBench(Args &A) {
   RNG Rng(Seed);
   ZipfSampler Zipf(Candidates.size(), ZipfS);
   std::vector<int> Fleet(1, Target); // node 0: the sink, already current
-  for (int K = 0; K < Requests; ++K)
+  std::vector<std::pair<int, int>> Stream;
+  for (int K = 0; K < Requests; ++K) {
     Fleet.push_back(Candidates[Zipf.sample(Rng) - 1]);
+    Stream.push_back({Fleet.back(), Target});
+  }
 
   ServeOpts.CacheCapacity = Cache;
   PlanService Service(std::move(Store), ServeOpts);
@@ -921,16 +927,14 @@ int cmdServeBench(Args &A) {
   }
   // One observation: publish the latency/cache gauges, append a JSONL
   // sample, and evaluate the SLO.
-  auto Observe = [&] {
+  auto Observe = [&](const LatencyHistogram &H) {
     if (!Reg)
       return;
-    const LatencyHistogram &H = Service.latency();
-    PlanServiceStats St = Service.stats();
     Reg->setGauge("serve.p50_us", H.quantileSeconds(0.50) * 1e6);
     Reg->setGauge("serve.p95_us", H.quantileSeconds(0.95) * 1e6);
     Reg->setGauge("serve.p99_us", H.quantileSeconds(0.99) * 1e6);
     Reg->setGauge("serve.cache_entries",
-                  static_cast<double>(St.CacheEntries));
+                  static_cast<double>(Service.stats().CacheEntries));
     double Now = 0.0;
     if (Sampler) {
       Now = Sampler->sample().TsSeconds;
@@ -943,89 +947,28 @@ int cmdServeBench(Args &A) {
            SloP99Us, FlightPath.c_str());
   };
 
-  int Warmed = 0;
-  if (Warm)
-    Warmed = Service.warm(Fleet, Target);
-  // The measured window excludes warming: reset the request histogram and
-  // take the baseline sample so the JSONL's overall rate covers exactly
-  // the loop the printed aggregates cover.
-  Service.resetLatency();
-  Observe();
+  int Warmed = Warm ? Service.warm(Fleet, Target) : 0;
+  // The measured window excludes warming: the baseline sample makes the
+  // JSONL's overall rate cover exactly the requests the printed
+  // aggregates cover.
+  LatencyHistogram H;
+  Observe(H);
 
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point Begin = Clock::now();
-  int SinceSample = 0;
-  auto Tick = [&](int Done) {
-    SinceSample += Done;
-    if (SinceSample >= Every) {
-      SinceSample = 0;
-      Observe();
-    }
-  };
-  if (Batch > 0) {
-    std::vector<std::pair<int, int>> Pairs;
-    for (int At = 0; At < Requests; At += Batch) {
-      int Len = std::min(Batch, Requests - At);
-      Pairs.clear();
-      for (int K = 0; K < Len; ++K)
-        Pairs.push_back({Fleet[static_cast<size_t>(At + K) + 1], Target});
-      std::vector<std::shared_ptr<const UpdatePlan>> Plans =
-          Service.planBatch(Pairs);
-      for (int K = 0; K < Len; ++K)
-        if (!Plans[static_cast<size_t>(K)])
-          die(format("cannot plan update %d -> %d",
-                     Pairs[static_cast<size_t>(K)].first, Target));
-      Tick(Len);
-    }
-  } else if (Threads > 1) {
-    // Closed-loop concurrent driver: every worker pulls the next request
-    // off the shared stream as soon as its previous one finishes. Metrics
-    // sampling stays on the boundary observations (the snapshotter is
-    // single-threaded). Worker threads do not inherit the thread-current
-    // telemetry registry, so each gets a scratch registry merged after
-    // the join — the same discipline as ThreadPool::parallelFor — or
-    // --stats/--trace-json would lose every serve.* count from the loop.
-    std::atomic<int> Next{0};
-    std::atomic<int> Failed{-1};
-    Telemetry *ParentRegistry = currentTelemetry();
-    std::vector<Telemetry> Scratch(static_cast<size_t>(Threads));
-    std::vector<std::thread> Pool;
-    Pool.reserve(static_cast<size_t>(Threads));
-    for (int T = 0; T < Threads; ++T)
-      Pool.emplace_back([&, T] {
-        std::optional<TelemetryScope> Scope;
-        if (ParentRegistry)
-          Scope.emplace(Scratch[static_cast<size_t>(T)]);
-        for (;;) {
-          int K = Next.fetch_add(1, std::memory_order_relaxed);
-          if (K >= Requests || Failed.load(std::memory_order_relaxed) >= 0)
-            return;
-          if (!Service.plan(Fleet[static_cast<size_t>(K) + 1], Target))
-            Failed.store(Fleet[static_cast<size_t>(K) + 1],
-                         std::memory_order_relaxed);
+  int Sampled = 0;
+  LoadResult Run = runLoad(
+      Service, Stream,
+      {.Requests = Requests, .Batch = Batch, .Threads = Threads}, H,
+      [&](int Done, const LatencyHistogram &SoFar) {
+        if (Done - Sampled >= Every) {
+          Sampled = Done;
+          Observe(SoFar);
         }
       });
-    for (std::thread &T : Pool)
-      T.join();
-    if (ParentRegistry)
-      for (const Telemetry &Child : Scratch)
-        ParentRegistry->mergeChild(Child);
-    if (int From = Failed.load(); From >= 0)
-      die(format("cannot plan update %d -> %d", From, Target));
-  } else {
-    for (int K = 0; K < Requests; ++K) {
-      auto P = Service.plan(Fleet[static_cast<size_t>(K) + 1], Target);
-      if (!P)
-        die(format("cannot plan update %d -> %d",
-                   Fleet[static_cast<size_t>(K) + 1], Target));
-      Tick(1);
-    }
-  }
-  double TotalSeconds =
-      std::chrono::duration<double>(Clock::now() - Begin).count();
-  Observe();
+  if (Run.Failed)
+    die(format("cannot plan update %d -> %d", Run.Failed->first,
+               Run.Failed->second));
+  Observe(H);
 
-  const LatencyHistogram &H = Service.latency();
   PlanServiceStats S = Service.stats();
   std::printf("serve-bench: %zu version(s), target v%d, %d request(s), "
               "zipf s=%.2f, cache %zu, shards %zu%s%s%s\n",
@@ -1035,7 +978,7 @@ int cmdServeBench(Args &A) {
               Batch > 0 ? format(", batches of %d", Batch).c_str() : "",
               Threads > 1 ? format(", %d threads", Threads).c_str() : "");
   std::printf("  %.0f plans/sec, p50 %.1f us, p95 %.1f us, p99 %.1f us\n",
-              Requests / TotalSeconds, H.quantileSeconds(0.50) * 1e6,
+              Run.plansPerSec(), H.quantileSeconds(0.50) * 1e6,
               H.quantileSeconds(0.95) * 1e6, H.quantileSeconds(0.99) * 1e6);
   std::printf("  hits %llu  misses %llu  evictions %llu  inflight-waits "
               "%llu  entries %zu\n",
