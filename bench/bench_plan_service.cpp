@@ -20,7 +20,7 @@
 //
 // Every timed phase replays the stream through serve/LoadDriver, the same
 // request driver `uccc serve-bench` runs, so latency percentiles are
-// LatencyHistogram quantiles (log buckets, about 3% resolution).
+// DurationDist quantiles (log buckets, about 3% resolution).
 //
 // Wall-clock metrics carry the `_seconds` suffix so the baseline gate
 // skips them; everything else (request mix, hit/miss accounting, route
@@ -143,7 +143,7 @@ PlanServiceOptions serveOpts(size_t Capacity, size_t NumShards = 8) {
 /// hard-fails the bench on the first request the service answers null.
 LoadResult mustRun(const PlanService &Svc,
                    const std::vector<std::pair<int, int>> &Stream,
-                   const LoadOptions &Opts, LatencyHistogram &Latency,
+                   const LoadOptions &Opts, DurationDist &Latency,
                    const char *Phase) {
   LoadResult Run = runLoad(Svc, Stream, Opts, Latency);
   if (Run.Failed) {
@@ -154,7 +154,7 @@ LoadResult mustRun(const PlanService &Svc,
   return Run;
 }
 
-double quantileUs(const LatencyHistogram &H, double Q) {
+double quantileUs(const DurationDist &H, double Q) {
   return H.quantileSeconds(Q) * 1e6;
 }
 
@@ -269,7 +269,7 @@ int main(int Argc, char **Argv) {
   // --- Cache-cold: capacity 0 disables caching, every request pays the
   // full direct-diff + chain-compose planning cost.
   PlanService Cold(buildStore(Versions), serveOpts(0));
-  LatencyHistogram ColdLatency;
+  DurationDist ColdLatency;
   double ColdPlansPerSec =
       mustRun(Cold, Stream, {.Requests = ColdRequests}, ColdLatency, "cold")
           .plansPerSec();
@@ -284,7 +284,7 @@ int main(int Argc, char **Argv) {
   Service.planBatch(Unique, Bench.jobs()); // prefill the diverse pairs
   PlanServiceStats Before = Service.stats();
 
-  LatencyHistogram WarmLatency;
+  DurationDist WarmLatency;
   double WarmPlansPerSec =
       mustRun(Service, Stream, {.Requests = WarmSeqRequests}, WarmLatency,
               "warm")
@@ -301,7 +301,7 @@ int main(int Argc, char **Argv) {
   Bench.sampleMetrics(); // phase boundary: warm sequential loop done
 
   // The whole stream as one batch.
-  LatencyHistogram BatchLatency;
+  DurationDist BatchLatency;
   double BatchPlansPerSec =
       mustRun(Service, Stream, {.Requests = Requests, .Batch = Requests},
               BatchLatency, "batch")
@@ -321,7 +321,7 @@ int main(int Argc, char **Argv) {
   // stream, same cache capacity — only the lock granularity changes.
   auto runClosedLoop = [&](const PlanService &Svc,
                            const std::vector<std::pair<int, int>> &Reqs) {
-    LatencyHistogram Latency;
+    DurationDist Latency;
     LoadResult Run = mustRun(Svc, Reqs,
                              {.Requests = MtRequests, .Threads = Threads},
                              Latency, "multi-threaded");

@@ -13,18 +13,16 @@
 /// *hint* solution — how the preferred-register tags speed up the solver
 /// in section 5.6.
 ///
-/// Two engines live behind this interface (docs/PERFORMANCE.md):
-///  - the *sparse revised* engine (lp/Simplex.cpp) — sparse-column
-///    storage, an eta-file basis representation with deterministic
-///    reinversion, steepest-edge-lite pricing, and a warm-start entry
-///    (`SparseSimplex::solveWarm`) that repairs a parent basis with dual
-///    simplex after branching changes a bound. `solveLP`/`solveILP`
-///    (best-first branch-and-bound with pseudo-cost branching and a
-///    greedy rounding incumbent) run on it;
-///  - the *dense reference* engine (lp/DenseSimplex.cpp) — the original
-///    dense-tableau simplex and depth-first branch-and-bound, kept
-///    byte-for-byte as the equivalence oracle
-///    (`solveLPDense`/`solveILPDfs`, tests/SolverEquivalenceTest.cpp).
+/// One engine lives behind this interface (docs/PERFORMANCE.md): the
+/// *sparse revised* simplex (lp/Simplex.cpp) — sparse-column storage, an
+/// eta-file basis representation with deterministic reinversion,
+/// steepest-edge-lite pricing, and a warm-start entry
+/// (`SparseSimplex::solveWarm`) that repairs a parent basis with dual
+/// simplex after branching changes a bound. `solveLP`/`solveILP`
+/// (best-first branch-and-bound with pseudo-cost branching and a greedy
+/// rounding incumbent) run on it. The seed dense-tableau simplex and
+/// depth-first branch-and-bound it replaced are test oracles
+/// (tests/oracles, pinned by tests/SolverEquivalenceTest.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,7 +105,7 @@ struct LPResult {
   std::vector<double> X;
   double Objective = 0.0;
   int64_t Pivots = 0; ///< simplex iterations performed
-  /// Final basis (sparse engine only; empty from the dense reference).
+  /// Final basis of the solve (empty from the dense test oracle).
   SimplexBasis Basis;
 };
 
@@ -115,12 +113,6 @@ struct LPResult {
 /// revised engine).
 LPResult solveLP(const LPProblem &P,
                  int64_t MaxPivots = 2'000'000);
-
-/// The seed dense-tableau simplex, kept unchanged as the reference
-/// implementation for the randomized equivalence harness and as the
-/// backend of solveBinaryByEnumeration.
-LPResult solveLPDense(const LPProblem &P,
-                      int64_t MaxPivots = 2'000'000);
 
 /// The sparse revised simplex as a stateful engine: build once per
 /// problem, then solve repeatedly under changing variable bounds —
@@ -184,11 +176,6 @@ struct ILPResult {
 ILPResult solveILP(const LPProblem &P, const std::vector<int> &IntVars,
                    const ILPOptions &Opts = {});
 
-/// The seed depth-first branch-and-bound on the dense reference simplex,
-/// kept unchanged as the equivalence oracle.
-ILPResult solveILPDfs(const LPProblem &P, const std::vector<int> &IntVars,
-                      const ILPOptions &Opts = {});
-
 /// Checks that \p X satisfies every constraint and bound of \p P within
 /// \p Tol (test and validation helper).
 bool isFeasible(const LPProblem &P, const std::vector<double> &X,
@@ -196,12 +183,6 @@ bool isFeasible(const LPProblem &P, const std::vector<double> &X,
 
 /// Objective value of \p X under \p P.
 double objectiveValue(const LPProblem &P, const std::vector<double> &X);
-
-/// Exhaustively enumerates all assignments of the (binary) \p IntVars and
-/// returns the best feasible one. Exponential — ablation/test use only,
-/// and the backend for the "exact nonlinear objective" comparison (A1/A3).
-ILPResult solveBinaryByEnumeration(const LPProblem &P,
-                                   const std::vector<int> &IntVars);
 
 } // namespace ucc
 

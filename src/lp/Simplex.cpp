@@ -19,11 +19,11 @@
 /// Pricing is steepest-edge-lite: reduced costs from a fresh BTRAN each
 /// iteration (self-correcting), scored as d^2 over a static column-norm
 /// reference weight, with the same Bland fallback after a degenerate run
-/// as the dense reference engine. The ratio test (bound flips, leaving
-/// tie-break by smaller column) mirrors lp/DenseSimplex.cpp so the two
-/// engines are comparable pivot-for-pivot in spirit, and the randomized
-/// harness in tests/SolverEquivalenceTest.cpp pins their objectives to
-/// each other.
+/// as the seed dense engine. The ratio test (bound flips, leaving
+/// tie-break by smaller column) mirrors tests/oracles/DenseSimplex.cpp so
+/// the two engines are comparable pivot-for-pivot in spirit, and the
+/// randomized harness in tests/SolverEquivalenceTest.cpp pins their
+/// objectives to each other.
 ///
 /// Warm starts (`SparseSimplex::solveWarm`): branch-and-bound re-solves
 /// a node's LP after tightening one variable's bounds. The parent's

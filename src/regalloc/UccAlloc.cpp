@@ -477,9 +477,9 @@ UccAllocStats ucc::allocateUcc(MachineFunction &MF, const UccContext &Ctx,
       Matched += MatchedOld[J] >= 0;
     Stats.MatchedInstrs = Matched;
 
-    // Strategy Ilp/Hybrid: try the paper's full 0/1 program when the
+    // Strategy Hybrid: try the paper's full 0/1 program when the
     // function is straight-line and the model fits the budget.
-    if (Opts.Strategy != UccStrategy::Greedy &&
+    if (Opts.Strategy == UccStrategy::Hybrid &&
         tryIlpSingleBlock(MF, NewLin, OldLin, MatchedOld, InChangedChunk,
                           Opts, Freq, IA, Stats)) {
       Stats.TotalInstrs = MF.instrCount();

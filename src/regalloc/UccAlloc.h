@@ -44,8 +44,9 @@ namespace ucc {
 /// How changed chunks are solved.
 enum class UccStrategy {
   Greedy, ///< preference-guided interval assignment with cost-modeled splits
-  Ilp,    ///< the paper's 0/1 program (falls back to Greedy over budget)
-  Hybrid  ///< Ilp when the model fits the budget, Greedy otherwise (default)
+          ///< (the default)
+  Hybrid  ///< the paper's 0/1 program when the function is straight-line
+          ///< and the model fits IlpMaxBinaries, Greedy otherwise
 };
 
 /// Tuning knobs for UCC-RA.

@@ -29,7 +29,7 @@ double secondsSince(Clock::time_point Begin) {
 
 LoadResult ucc::runLoad(const PlanService &Service,
                         const std::vector<std::pair<int, int>> &Stream,
-                        const LoadOptions &Opts, LatencyHistogram &Latency,
+                        const LoadOptions &Opts, DurationDist &Latency,
                         const LoadProgress &Progress) {
   LoadResult R;
   if (Stream.empty() || Opts.Requests <= 0)
@@ -45,7 +45,7 @@ LoadResult ucc::runLoad(const PlanService &Service,
   };
   // One closed-loop client: takes the next request as soon as its last one
   // is answered, until the stream is done or any client saw a failure.
-  auto Client = [&](LatencyHistogram &Mine, const LoadProgress &Report) {
+  auto Client = [&](DurationDist &Mine, const LoadProgress &Report) {
     for (int K = Next.fetch_add(1, std::memory_order_relaxed);
          K < Opts.Requests && FailedAt.load(std::memory_order_relaxed) < 0;
          K = Next.fetch_add(1, std::memory_order_relaxed)) {
@@ -59,7 +59,7 @@ LoadResult ucc::runLoad(const PlanService &Service,
     }
   };
 
-  uint64_t Before = Latency.count();
+  uint64_t Before = Latency.Count;
   Clock::time_point Begin = Clock::now();
   if (Opts.Batch > 0) {
     std::vector<std::pair<int, int>> Pairs;
@@ -90,26 +90,27 @@ LoadResult ucc::runLoad(const PlanService &Service,
     size_t NumThreads = static_cast<size_t>(Opts.Threads);
     Telemetry *Parent = currentTelemetry();
     std::vector<Telemetry> Scratch(Parent ? NumThreads : 0);
-    std::vector<std::unique_ptr<LatencyHistogram>> Own;
+    std::vector<DurationDist> Own(NumThreads);
     std::vector<std::thread> Pool;
     for (size_t T = 0; T < NumThreads; ++T) {
-      Own.push_back(std::make_unique<LatencyHistogram>());
-      Pool.emplace_back([&, T, Mine = Own.back().get()] {
+      Pool.emplace_back([&, T] {
         std::optional<TelemetryScope> Scope;
         if (Parent)
           Scope.emplace(Scratch[T]);
-        Client(*Mine, nullptr);
+        DurationDist Mine; // on this thread's stack: no shared cache line
+        Client(Mine, nullptr);
+        Own[T] = std::move(Mine);
       });
     }
     for (std::thread &T : Pool)
       T.join();
     for (const Telemetry &Child : Scratch)
       Parent->mergeChild(Child);
-    for (const std::unique_ptr<LatencyHistogram> &H : Own)
-      Latency.merge(*H);
+    for (const DurationDist &Mine : Own)
+      Latency.merge(Mine);
   }
   R.Seconds = secondsSince(Begin);
-  R.Issued = static_cast<int>(Latency.count() - Before);
+  R.Issued = static_cast<int>(Latency.Count - Before);
   if (int K = FailedAt.load(); K >= 0)
     R.Failed = At(K);
   return R;

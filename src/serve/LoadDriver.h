@@ -13,7 +13,7 @@
 /// request as soon as their last one is answered.
 ///
 /// The driver, not the service, times requests: each thread records into
-/// its own LatencyHistogram, merged into the caller's after the join. A
+/// its own DurationDist, merged into the caller's after the join. A
 /// batched request's latency is its whole batch's wall time.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,7 +22,7 @@
 #define UCC_SERVE_LOADDRIVER_H
 
 #include "serve/PlanService.h"
-#include "support/Metrics.h"
+#include "support/Telemetry.h"
 
 #include <functional>
 #include <optional>
@@ -54,8 +54,7 @@ struct LoadResult {
 /// A threaded run never calls it: telemetry registries and metrics
 /// snapshotters are single-threaded, so its caller samples before and
 /// after.
-using LoadProgress =
-    std::function<void(int Done, const LatencyHistogram &SoFar)>;
+using LoadProgress = std::function<void(int Done, const DurationDist &SoFar)>;
 
 /// Replays Opts.Requests requests of \p Stream against \p Service,
 /// recording each one's latency into \p Latency. Closed-loop workers count
@@ -64,7 +63,7 @@ using LoadProgress =
 /// run.
 LoadResult runLoad(const PlanService &Service,
                    const std::vector<std::pair<int, int>> &Stream,
-                   const LoadOptions &Opts, LatencyHistogram &Latency,
+                   const LoadOptions &Opts, DurationDist &Latency,
                    const LoadProgress &Progress = nullptr);
 
 } // namespace ucc

@@ -8,122 +8,10 @@
 
 #include "support/Json.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 
 using namespace ucc;
-
-//===----------------------------------------------------------------------===//
-// LatencyHistogram
-//===----------------------------------------------------------------------===//
-
-static uint64_t toNanos(double Seconds) {
-  if (!(Seconds > 0.0))
-    return 0;
-  double N = Seconds * 1e9;
-  if (N >= 1.8e19)
-    return UINT64_MAX - 1;
-  return static_cast<uint64_t>(N);
-}
-
-LatencyHistogram::LatencyHistogram() {
-  for (auto &B : Buckets)
-    B.store(0, std::memory_order_relaxed);
-}
-
-void LatencyHistogram::record(double Seconds) {
-  uint16_t B = DurationDist::bucketFor(Seconds);
-  Buckets[B].fetch_add(1, std::memory_order_relaxed);
-  Count.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Nanos = toNanos(Seconds);
-  SumNanos.fetch_add(Nanos, std::memory_order_relaxed);
-  uint64_t Prev = MinNanos.load(std::memory_order_relaxed);
-  while (Nanos < Prev &&
-         !MinNanos.compare_exchange_weak(Prev, Nanos,
-                                         std::memory_order_relaxed))
-    ;
-  Prev = MaxNanos.load(std::memory_order_relaxed);
-  while (Nanos > Prev &&
-         !MaxNanos.compare_exchange_weak(Prev, Nanos,
-                                         std::memory_order_relaxed))
-    ;
-}
-
-uint64_t LatencyHistogram::count() const {
-  return Count.load(std::memory_order_relaxed);
-}
-
-double LatencyHistogram::minSeconds() const {
-  uint64_t N = MinNanos.load(std::memory_order_relaxed);
-  return N == UINT64_MAX ? 0.0 : static_cast<double>(N) * 1e-9;
-}
-
-double LatencyHistogram::maxSeconds() const {
-  return static_cast<double>(MaxNanos.load(std::memory_order_relaxed)) * 1e-9;
-}
-
-double LatencyHistogram::meanSeconds() const {
-  uint64_t C = Count.load(std::memory_order_relaxed);
-  if (C == 0)
-    return 0.0;
-  return static_cast<double>(SumNanos.load(std::memory_order_relaxed)) * 1e-9 /
-         static_cast<double>(C);
-}
-
-double LatencyHistogram::quantileSeconds(double Q) const {
-  uint64_t C = Count.load(std::memory_order_relaxed);
-  if (C == 0)
-    return 0.0;
-  double Clamped = std::min(std::max(Q, 0.0), 1.0);
-  uint64_t Rank =
-      static_cast<uint64_t>(Clamped * static_cast<double>(C - 1) + 0.5);
-  uint64_t Seen = 0;
-  double V = 0.0;
-  for (int B = 0; B < DurationDist::NumBuckets; ++B) {
-    uint32_t N = Buckets[B].load(std::memory_order_relaxed);
-    if (N == 0)
-      continue;
-    Seen += N;
-    if (Seen > Rank) {
-      V = DurationDist::valueFor(static_cast<uint16_t>(B));
-      break;
-    }
-  }
-  return std::min(std::max(V, minSeconds()), maxSeconds());
-}
-
-void LatencyHistogram::merge(const LatencyHistogram &Other) {
-  for (int B = 0; B < DurationDist::NumBuckets; ++B) {
-    uint32_t N = Other.Buckets[B].load(std::memory_order_relaxed);
-    if (N != 0)
-      Buckets[B].fetch_add(N, std::memory_order_relaxed);
-  }
-  Count.fetch_add(Other.Count.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-  SumNanos.fetch_add(Other.SumNanos.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-  uint64_t N = Other.MinNanos.load(std::memory_order_relaxed);
-  uint64_t Prev = MinNanos.load(std::memory_order_relaxed);
-  while (N < Prev &&
-         !MinNanos.compare_exchange_weak(Prev, N, std::memory_order_relaxed))
-    ;
-  N = Other.MaxNanos.load(std::memory_order_relaxed);
-  Prev = MaxNanos.load(std::memory_order_relaxed);
-  while (N > Prev &&
-         !MaxNanos.compare_exchange_weak(Prev, N, std::memory_order_relaxed))
-    ;
-}
-
-void LatencyHistogram::reset() {
-  for (auto &B : Buckets)
-    B.store(0, std::memory_order_relaxed);
-  Count.store(0, std::memory_order_relaxed);
-  SumNanos.store(0, std::memory_order_relaxed);
-  MinNanos.store(UINT64_MAX, std::memory_order_relaxed);
-  MaxNanos.store(0, std::memory_order_relaxed);
-}
 
 //===----------------------------------------------------------------------===//
 // MetricsSnapshotter
@@ -173,12 +61,6 @@ double MetricsSnapshotter::rate(const std::string &Name) const {
   return rateBetween(Window[Window.size() - 2], Window.back(), Name);
 }
 
-double MetricsSnapshotter::windowRate(const std::string &Name) const {
-  if (Window.size() < 2)
-    return 0.0;
-  return rateBetween(Window.front(), Window.back(), Name);
-}
-
 std::string MetricsSnapshotter::lastJsonLine() const {
   if (Window.empty())
     return "";
@@ -205,41 +87,6 @@ std::string MetricsSnapshotter::lastJsonLine() const {
   }
   Doc.set("rates", std::move(Rates));
   return Doc.serialize();
-}
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; our dotted telemetry
-/// names map dots (and anything else) to underscores under a `ucc_`
-/// namespace prefix.
-static std::string promName(const std::string &Name) {
-  std::string Out = "ucc_";
-  for (char C : Name) {
-    bool Ok = (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') ||
-              (C >= '0' && C <= '9') || C == '_';
-    Out.push_back(Ok ? C : '_');
-  }
-  return Out;
-}
-
-std::string MetricsSnapshotter::toPrometheus() const {
-  if (Window.empty())
-    return "";
-  const MetricsSnapshot &S = Window.back();
-  std::string Out;
-  char Buf[160];
-  for (const auto &KV : S.Counters) {
-    std::string N = promName(KV.first);
-    Out += "# TYPE " + N + " counter\n";
-    std::snprintf(Buf, sizeof(Buf), "%s %lld\n", N.c_str(),
-                  static_cast<long long>(KV.second));
-    Out += Buf;
-  }
-  for (const auto &KV : S.Gauges) {
-    std::string N = promName(KV.first);
-    Out += "# TYPE " + N + " gauge\n";
-    std::snprintf(Buf, sizeof(Buf), "%s %.17g\n", N.c_str(), KV.second);
-    Out += Buf;
-  }
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,19 +8,13 @@
 /// The time dimension that support/Telemetry lacks: Telemetry aggregates
 /// a whole run into one final document, which answers "what did this run
 /// cost" but not "what is this *service* doing right now". This layer
-/// adds three pieces, all built on the same registry:
-///
-///  - `LatencyHistogram` — a thread-safe, mergeable log-bucketed latency
-///    histogram (same bucket geometry as `DurationDist`, so quantiles
-///    carry the same ~3% midpoint error). serve/LoadDriver records every
-///    request it issues into one per thread; p50/p95/p99 are read on
-///    demand without stopping the writers.
+/// adds two pieces, both built on the same registry:
 ///
 ///  - `MetricsSnapshotter` — periodically samples a registry's
 ///    counters/gauges into a bounded window of timestamped snapshots and
-///    derives windowed rates (plans/sec, joules/sec) from consecutive
-///    samples. Snapshots serialize as JSONL (one object per line — the
-///    `uccc monitor` wire format) and as Prometheus text exposition.
+///    derives rates (plans/sec, joules/sec) from consecutive samples.
+///    Snapshots serialize as JSONL (one object per line — the
+///    `uccc monitor` wire format).
 ///
 ///  - `FlightRecorder` — watches SLO thresholds (p99 latency, error
 ///    count) and, on breach, dumps the registry's bounded event ring as a
@@ -35,54 +29,12 @@
 
 #include "support/Telemetry.h"
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
 
 namespace ucc {
-
-/// Thread-safe log-bucketed latency histogram. Buckets are the
-/// `DurationDist` geometry (16 linear sub-buckets per octave) held in a
-/// dense atomic array so `record` is wait-free: one bucket increment plus
-/// count/sum/min/max updates, all relaxed — the histogram is a
-/// statistical instrument, not a synchronization point. Readers get a
-/// consistent-enough view for monitoring; exact totals settle once
-/// writers stop.
-class LatencyHistogram {
-public:
-  LatencyHistogram();
-
-  /// Records one latency observation (non-positive values land in the
-  /// underflow bucket but still count).
-  void record(double Seconds);
-
-  uint64_t count() const;
-  /// Smallest / largest recorded value, exact (0 when empty).
-  double minSeconds() const;
-  double maxSeconds() const;
-  /// Mean of all recorded values, exact up to nanosecond rounding.
-  double meanSeconds() const;
-  /// Quantile \p Q in [0,1] from the bucket histogram, clamped to the
-  /// exact [min, max] envelope (0 when empty).
-  double quantileSeconds(double Q) const;
-
-  /// Folds \p Other into this histogram (bucket-wise sum; min/max/count
-  /// combine exactly).
-  void merge(const LatencyHistogram &Other);
-
-  /// Returns to the empty state. Not atomic with respect to concurrent
-  /// writers — callers quiesce or tolerate a torn window boundary.
-  void reset();
-
-private:
-  std::atomic<uint32_t> Buckets[DurationDist::NumBuckets];
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> SumNanos{0};
-  std::atomic<uint64_t> MinNanos{UINT64_MAX};
-  std::atomic<uint64_t> MaxNanos{0};
-};
 
 /// One timestamped sample of a registry's aggregate state.
 struct MetricsSnapshot {
@@ -114,19 +66,12 @@ public:
   /// units/second (0 with fewer than two samples or a non-advancing
   /// clock).
   double rate(const std::string &Name) const;
-  /// Same over the whole retained window (first to last sample).
-  double windowRate(const std::string &Name) const;
 
   /// The newest snapshot as one compact JSON line:
   /// {"ts":..,"counters":{..},"gauges":{..},"rates":{..}} where `rates`
   /// holds per-second deltas for every counter that moved since the
   /// previous sample. Empty string before the first sample.
   std::string lastJsonLine() const;
-
-  /// The newest snapshot as Prometheus text exposition: counters as
-  /// `# TYPE ucc_<name> counter`, gauges as gauges; dots in metric names
-  /// become underscores. Empty string before the first sample.
-  std::string toPrometheus() const;
 
 private:
   const Telemetry &Reg;

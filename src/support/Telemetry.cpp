@@ -15,6 +15,7 @@
 #include "support/Telemetry.h"
 
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <atomic>
@@ -52,6 +53,8 @@ double DurationDist::valueFor(uint16_t Bucket) {
 }
 
 void DurationDist::record(double Seconds) {
+  MinSeconds = Count == 0 ? Seconds : std::min(MinSeconds, Seconds);
+  MaxSeconds = Count == 0 ? Seconds : std::max(MaxSeconds, Seconds);
   uint16_t B = bucketFor(Seconds);
   auto It = std::lower_bound(
       Buckets.begin(), Buckets.end(), B,
@@ -66,8 +69,12 @@ void DurationDist::record(double Seconds) {
 }
 
 void DurationDist::merge(const DurationDist &Other) {
-  if (Other.Buckets.empty())
+  if (Other.Count == 0)
     return;
+  MinSeconds = Count == 0 ? Other.MinSeconds
+                          : std::min(MinSeconds, Other.MinSeconds);
+  MaxSeconds = Count == 0 ? Other.MaxSeconds
+                          : std::max(MaxSeconds, Other.MaxSeconds);
   // Merge-join the two sorted bucket lists.
   std::vector<std::pair<uint16_t, uint32_t>> Out;
   Out.reserve(Buckets.size() + Other.Buckets.size());
@@ -98,12 +105,17 @@ double DurationDist::quantileSeconds(double Q) const {
   uint64_t Rank = static_cast<uint64_t>(
       Clamped * static_cast<double>(Count - 1) + 0.5);
   uint64_t Seen = 0;
+  double V = valueFor(Buckets.back().first);
   for (const auto &[Bucket, N] : Buckets) {
     Seen += N;
-    if (Seen > Rank)
-      return valueFor(Bucket);
+    if (Seen > Rank) {
+      V = valueFor(Bucket);
+      break;
+    }
   }
-  return valueFor(Buckets.back().first);
+  // The bucket midpoint can stick out past the exact envelope by a
+  // half-bucket; clamp so min <= p50 <= p95 <= max always holds.
+  return std::min(std::max(V, MinSeconds), MaxSeconds);
 }
 
 const TelemetrySpan *TelemetrySpan::find(const std::string &ChildName) const {
@@ -111,15 +123,6 @@ const TelemetrySpan *TelemetrySpan::find(const std::string &ChildName) const {
     if (C->Name == ChildName)
       return C.get();
   return nullptr;
-}
-
-double TelemetrySpan::quantileSeconds(double Q) const {
-  if (Dist.Count == 0)
-    return 0.0;
-  // The bucket midpoint can stick out past the exact envelope by a
-  // half-bucket; clamp so min <= p50 <= p95 <= max always holds.
-  return std::min(std::max(Dist.quantileSeconds(Q), MinSeconds),
-                  MaxSeconds);
 }
 
 Telemetry::Telemetry() : TraceEpoch(std::chrono::steady_clock::now()) {}
@@ -223,13 +226,6 @@ void Telemetry::endSpan() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
   Node->Seconds += D;
-  if (Node->Dist.Count == 0) {
-    Node->MinSeconds = D;
-    Node->MaxSeconds = D;
-  } else {
-    Node->MinSeconds = std::min(Node->MinSeconds, D);
-    Node->MaxSeconds = std::max(Node->MaxSeconds, D);
-  }
   Node->Dist.record(D);
   if (EventsOn)
     recordEvent(TelemetryEvent::Phase::End, "span", Node->Name,
@@ -238,22 +234,12 @@ void Telemetry::endSpan() {
 
 namespace {
 
-/// Folds \p From into \p Into: totals add, the duration distribution
-/// combines (exact min/max; bucket histograms merge-join), children merge
-/// recursively by name.
+/// Folds \p From into \p Into: totals add, the duration distributions
+/// merge, children merge recursively by name.
 void mergeSpanInto(TelemetrySpan &Into, const TelemetrySpan &From) {
   Into.Seconds += From.Seconds;
   Into.Count += From.Count;
-  if (From.Dist.Count != 0) {
-    if (Into.Dist.Count == 0) {
-      Into.MinSeconds = From.MinSeconds;
-      Into.MaxSeconds = From.MaxSeconds;
-    } else {
-      Into.MinSeconds = std::min(Into.MinSeconds, From.MinSeconds);
-      Into.MaxSeconds = std::max(Into.MaxSeconds, From.MaxSeconds);
-    }
-    Into.Dist.merge(From.Dist);
-  }
+  Into.Dist.merge(From.Dist);
   for (const std::unique_ptr<TelemetrySpan> &FromChild : From.Children) {
     TelemetrySpan *IntoChild =
         const_cast<TelemetrySpan *>(Into.find(FromChild->Name));
@@ -395,45 +381,14 @@ std::vector<const TelemetryEvent *> Telemetry::eventsInOrder() const {
 
 namespace {
 
-/// Escapes \p S for use inside a JSON string literal.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += format("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
 void spanToJson(const TelemetrySpan &Span, std::string &Out) {
   Out += format("{\"name\":\"%s\",\"seconds\":%.9f,\"count\":%lld,"
                 "\"dist\":{\"min\":%.9f,\"p50\":%.9f,\"p95\":%.9f,"
                 "\"max\":%.9f},\"children\":[",
-                jsonEscape(Span.Name).c_str(), Span.Seconds,
-                static_cast<long long>(Span.Count), Span.MinSeconds,
+                json::escape(Span.Name).c_str(), Span.Seconds,
+                static_cast<long long>(Span.Count), Span.Dist.MinSeconds,
                 Span.quantileSeconds(0.50), Span.quantileSeconds(0.95),
-                Span.MaxSeconds);
+                Span.Dist.MaxSeconds);
   for (size_t K = 0; K < Span.Children.size(); ++K) {
     if (K != 0)
       Out += ",";
@@ -451,7 +406,7 @@ std::string Telemetry::toJson() const {
     if (!First)
       Out += ",";
     First = false;
-    Out += format("\"%s\":%lld", jsonEscape(Name).c_str(),
+    Out += format("\"%s\":%lld", json::escape(Name).c_str(),
                   static_cast<long long>(Value));
   }
   Out += "},\"gauges\":{";
@@ -460,7 +415,7 @@ std::string Telemetry::toJson() const {
     if (!First)
       Out += ",";
     First = false;
-    Out += format("\"%s\":%.9g", jsonEscape(Name).c_str(), Value);
+    Out += format("\"%s\":%.9g", json::escape(Name).c_str(), Value);
   }
   Out += "},\"spans\":[";
   for (size_t K = 0; K < Root.Children.size(); ++K) {
@@ -532,7 +487,7 @@ std::string Telemetry::toChromeTrace() const {
     std::string Ev = format(
         "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,"
         "\"pid\":1,\"tid\":%d",
-        jsonEscape(E->Name).c_str(), jsonEscape(E->Category).c_str(), Ph,
+        json::escape(E->Name).c_str(), json::escape(E->Category).c_str(), Ph,
         E->TsMicros, E->Track);
     if (E->Ph == TelemetryEvent::Phase::Instant)
       Ev += ",\"s\":\"t\""; // thread-scoped instant marker
@@ -550,7 +505,7 @@ std::string Telemetry::toChromeTrace() const {
       for (size_t K = 0; K < E->Args.size(); ++K) {
         if (K != 0)
           Ev += ",";
-        Ev += format("\"%s\":%.9g", jsonEscape(E->Args[K].first).c_str(),
+        Ev += format("\"%s\":%.9g", json::escape(E->Args[K].first).c_str(),
                      E->Args[K].second);
       }
       Ev += "}";

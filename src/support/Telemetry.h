@@ -62,19 +62,25 @@
 
 namespace ucc {
 
-/// A log-bucketed duration distribution with bounded memory. Values map
-/// to log-linear buckets (16 linear sub-buckets per power-of-two octave,
-/// so a bucket's representative value is within ~3% of anything that
-/// landed in it) stored sparsely: a span that only ever sees a handful of
-/// distinct magnitudes holds a handful of (bucket, count) pairs, and even
-/// a pathological input saturates at NumBuckets entries — multi-minute
-/// serving runs cannot grow it without limit. Merging two distributions
-/// is a join on bucket indices, so parallel per-item telemetry folds
-/// losslessly.
+/// A log-bucketed duration distribution with bounded memory: the one
+/// latency histogram of the library, behind span durations and the
+/// serving load driver's per-request latencies. Values map to log-linear
+/// buckets (16 linear sub-buckets per power-of-two octave, so a bucket's
+/// representative value is within ~3% of anything that landed in it)
+/// stored sparsely: a span that only ever sees a handful of distinct
+/// magnitudes holds a handful of (bucket, count) pairs, and even a
+/// pathological input saturates at NumBuckets entries — multi-minute
+/// serving runs cannot grow it without limit. Beside the buckets it keeps
+/// the exact [min, max] envelope. Merging two distributions is a join on
+/// bucket indices plus the envelope's min/max, so per-item telemetry and
+/// per-thread latencies fold losslessly. Not thread-safe: concurrent
+/// writers each record into their own and merge after the join.
 struct DurationDist {
   /// (bucket index, entry count), sorted ascending by bucket index.
   std::vector<std::pair<uint16_t, uint32_t>> Buckets;
-  uint64_t Count = 0; ///< total recorded entries
+  uint64_t Count = 0;      ///< total recorded entries
+  double MinSeconds = 0.0; ///< smallest recorded value, exact (0 if empty)
+  double MaxSeconds = 0.0; ///< largest recorded value, exact (0 if empty)
 
   static constexpr int SubBuckets = 16; ///< linear steps per octave
   static constexpr int MinExp = -64;    ///< ~5e-20 s floor
@@ -91,7 +97,8 @@ struct DurationDist {
   void record(double Seconds);
   void merge(const DurationDist &Other);
   /// Quantile \p Q in [0,1] as the representative value of the bucket the
-  /// Q-th entry falls into (0 when empty).
+  /// Q-th entry falls into, clamped to the exact [MinSeconds, MaxSeconds]
+  /// envelope (0 when empty).
   double quantileSeconds(double Q) const;
 };
 
@@ -100,25 +107,21 @@ struct DurationDist {
 /// than growing the tree, so per-function loops aggregate naturally.
 ///
 /// Beyond the running total, every entry's individual duration feeds a
-/// distribution: exact min/max plus a bounded log-bucket histogram
-/// (DurationDist) from which p50/p95 are estimated. Repeated phases —
-/// per-function RA, per-round dissemination — therefore report how their
-/// cost is distributed, not just how it sums, at fixed memory per node.
+/// DurationDist (exact min/max plus a bounded log-bucket histogram) from
+/// which p50/p95 are estimated. Repeated phases — per-function RA,
+/// per-round dissemination — therefore report how their cost is
+/// distributed, not just how it sums, at fixed memory per node.
 struct TelemetrySpan {
   std::string Name;
   double Seconds = 0.0; ///< total wall time across all entries
   int64_t Count = 0;    ///< times the span was entered
   std::vector<std::unique_ptr<TelemetrySpan>> Children;
 
-  double MinSeconds = 0.0; ///< fastest single entry (exact)
-  double MaxSeconds = 0.0; ///< slowest single entry (exact)
-  /// Per-entry durations, log-bucketed (bounded memory).
+  /// Per-entry durations: exact envelope, log-bucketed quantiles.
   DurationDist Dist;
 
-  /// Duration quantile \p Q in [0,1] estimated from the bucket histogram,
-  /// clamped to the exact [MinSeconds, MaxSeconds] envelope (0 when the
-  /// span never closed).
-  double quantileSeconds(double Q) const;
+  /// Duration quantile \p Q in [0,1] (0 when the span never closed).
+  double quantileSeconds(double Q) const { return Dist.quantileSeconds(Q); }
 
   /// Child with \p Name, or null.
   const TelemetrySpan *find(const std::string &ChildName) const;

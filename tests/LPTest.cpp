@@ -1,6 +1,7 @@
 //===- tests/LPTest.cpp - simplex and branch-and-bound tests --------------===//
 
 #include "lp/LP.h"
+#include "oracles/Oracles.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>

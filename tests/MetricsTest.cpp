@@ -1,10 +1,8 @@
 //===- tests/MetricsTest.cpp - time-series metrics over Telemetry ---------===//
 //
-// Contract of support/Metrics: a wait-free mergeable latency histogram
-// with DurationDist bucket geometry, a snapshotter whose windowed rates
-// and JSONL/Prometheus exposition are deterministic under an injected
-// clock, and a flight recorder that honors its threshold, cooldown, and
-// lifetime-cap policy.
+// Contract of support/Metrics: a snapshotter whose rates and JSONL lines
+// are deterministic under an injected clock, and a flight recorder that
+// honors its threshold, cooldown, and lifetime-cap policy.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,77 +16,16 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <thread>
 #include <unistd.h>
-#include <vector>
 
 using namespace ucc;
 
 namespace {
 
-TEST(LatencyHistogram, RecordsExactEnvelopeAndBucketedQuantiles) {
-  LatencyHistogram H;
-  EXPECT_EQ(H.count(), 0u);
-  EXPECT_EQ(H.quantileSeconds(0.5), 0.0);
-
-  for (int K = 0; K < 90; ++K)
-    H.record(0.001);
-  for (int K = 0; K < 10; ++K)
-    H.record(0.1);
-
-  EXPECT_EQ(H.count(), 100u);
-  EXPECT_NEAR(H.minSeconds(), 0.001, 1e-6);
-  EXPECT_NEAR(H.maxSeconds(), 0.1, 1e-4);
-  EXPECT_NEAR(H.meanSeconds(), (90 * 0.001 + 10 * 0.1) / 100.0, 1e-5);
-  // p50 sits in the 1ms mass; p99 reaches the 100ms outliers.
-  EXPECT_NEAR(H.quantileSeconds(0.50), 0.001, 0.001 * 0.05);
-  EXPECT_NEAR(H.quantileSeconds(0.99), 0.1, 0.1 * 0.05);
-  // Quantiles never escape the exact [min, max] envelope.
-  EXPECT_GE(H.quantileSeconds(0.0), H.minSeconds());
-  EXPECT_LE(H.quantileSeconds(1.0), H.maxSeconds());
-}
-
-TEST(LatencyHistogram, MergeAndReset) {
-  LatencyHistogram A, B;
-  for (int K = 0; K < 10; ++K)
-    A.record(0.001);
-  for (int K = 0; K < 30; ++K)
-    B.record(1.0);
-
-  A.merge(B);
-  EXPECT_EQ(A.count(), 40u);
-  EXPECT_NEAR(A.minSeconds(), 0.001, 1e-6);
-  EXPECT_NEAR(A.maxSeconds(), 1.0, 1e-3);
-  // 75% of the merged mass is at 1s, so the median moved there.
-  EXPECT_NEAR(A.quantileSeconds(0.5), 1.0, 1.0 * 0.05);
-
-  A.reset();
-  EXPECT_EQ(A.count(), 0u);
-  EXPECT_EQ(A.minSeconds(), 0.0);
-  EXPECT_EQ(A.maxSeconds(), 0.0);
-  EXPECT_EQ(A.quantileSeconds(0.99), 0.0);
-}
-
-TEST(LatencyHistogram, ConcurrentRecordsAllLand) {
-  LatencyHistogram H;
-  const int Threads = 4, PerThread = 5000;
-  std::vector<std::thread> Workers;
-  for (int T = 0; T < Threads; ++T)
-    Workers.emplace_back([&H] {
-      for (int K = 0; K < PerThread; ++K)
-        H.record(0.0005);
-    });
-  for (std::thread &W : Workers)
-    W.join();
-  EXPECT_EQ(H.count(), static_cast<uint64_t>(Threads * PerThread));
-  EXPECT_NEAR(H.quantileSeconds(0.5), 0.0005, 0.0005 * 0.05);
-}
-
 TEST(MetricsSnapshotter, WindowedRatesUnderInjectedClock) {
   Telemetry T;
   MetricsSnapshotter S(T, /*WindowCapacity=*/4);
   EXPECT_EQ(S.lastJsonLine(), "");
-  EXPECT_EQ(S.toPrometheus(), "");
 
   T.addCounter("serve.plans", 100);
   S.sample(1.0);
@@ -97,20 +34,17 @@ TEST(MetricsSnapshotter, WindowedRatesUnderInjectedClock) {
   T.addCounter("serve.plans", 50);
   S.sample(2.0);
   EXPECT_DOUBLE_EQ(S.rate("serve.plans"), 50.0);
-  EXPECT_DOUBLE_EQ(S.windowRate("serve.plans"), 50.0);
 
   T.addCounter("serve.plans", 200);
   S.sample(4.0);
-  EXPECT_DOUBLE_EQ(S.rate("serve.plans"), 100.0);     // 200 over 2s
-  EXPECT_DOUBLE_EQ(S.windowRate("serve.plans"), 250.0 / 3.0);
+  EXPECT_DOUBLE_EQ(S.rate("serve.plans"), 100.0); // 200 over 2s
 
   // The window is bounded: after two more samples the t=1 snapshot ages
-  // out and windowRate re-bases on the oldest retained sample.
+  // out.
   S.sample(5.0);
   S.sample(6.0);
   EXPECT_EQ(S.window().size(), 4u);
   EXPECT_DOUBLE_EQ(S.window().front().TsSeconds, 2.0);
-  EXPECT_DOUBLE_EQ(S.windowRate("serve.plans"), 200.0 / 4.0);
 }
 
 TEST(MetricsSnapshotter, JsonLineCarriesCountersGaugesAndMovedRates) {
@@ -136,22 +70,6 @@ TEST(MetricsSnapshotter, JsonLineCarriesCountersGaugesAndMovedRates) {
   EXPECT_DOUBLE_EQ(Rates->get("serve.plans")->Num, 10.0);
   EXPECT_EQ(Rates->get("serve.misses"), nullptr)
       << "counters that did not move carry no rate entry";
-}
-
-TEST(MetricsSnapshotter, PrometheusExposition) {
-  Telemetry T;
-  MetricsSnapshotter S(T);
-  T.addCounter("serve.plans", 7);
-  T.setGauge("serve.p99_us", 12.5);
-  S.sample(1.0);
-
-  std::string Text = S.toPrometheus();
-  EXPECT_NE(Text.find("# TYPE ucc_serve_plans counter\n"), std::string::npos)
-      << Text;
-  EXPECT_NE(Text.find("ucc_serve_plans 7\n"), std::string::npos) << Text;
-  EXPECT_NE(Text.find("# TYPE ucc_serve_p99_us gauge\n"), std::string::npos)
-      << Text;
-  EXPECT_NE(Text.find("ucc_serve_p99_us 12.5\n"), std::string::npos) << Text;
 }
 
 TEST(FlightRecorder, DumpsOnBreachWithCooldownAndCap) {

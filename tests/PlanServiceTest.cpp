@@ -529,19 +529,19 @@ TEST(LoadDriver, HistogramCountsEveryRequestInEveryMode) {
   // batch of 8 (8 + 8 + 4), none from a threaded run.
   for (auto [Batch, Threads, Calls] :
        {std::tuple{0, 1, 20}, std::tuple{8, 1, 3}, std::tuple{0, 4, 0}}) {
-    LatencyHistogram H;
+    DurationDist H;
     int Seen = 0;
     LoadResult R = runLoad(Service, Stream,
                            {.Requests = 20, .Batch = Batch, .Threads = Threads},
                            H,
-                           [&](int Done, const LatencyHistogram &SoFar) {
+                           [&](int Done, const DurationDist &SoFar) {
                              ++Seen;
-                             EXPECT_EQ(SoFar.count(),
+                             EXPECT_EQ(SoFar.Count,
                                        static_cast<uint64_t>(Done));
                            });
     EXPECT_FALSE(R.Failed.has_value());
     EXPECT_EQ(R.Issued, 20);
-    EXPECT_EQ(H.count(), 20u) << Batch << " " << Threads;
+    EXPECT_EQ(H.Count, 20u) << Batch << " " << Threads;
     EXPECT_EQ(Seen, Calls);
     EXPECT_GT(R.plansPerSec(), 0.0);
   }
@@ -555,11 +555,11 @@ TEST(LoadDriver, ThreadedClosedLoopOverWarmCacheAddsExactlyNHits) {
   // The workers' scratch registries must land in the caller's.
   Telemetry T;
   TelemetryScope Scope(T);
-  LatencyHistogram H;
+  DurationDist H;
   LoadResult R = runLoad(Service, Stream, {.Requests = 300, .Threads = 4}, H);
   PlanServiceStats After = Service.stats();
   EXPECT_FALSE(R.Failed.has_value());
-  EXPECT_EQ(H.count(), 300u);
+  EXPECT_EQ(H.Count, 300u);
   EXPECT_EQ(After.Hits - Before.Hits, 300u);
   EXPECT_EQ(After.Misses, Before.Misses);
   EXPECT_EQ(T.counter("serve.plans"), 300);
@@ -575,13 +575,13 @@ TEST(LoadDriver, UnknownPairIsReportedNotDropped) {
   for (LoadOptions Opts : {LoadOptions{.Requests = 8},
                            LoadOptions{.Requests = 8, .Batch = 3},
                            LoadOptions{.Requests = 8, .Threads = 4}}) {
-    LatencyHistogram H;
+    DurationDist H;
     LoadResult R = runLoad(Service, Stream, Opts, H);
     ASSERT_TRUE(R.Failed.has_value()) << Opts.Batch << " " << Opts.Threads;
     EXPECT_EQ(*R.Failed, std::make_pair(7, 3));
     EXPECT_GE(R.Issued, 1);
     EXPECT_TRUE(Opts.Threads > 1 || R.Issued == 3) << R.Issued;
-    EXPECT_EQ(H.count(), static_cast<uint64_t>(R.Issued));
+    EXPECT_EQ(H.Count, static_cast<uint64_t>(R.Issued));
   }
 }
 

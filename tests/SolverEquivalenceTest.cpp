@@ -2,14 +2,15 @@
 //
 // The randomized harness pinning the production LP/ILP engine (sparse
 // revised simplex, warm starts, best-first branch-and-bound) to the seed
-// dense/DFS implementation kept as `solveLPDense`/`solveILPDfs`: same
-// status and same objective (within 1e-6) on hundreds of generated
-// instances, plus warm-vs-cold agreement under branching-style bound
-// changes and the between-re-solves time-limit behavior.
+// dense/DFS implementation kept in tests/oracles (`solveLPDense`,
+// `solveILPDfs`): same status and same objective (within 1e-6) on
+// hundreds of generated instances, plus warm-vs-cold agreement under
+// branching-style bound changes and the between-re-solves time-limit
+// behavior.
 //
 //===----------------------------------------------------------------------===//
 
-#include "lp/LP.h"
+#include "oracles/Oracles.h"
 #include "support/RNG.h"
 
 #include <gtest/gtest.h>

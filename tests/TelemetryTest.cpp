@@ -178,13 +178,13 @@ TEST(Telemetry, SpanDurationDistribution) {
   ASSERT_NE(Ra, nullptr);
   EXPECT_EQ(Ra->Count, 5);
   EXPECT_EQ(Ra->Dist.Count, 5u);
-  EXPECT_GE(Ra->MinSeconds, 0.0);
-  EXPECT_GE(Ra->MaxSeconds, Ra->MinSeconds);
+  EXPECT_GE(Ra->Dist.MinSeconds, 0.0);
+  EXPECT_GE(Ra->Dist.MaxSeconds, Ra->Dist.MinSeconds);
   double P50 = Ra->quantileSeconds(0.5);
   double P95 = Ra->quantileSeconds(0.95);
-  EXPECT_GE(P50, Ra->MinSeconds);
+  EXPECT_GE(P50, Ra->Dist.MinSeconds);
   EXPECT_GE(P95, P50);
-  EXPECT_LE(P95, Ra->MaxSeconds);
+  EXPECT_LE(P95, Ra->Dist.MaxSeconds);
 }
 
 TEST(Telemetry, SpanDistributionSerializedInJson) {
@@ -224,8 +224,8 @@ TEST(Telemetry, DurationStorageStaysBounded) {
   // Quantiles stay clamped inside the exact [min, max] envelope.
   double P50 = Hot->quantileSeconds(0.5);
   double P99 = Hot->quantileSeconds(0.99);
-  EXPECT_GE(P50, Hot->MinSeconds);
-  EXPECT_LE(P99, Hot->MaxSeconds);
+  EXPECT_GE(P50, Hot->Dist.MinSeconds);
+  EXPECT_LE(P99, Hot->Dist.MaxSeconds);
   EXPECT_LE(P50, P99);
 }
 
@@ -255,6 +255,56 @@ TEST(Telemetry, DurationDistBucketsRoundTrip) {
   EXPECT_EQ(D.Count, 200u);
   // After the merge, more than half the mass is at 1s.
   EXPECT_NEAR(D.quantileSeconds(0.5), 1.0, 1.0 * 0.05);
+}
+
+TEST(DurationDist, RecordsExactEnvelopeAndBucketedQuantiles) {
+  DurationDist H;
+  EXPECT_EQ(H.Count, 0u);
+  EXPECT_EQ(H.quantileSeconds(0.5), 0.0);
+
+  for (int K = 0; K < 90; ++K)
+    H.record(0.001);
+  for (int K = 0; K < 10; ++K)
+    H.record(0.1);
+
+  EXPECT_EQ(H.Count, 100u);
+  EXPECT_EQ(H.MinSeconds, 0.001);
+  EXPECT_EQ(H.MaxSeconds, 0.1);
+  // p50 sits in the 1ms mass; p99 reaches the 100ms outliers.
+  EXPECT_NEAR(H.quantileSeconds(0.50), 0.001, 0.001 * 0.05);
+  EXPECT_NEAR(H.quantileSeconds(0.99), 0.1, 0.1 * 0.05);
+  // Quantiles never escape the exact [min, max] envelope.
+  EXPECT_GE(H.quantileSeconds(0.0), H.MinSeconds);
+  EXPECT_LE(H.quantileSeconds(1.0), H.MaxSeconds);
+
+  // A single entry reads back exactly, not as its bucket's midpoint.
+  DurationDist One;
+  One.record(0.0123);
+  EXPECT_EQ(One.quantileSeconds(0.5), 0.0123);
+}
+
+TEST(DurationDist, MergeCombinesEnvelopes) {
+  DurationDist A, B, Empty;
+  for (int K = 0; K < 10; ++K)
+    A.record(0.001);
+  for (int K = 0; K < 30; ++K)
+    B.record(1.0);
+
+  A.merge(B);
+  EXPECT_EQ(A.Count, 40u);
+  EXPECT_EQ(A.MinSeconds, 0.001);
+  EXPECT_EQ(A.MaxSeconds, 1.0);
+  // 75% of the merged mass is at 1s, so the median moved there.
+  EXPECT_NEAR(A.quantileSeconds(0.5), 1.0, 1.0 * 0.05);
+
+  // Merging an empty distribution changes nothing; merging into one
+  // takes the other's envelope as is.
+  A.merge(Empty);
+  EXPECT_EQ(A.Count, 40u);
+  EXPECT_EQ(A.MinSeconds, 0.001);
+  Empty.merge(B);
+  EXPECT_EQ(Empty.MinSeconds, 1.0);
+  EXPECT_EQ(Empty.MaxSeconds, 1.0);
 }
 
 TEST(Telemetry, JsonEscapesAwkwardNames) {

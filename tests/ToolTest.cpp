@@ -228,7 +228,7 @@ void main() {
             0);
   ASSERT_EQ(uccc("update " + path("s2.mc") + " --record " + path("s1.rec") +
                  " --image " + path("s1.img") + " -o " + path("s2.img") +
-                 " --strategy ilp --ilp-max-binaries 4000 --trace-json " +
+                 " --strategy hybrid --ilp-max-binaries 4000 --trace-json " +
                  path("ilp.json")),
             0)
       << capturedOutput();
@@ -300,6 +300,15 @@ TEST_F(ToolFixture, CliUsageErrorsExitTwoWithAMessage) {
   writeFile("dummy.img", "x");
   EXPECT_EQ(uccc("run " + path("dummy.img") + " --steps banana"), 2);
   EXPECT_NE(capturedOutput().find("--steps expects an integer"),
+            std::string::npos)
+      << capturedOutput();
+
+  // `ilp` named the same allocator as `hybrid` and is no longer a
+  // strategy.
+  EXPECT_EQ(uccc("commit " + path("v1.mc") + " --store " + path("s") +
+                 " --strategy ilp"),
+            2);
+  EXPECT_NE(capturedOutput().find("unknown --strategy 'ilp'"),
             std::string::npos)
       << capturedOutput();
 
@@ -662,6 +671,36 @@ TEST_F(ToolFixture, IntegerFlagsRejectOutOfRangeValues) {
   EXPECT_EQ(uccc("plan --store " + path("s") + " --from -4294967296 --to 1"),
             2);
   EXPECT_NE(capturedOutput().find("--from expects an integer"),
+            std::string::npos)
+      << capturedOutput();
+}
+
+TEST_F(ToolFixture, NumberFlagsRejectNonFiniteValues) {
+  // strtod reads nan and inf; as knob values they would disarm the SLO
+  // check or skew the request stream, so they are usage errors, checked
+  // before the store is opened.
+  std::string Store = " --store " + path("s");
+  for (std::string Bad : {"nan", "inf", "infinity", "NAN"}) {
+    EXPECT_EQ(uccc("serve-bench" + Store + " --zipf " + Bad), 2) << Bad;
+    EXPECT_NE(capturedOutput().find("--zipf expects a number, got '" + Bad +
+                                    "'"),
+              std::string::npos)
+        << capturedOutput();
+  }
+  EXPECT_EQ(uccc("serve-bench" + Store + " --slo-p99-us nan --flight-record " +
+                 path("f.json")),
+            2);
+  EXPECT_NE(capturedOutput().find("--slo-p99-us expects a number"),
+            std::string::npos)
+      << capturedOutput();
+  writeFile("v1.mc", SourceV1);
+  EXPECT_EQ(uccc("commit " + path("v1.mc") + Store + " --cnt nan"), 2);
+  EXPECT_NE(capturedOutput().find("--cnt expects a number"),
+            std::string::npos)
+      << capturedOutput();
+  EXPECT_EQ(uccc("campaign" + Store + " --target 1 --deployed 0 --loss inf"),
+            2);
+  EXPECT_NE(capturedOutput().find("--loss expects a number"),
             std::string::npos)
       << capturedOutput();
 }

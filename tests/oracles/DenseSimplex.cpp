@@ -1,6 +1,6 @@
-//===- lp/DenseSimplex.cpp - the seed dense-tableau reference simplex -----===//
+//===- tests/oracles/DenseSimplex.cpp - the seed dense-tableau simplex ----===//
 //
-// Part of the UCC reproduction library.
+// Part of the UCC reproduction test suite.
 //
 //===----------------------------------------------------------------------===//
 ///
@@ -14,12 +14,11 @@
 /// Variables carry individual bounds; slack variables make every row an
 /// equality; artificial variables are created only for rows whose initial
 /// residual cannot be absorbed by a slack. Dantzig pricing with a Bland
-/// fallback after a run of degenerate steps. Reference solves report no
-/// telemetry — the `lp.*` counters describe the production engine only.
+/// fallback after a run of degenerate steps.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lp/LP.h"
+#include "Oracles.h"
 
 #include <algorithm>
 #include <cassert>

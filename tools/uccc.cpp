@@ -68,6 +68,7 @@
 #include <algorithm>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -103,7 +104,7 @@ namespace {
       "  uccc update  <src> --record <rec> --image <img> -o <img>\n"
       "               [--new-record <rec>] [--script <pkg>]\n"
       "               [--baseline] [--cnt <n>] [--spacet <n>] [--k <n>]\n"
-      "               [--strategy greedy|ilp|hybrid]\n"
+      "               [--strategy greedy|hybrid]\n"
       "               [--ilp-max-binaries <n>]\n"
       "  uccc patch   <img> <pkg> -o <img>\n"
       "  uccc run     <img> [--steps <n>] [--sensor v,v,...] [--profile]\n"
@@ -112,7 +113,7 @@ namespace {
       "  uccc commit  <src> --store <dir> [--parent <id>] [-o <img>]\n"
       "               [--record <rec>] [--baseline] [--cnt <n>]\n"
       "               [--spacet <n>] [--k <n>]\n"
-      "               [--strategy greedy|ilp|hybrid]\n"
+      "               [--strategy greedy|hybrid]\n"
       "               [--ilp-max-binaries <n>]\n"
       "  uccc history --store <dir>\n"
       "  uccc plan    --store <dir> --from <id> --to <id> [-o <pkg>]\n"
@@ -149,10 +150,12 @@ int parseInt(const std::string &Text, const char *What) {
   return static_cast<int>(V);
 }
 
+/// Strict number parse: the whole string must be a finite number (no
+/// `nan`, no `inf`).
 double parseDouble(const std::string &Text, const char *What) {
   char *End = nullptr;
   double V = std::strtod(Text.c_str(), &End);
-  if (Text.empty() || *End != '\0')
+  if (Text.empty() || *End != '\0' || !std::isfinite(V))
     dieCli(format("%s expects a number, got '%s'", What, Text.c_str()));
   return V;
 }
@@ -307,8 +310,6 @@ CompileOptions parseCompileKnobs(Args &A) {
   std::string Strategy = A.option("--strategy");
   if (Strategy == "greedy")
     Opts.Ucc.Strategy = UccStrategy::Greedy;
-  else if (Strategy == "ilp")
-    Opts.Ucc.Strategy = UccStrategy::Ilp;
   else if (Strategy == "hybrid")
     Opts.Ucc.Strategy = UccStrategy::Hybrid;
   else if (!Strategy.empty())
@@ -927,7 +928,7 @@ int cmdServeBench(Args &A) {
   }
   // One observation: publish the latency/cache gauges, append a JSONL
   // sample, and evaluate the SLO.
-  auto Observe = [&](const LatencyHistogram &H) {
+  auto Observe = [&](const DurationDist &H) {
     if (!Reg)
       return;
     Reg->setGauge("serve.p50_us", H.quantileSeconds(0.50) * 1e6);
@@ -951,14 +952,14 @@ int cmdServeBench(Args &A) {
   // The measured window excludes warming: the baseline sample makes the
   // JSONL's overall rate cover exactly the requests the printed
   // aggregates cover.
-  LatencyHistogram H;
+  DurationDist H;
   Observe(H);
 
   int Sampled = 0;
   LoadResult Run = runLoad(
       Service, Stream,
       {.Requests = Requests, .Batch = Batch, .Threads = Threads}, H,
-      [&](int Done, const LatencyHistogram &SoFar) {
+      [&](int Done, const DurationDist &SoFar) {
         if (Done - Sampled >= Every) {
           Sampled = Done;
           Observe(SoFar);
