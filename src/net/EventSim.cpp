@@ -5,15 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event core of the fleet simulator: a global binary heap of
-/// slot-timestamped events with deterministic (slot, node, kind, seq)
-/// ordering, drained one slot-batch at a time. Because every event
-/// schedules its consequences at least one slot in the future, a whole
-/// batch is a conservative synchronization window: its events touch only
-/// the state of the node they are addressed to, so the batch can be
-/// partitioned by node region and processed on ThreadPool workers, with
-/// new events merged back in region order at the barrier. See EventSim.h
-/// for the model and docs/NETWORK.md for the determinism contract.
+/// The event core of the fleet simulator: a calendar queue of
+/// slot-timestamped events (pooled per-slot buckets over a window of a few
+/// burst airtimes, plus an overflow heap for far-off timers) with
+/// deterministic (slot, node, kind, seq) ordering, drained one slot-batch
+/// at a time. Because every event schedules its consequences at least one
+/// slot in the future, a whole batch is a conservative synchronization
+/// window: its events touch only the state of the node they are addressed
+/// to, so the batch can be partitioned by node region and processed on
+/// ThreadPool workers, with new events merged back in region order at the
+/// barrier. See EventSim.h for the model and docs/NETWORK.md for the
+/// determinism contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,8 +28,11 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <limits>
 
 using namespace ucc;
 
@@ -47,7 +52,7 @@ double hashUnit(uint64_t H) {
 }
 
 //===----------------------------------------------------------------------===//
-// Events and the global heap
+// Events and the calendar queue
 //===----------------------------------------------------------------------===//
 
 /// Kind doubles as the within-(slot, node) processing rank: transmissions
@@ -69,52 +74,110 @@ struct Event {
   int32_t From = -1;
   int32_t Hop = 0; ///< arrivals: sender's hop
   uint32_t Seq = 0;
+  int32_t Next = -1; ///< queue-internal: bucket or free-list link
   uint8_t Kind = EvKick;
 };
 
-/// Min-heap order: (slot, node, kind, seq).
-struct EventOrder {
-  bool operator()(const Event &A, const Event &B) const {
-    if (A.Slot != B.Slot)
-      return A.Slot > B.Slot;
-    if (A.Node != B.Node)
-      return A.Node > B.Node;
-    if (A.Kind != B.Kind)
-      return A.Kind > B.Kind;
-    return A.Seq > B.Seq;
-  }
-};
-
-/// The global event queue. Sequence numbers are handed out per target
-/// node at push time, so pushes must happen on one thread (they do: at
-/// init and at the per-batch merge barrier) and the (slot, node, kind,
-/// seq) order is a total order independent of worker scheduling.
-class EventHeap {
+/// The global event queue, a calendar over slots. Events live in one
+/// pooled array; a ring of per-slot buckets, each a singly linked list
+/// through Event::Next, covers the slots (Now, Now + ring size), and an
+/// event scheduled past that window waits in a slot-ordered overflow heap.
+/// The ring spans four burst airtimes plus slack, which holds every
+/// arrival, beacon, request and transmit retry; what overflows is a
+/// backed-off poll timer or a kick deferred to a distant wake window.
+///
+/// Sequence numbers are handed out per target node at push time, so
+/// pushes must happen on one thread (they do: at init and at the
+/// per-batch merge barrier) and the (slot, node, kind, seq) order is a
+/// total order independent of worker scheduling and of bucket order.
+class EventQueue {
 public:
-  explicit EventHeap(int NumNodes)
-      : NodeSeq(static_cast<size_t>(std::max(NumNodes, 1)), 0) {}
+  EventQueue(int NumNodes, int64_t AirSlots)
+      : Buckets(std::bit_ceil(static_cast<uint64_t>(4 * AirSlots + 64)), -1),
+        RingSlots(static_cast<int64_t>(Buckets.size())),
+        NodeSeq(static_cast<size_t>(std::max(NumNodes, 1)), 0) {}
 
   void push(Event E) {
+    assert(E.Slot > Now && "events are scheduled at least one slot ahead");
     E.Seq = NodeSeq[static_cast<size_t>(E.Node)]++;
-    Heap.push(E);
+    int32_t I = FreeHead;
+    if (I >= 0) {
+      FreeHead = Pool[static_cast<size_t>(I)].Next;
+      Pool[static_cast<size_t>(I)] = E;
+    } else {
+      I = static_cast<int32_t>(Pool.size());
+      Pool.push_back(E);
+    }
+    if (E.Slot - Now < RingSlots) {
+      int32_t &Head = Buckets[bucketOf(E.Slot)];
+      Pool[static_cast<size_t>(I)].Next = Head;
+      Head = I;
+      ++InRing;
+    } else {
+      Overflow.emplace_back(E.Slot, I);
+      std::push_heap(Overflow.begin(), Overflow.end(), std::greater<>());
+    }
   }
 
-  bool empty() const { return Heap.empty(); }
+  bool empty() const { return InRing == 0 && Overflow.empty(); }
 
   /// Drains every event of the earliest slot into \p Batch, sorted by
   /// (node, kind, seq), and returns that slot.
   int64_t popBatch(std::vector<Event> &Batch) {
     Batch.clear();
-    int64_t Slot = Heap.top().Slot;
-    while (!Heap.empty() && Heap.top().Slot == Slot) {
-      Batch.push_back(Heap.top());
-      Heap.pop();
+    // Every ring event lies in (Now, Now + RingSlots), so the scan stops
+    // within the window, and a bucket it stops at holds only that slot.
+    int64_t Slot = Overflow.empty() ? std::numeric_limits<int64_t>::max()
+                                    : Overflow.front().first;
+    if (InRing > 0) {
+      int64_t Limit = Slot;
+      for (Slot = Now + 1; Slot < Limit && Buckets[bucketOf(Slot)] < 0;)
+        ++Slot;
     }
+    int32_t &Head = Buckets[bucketOf(Slot)];
+    for (int32_t I = Head; I >= 0;) {
+      int32_t Next = Pool[static_cast<size_t>(I)].Next;
+      take(I, Batch);
+      --InRing;
+      I = Next;
+    }
+    Head = -1;
+    while (!Overflow.empty() && Overflow.front().first == Slot) {
+      std::pop_heap(Overflow.begin(), Overflow.end(), std::greater<>());
+      take(Overflow.back().second, Batch);
+      Overflow.pop_back();
+    }
+    Now = Slot;
+    std::sort(Batch.begin(), Batch.end(), [](const Event &A, const Event &B) {
+      if (A.Node != B.Node)
+        return A.Node < B.Node;
+      if (A.Kind != B.Kind)
+        return A.Kind < B.Kind;
+      return A.Seq < B.Seq;
+    });
     return Slot;
   }
 
 private:
-  std::priority_queue<Event, std::vector<Event>, EventOrder> Heap;
+  size_t bucketOf(int64_t Slot) const {
+    return static_cast<size_t>(Slot & (RingSlots - 1));
+  }
+
+  /// Copies pooled event \p I into \p Batch and frees its pool entry.
+  void take(int32_t I, std::vector<Event> &Batch) {
+    Event &E = Pool[static_cast<size_t>(I)];
+    Batch.push_back(E);
+    E.Next = FreeHead;
+    FreeHead = I;
+  }
+
+  std::vector<Event> Pool;
+  int32_t FreeHead = -1;
+  std::vector<int32_t> Buckets; ///< ring: head pool index, -1 = empty
+  int64_t RingSlots;            ///< a power of two
+  int64_t Now = 0;              ///< slot of the last batch popped
+  size_t InRing = 0;
+  std::vector<std::pair<int64_t, int32_t>> Overflow; ///< (slot, index)
   std::vector<uint32_t> NodeSeq;
 };
 
@@ -134,7 +197,7 @@ struct TraceRec {
 };
 
 /// Everything a region worker produces during one batch. Merged into the
-/// global result and the heap in ascending region order, so totals and
+/// global result and the queue in ascending region order, so totals and
 /// event sequence numbers do not depend on worker scheduling.
 struct RegionScratch {
   std::vector<Event> Out;
@@ -173,7 +236,7 @@ constexpr int RegionBlockBits = 6;
 class FleetSim {
 public:
   FleetSim(const Topology &T, size_t ScriptBytes, const FleetConfig &Cfg)
-      : T(T), Cfg(Cfg), N(T.NumNodes), Heap(N) {
+      : T(T), Cfg(Cfg), N(T.NumNodes) {
     Packets = Cfg.Fmt.packetsFor(ScriptBytes);
     Bytes = Cfg.Fmt.bytesOnAir(ScriptBytes);
     double PacketBits =
@@ -270,9 +333,13 @@ private:
     return E;
   }
 
-  /// Air slot of packet \p P within a burst that started at \p Start.
-  int64_t packetSlot(int64_t Start, int P) const {
-    return Start + (static_cast<int64_t>(P) * AirSlots) / std::max(Packets, 1);
+  /// The first packet of a burst whose air offset (in slots from the
+  /// burst's start) is at least \p Off. Packet P airs at offset
+  /// floor(P * AirSlots / Packets).
+  int firstPacketFrom(int64_t Off) const {
+    if (Off >= AirSlots)
+      return Packets;
+    return static_cast<int>((Off * Packets + AirSlots - 1) / AirSlots);
   }
 
   /// A straggler with an outstanding pull request holds its radio on
@@ -281,6 +348,31 @@ private:
   /// land in the straggler's sleep window on every retry.
   bool pulling(int32_t V) const {
     return Polls[static_cast<size_t>(V)] > 0 && !complete(V);
+  }
+
+  /// Calls \p F(Lo, Hi), in ascending order, for each run [Lo, Hi) of the
+  /// packets of a burst that started at \p Start and aired while \p V's
+  /// radio was on. Packet offsets are monotone in P, so the packets inside
+  /// one wake window are contiguous: the walk takes one modulo per run or
+  /// gap instead of one per packet.
+  template <typename Fn>
+  void forAwakeRuns(int32_t V, int64_t Start, Fn F) const {
+    if (!duty() || pulling(V)) {
+      F(0, Packets);
+      return;
+    }
+    int64_t R = (Start + Phase[static_cast<size_t>(V)]) % PeriodSlots;
+    for (int P = 0; P < Packets;) {
+      int64_t Off = (static_cast<int64_t>(P) * AirSlots) / Packets;
+      int64_t Pos = (R + Off) % PeriodSlots;
+      if (Pos < OnSlots) {
+        int End = firstPacketFrom(Off + OnSlots - Pos);
+        F(P, End);
+        P = End;
+      } else {
+        P = firstPacketFrom(Off + PeriodSlots - Pos);
+      }
+    }
   }
 
   /// How many of a burst's packets this receiver's radio was on for
@@ -292,8 +384,7 @@ private:
     if (Packets == 0)
       return awake(V, Start) ? 0 : -1;
     int Count = 0;
-    for (int P = 0; P < Packets; ++P)
-      Count += awake(V, packetSlot(Start, P)) ? 1 : 0;
+    forAwakeRuns(V, Start, [&](int Lo, int Hi) { Count += Hi - Lo; });
     return Count > 0 ? Count : -1;
   }
 
@@ -322,7 +413,6 @@ private:
   const Topology &T;
   const FleetConfig &Cfg;
   int N;
-  EventHeap Heap;
   int Packets = 0;
   size_t Bytes = 0;
   double TxPerPacketJ = 0.0, RxPerPacketJ = 0.0, AirSeconds = 0.0;
@@ -337,7 +427,7 @@ private:
   std::vector<int64_t> BusyUntil, OwnTxUntil, CollideStamp, Phase;
   std::vector<int32_t> HaveCount, Hop, ActiveArrivals, DoneNeighbors;
   std::vector<int32_t> LastDoneFrom, Granted;
-  std::vector<int16_t> BurstsSent, PendingBackoffs, Polls;
+  std::vector<int32_t> BurstsSent, PendingBackoffs, Polls;
   std::vector<uint64_t> Have; ///< HaveWords words per node
   std::vector<uint8_t> SeenBurst, PollArmed;
   std::vector<double> PerNodeJ, TxSecNode, RxSecNode;
@@ -527,20 +617,19 @@ void FleetSim::arriveEnd(const Event &E, RegionScratch &S) {
 
   chargeRx(V, S, AwakeP);
   double Loss = linkLoss(E.From, V);
-  bool AllOn = !duty() || pulling(V);
-  for (int P = 0; P < Packets; ++P) {
-    if (!AllOn && !awake(V, packetSlot(E.Aux, P)))
-      continue; // the radio was off while this packet was on the air
-    size_t W = Vz * static_cast<size_t>(HaveWords) +
-               static_cast<size_t>(P) / 64;
-    uint64_t Bit = uint64_t(1) << (P % 64);
-    if (Have[W] & Bit)
-      continue;
-    if (Loss > 0.0 && Rngs[Vz].unitReal() < Loss)
-      continue; // this packet of the burst was lost on the link
-    Have[W] |= Bit;
-    ++HaveCount[Vz];
-  }
+  uint64_t *VHave = Have.data() + Vz * static_cast<size_t>(HaveWords);
+  forAwakeRuns(V, E.Aux, [&](int Lo, int Hi) {
+    for (int P = Lo; P < Hi; ++P) {
+      uint64_t &W = VHave[P / 64];
+      uint64_t Bit = uint64_t(1) << (P % 64);
+      if (W & Bit)
+        continue;
+      if (Loss > 0.0 && Rngs[Vz].unitReal() < Loss)
+        continue; // this packet of the burst was lost on the link
+      W |= Bit;
+      ++HaveCount[Vz];
+    }
+  });
   SeenBurst[Vz] = 1;
   if (Ev)
     S.Traces.push_back({1, V, E.From, E.Hop, E.Slot});
@@ -696,11 +785,12 @@ FleetResult FleetSim::run() {
     Have[static_cast<size_t>(P) / 64] |= uint64_t(1) << (P % 64);
   Hop[0] = 0;
   int SinkDeg = static_cast<int>(T.Neighbors[0].size());
+  EventQueue Queue(N, AirSlots);
   for (int32_t Nb : T.Neighbors[0])
-    Heap.push(make(EvBeacon, Nb, 1, 0));
+    Queue.push(make(EvBeacon, Nb, 1, 0));
   Res.Beacons += SinkDeg;
   if (SinkDeg > 0 && Cfg.Mac.MaxBursts > 0)
-    Heap.push(make(EvKick, 0, 2 + static_cast<int64_t>(Rngs[0].below(8))));
+    Queue.push(make(EvKick, 0, 2 + static_cast<int64_t>(Rngs[0].below(8))));
 
   ThreadPool Pool(Cfg.Jobs);
   std::vector<RegionScratch> Scratch(static_cast<size_t>(NumRegions));
@@ -711,8 +801,8 @@ FleetResult FleetSim::run() {
   int Reached = 1; // the sink
   int64_t LastSlot = 0;
 
-  while (!Heap.empty()) {
-    int64_t Slot = Heap.popBatch(Batch);
+  while (!Queue.empty()) {
+    int64_t Slot = Queue.popBatch(Batch);
     LastSlot = Slot;
     ++Res.Batches;
     Res.EventsProcessed += static_cast<int64_t>(Batch.size());
@@ -744,7 +834,7 @@ FleetResult FleetSim::run() {
         Work(I);
 
     // Merge barrier: ascending region order keeps counter totals, FP
-    // sums, heap sequence numbers and trace order schedule-independent.
+    // sums, queue sequence numbers and trace order schedule-independent.
     int Completions = 0;
     for (int Rg : Active) {
       RegionScratch &S = Scratch[static_cast<size_t>(Rg)];
@@ -764,7 +854,7 @@ FleetResult FleetSim::run() {
       Res.Energy.TxSeconds += S.TxSeconds;
       Res.Energy.RxSeconds += S.RxSeconds;
       for (const Event &E : S.Out)
-        Heap.push(E);
+        Queue.push(E);
       if (Ev)
         for (const TraceRec &Tr : S.Traces)
           emitTrace(Tr);

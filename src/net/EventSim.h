@@ -6,11 +6,12 @@
 ///
 /// \file
 /// The fleet-scale dissemination engine: a discrete-event simulator over a
-/// global binary heap of slot-timestamped events with deterministic
-/// tie-breaking by (time, node, seq). Where net/Network's seed engine
-/// advanced an ideal radio one BFS level per round, this engine models the
-/// phenomena that make update size matter in the first place (paper
-/// sections 1 and 2.2, and the GCP dissemination regimes):
+/// calendar queue of slot-timestamped events (pooled per-slot buckets plus
+/// an overflow heap for far-off timers) with deterministic tie-breaking by
+/// (slot, node, kind, seq). Where net/Network's seed engine advanced an
+/// ideal radio one BFS level per round, this engine models the phenomena
+/// that make update size matter in the first place (paper sections 1 and
+/// 2.2, and the GCP dissemination regimes):
 ///
 ///  - a link/radio layer with per-directed-link loss (base rate plus
 ///    hash-derived per-link jitter and up/down asymmetry),

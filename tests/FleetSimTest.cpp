@@ -7,6 +7,7 @@
 
 #include "net/EventSim.h"
 #include "net/Network.h"
+#include "support/Format.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -222,6 +223,147 @@ TEST(FleetSim, TraceEventsFollowTheBursts) {
   EXPECT_EQ(Tx, R.Transmitters);  // beacons suppressed every retry
   EXPECT_GE(Rx, 3);               // each non-sink node decodes at least once
   EXPECT_GT(Progress, 0);
+}
+
+/// A receiver that sleeps through every burst keeps a forwarder sending
+/// its whole unsolicited budget; a budget past 32767 must still run out.
+TEST(FleetSim, BurstBudgetAboveInt16Terminates) {
+  FleetConfig Cfg;
+  Cfg.Seed = 1;
+  Cfg.Duty.PeriodSeconds = 1.0;
+  Cfg.Duty.OnFraction = 0.01;
+  Cfg.Mac.MaxRequests = 0;
+  Cfg.Mac.MaxBursts = 40000;
+  FleetResult R = simulateFlood(Topology::line(2), 24, Cfg);
+  EXPECT_EQ(R.Packets, 1);
+  EXPECT_EQ(R.Transmitters, 1);
+  EXPECT_EQ(R.Retransmissions, 39999);
+  EXPECT_EQ(R.NodesIncomplete, 1);
+}
+
+/// Every FleetResult counter, then one FNV-1a digest over the bit patterns
+/// of SimSeconds, the energy ledger and PerNodeJoules.
+std::string pinOf(const FleetResult &R) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  auto Mix = [&H](double D) {
+    uint64_t B;
+    std::memcpy(&B, &D, sizeof(B));
+    H = (H ^ B) * 0x100000001b3ULL;
+  };
+  const EnergyLedger &E = R.Energy;
+  for (double D : {R.SimSeconds, E.TxSeconds, E.RxSeconds, E.ListenSeconds,
+                   E.SleepSeconds, E.TxJoules, E.RxJoules, E.ListenJoules,
+                   E.SleepJoules})
+    Mix(D);
+  for (double D : R.PerNodeJoules)
+    Mix(D);
+  return format("pk=%d bytes=%zu hops=%d tx=%d done=%d left=%d retx=%lld "
+                "failed=%lld coll=%lld backoff=%lld defer=%lld miss=%lld "
+                "over=%lld beacon=%lld req=%lld ev=%lld batch=%lld par=%lld "
+                "nodes=%zu fp=%016llx",
+                R.Packets, R.BytesOnAir, R.MaxHops, R.Transmitters,
+                R.NodesComplete, R.NodesIncomplete,
+                static_cast<long long>(R.Retransmissions),
+                static_cast<long long>(R.FailedPackets),
+                static_cast<long long>(R.Collisions),
+                static_cast<long long>(R.Backoffs),
+                static_cast<long long>(R.SleepDeferrals),
+                static_cast<long long>(R.SleepMisses),
+                static_cast<long long>(R.Overheard),
+                static_cast<long long>(R.Beacons),
+                static_cast<long long>(R.Requests),
+                static_cast<long long>(R.EventsProcessed),
+                static_cast<long long>(R.Batches),
+                static_cast<long long>(R.ParallelBatches),
+                R.PerNodeJoules.size(), static_cast<unsigned long long>(H));
+}
+
+/// The engine's exact output, pinned with values produced by the
+/// binary-heap event core with per-packet wake checks (the engine before
+/// the calendar queue and run-based wake-window decoding). Any change to
+/// event order, RNG draws or floating-point summation order shows here.
+TEST(FleetSim, ResultsArePinned) {
+  // perfbench fleet-rollout's radio on its 2000-node grid.
+  FleetConfig Rollout;
+  Rollout.Link.LossRate = 0.10;
+  Rollout.Link.LossJitter = 0.05;
+  Rollout.Link.Asymmetry = 0.05;
+  Rollout.Duty.PeriodSeconds = 0.25;
+  Rollout.Duty.OnFraction = 0.5;
+  Rollout.Seed = 3;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(40, 50), 900, Rollout)),
+            "pk=38 bytes=1204 hops=97 tx=1784 done=2000 left=0 retx=215574 "
+            "failed=0 coll=12441 backoff=5630 defer=5003 miss=0 over=9155 "
+            "beacon=7820 req=2456 ev=93389 batch=34641 par=0 nodes=2000 "
+            "fp=eec53ef7df9349c8");
+
+  // 557 air slots over a 100-slot period: every burst spans windows.
+  FleetConfig MultiWindow;
+  MultiWindow.Link.LossRate = 0.1;
+  MultiWindow.Duty.PeriodSeconds = 0.1;
+  MultiWindow.Duty.OnFraction = 0.4;
+  MultiWindow.Seed = 5;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 2000, MultiWindow)),
+            "pk=84 bytes=2672 hops=13 tx=30 done=36 left=0 retx=8484 failed=0 "
+            "coll=121 backoff=105 defer=166 miss=0 over=170 beacon=120 req=47 "
+            "ev=1594 batch=809 par=0 nodes=36 fp=0a3eb114cac2d3d8");
+
+  // Two 0.25 s slots of airtime carry all 38 packets.
+  FleetConfig Coarse;
+  Coarse.Link.LossRate = 0.1;
+  Coarse.SlotSeconds = 0.25;
+  Coarse.Duty.PeriodSeconds = 2.0;
+  Coarse.Duty.OnFraction = 0.5;
+  Coarse.Seed = 7;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(5, 5), 900, Coarse)),
+            "pk=38 bytes=1204 hops=8 tx=23 done=25 left=0 retx=1748 failed=0 "
+            "coll=32 backoff=45 defer=73 miss=66 over=69 beacon=80 req=21 "
+            "ev=827 batch=187 par=0 nodes=25 fp=41f8eb606e4f7293");
+
+  // One awake slot per 50-slot period.
+  FleetConfig OneSlot;
+  OneSlot.Link.LossRate = 0.05;
+  OneSlot.Duty.PeriodSeconds = 0.05;
+  OneSlot.Duty.OnFraction = 0.02;
+  OneSlot.Mac.MaxBursts = 8;
+  OneSlot.Seed = 11;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 300, OneSlot)),
+            "pk=13 bytes=404 hops=11 tx=31 done=36 left=0 retx=2041 failed=0 "
+            "coll=197 backoff=248 defer=447 miss=336 over=41 beacon=120 req=44 "
+            "ev=2479 batch=1195 par=0 nodes=36 fp=86a25d6758745dc4");
+
+  // A duty-cycle schedule that never sleeps.
+  FleetConfig AlwaysOn;
+  AlwaysOn.Link.LossRate = 0.1;
+  AlwaysOn.Duty.PeriodSeconds = 0.1;
+  AlwaysOn.Duty.OnFraction = 1.0;
+  AlwaysOn.Seed = 13;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 300, AlwaysOn)),
+            "pk=13 bytes=404 hops=10 tx=29 done=36 left=0 retx=780 failed=0 "
+            "coll=156 backoff=53 defer=0 miss=0 over=85 beacon=120 req=15 "
+            "ev=965 batch=390 par=0 nodes=36 fp=f6d92a31abe09232");
+
+  FleetConfig ZeroByte;
+  ZeroByte.Duty.PeriodSeconds = 0.25;
+  ZeroByte.Duty.OnFraction = 0.3;
+  ZeroByte.Seed = 17;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(5, 5), 0, ZeroByte)),
+            "pk=0 bytes=0 hops=8 tx=18 done=25 left=0 retx=0 failed=0 coll=2 "
+            "backoff=8 defer=53 miss=47 over=28 beacon=80 req=39 ev=538 "
+            "batch=217 par=0 nodes=25 fp=6a0fe6eb97ce8fa2");
+
+  // One unsolicited burst per forwarder, so stragglers pull. With 85 air
+  // slots the queue's window is 512 slots, and every poll after the first
+  // waits at least 2 * (4 * 85 + 8) = 696 slots: past the window.
+  FleetConfig Pull;
+  Pull.Link.LossRate = 0.35;
+  Pull.Link.LossJitter = 0.1;
+  Pull.Mac.MaxBursts = 1;
+  Pull.Seed = 19;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(10, 10), 300, Pull)),
+            "pk=13 bytes=404 hops=18 tx=91 done=100 left=0 retx=1885 failed=0 "
+            "coll=162 backoff=56 defer=0 miss=0 over=349 beacon=360 req=146 "
+            "ev=2776 batch=1187 par=0 nodes=100 fp=68c83a606a7e56c4");
 }
 
 } // namespace
