@@ -6,35 +6,23 @@
 
 using namespace ucc;
 
-Liveness ucc::computeLiveness(const FlowGraph &G) {
-  size_t NumBlocks = G.Blocks.size();
-  size_t NumValues = static_cast<size_t>(G.NumValues);
+Liveness ucc::solveLiveness(const LivenessProblem &P) {
+  size_t NumBlocks = P.Gen.size();
+  size_t NumValues = NumBlocks ? P.Gen[0].size() : 0;
 
   Liveness L;
   L.LiveIn.assign(NumBlocks, BitVector(NumValues));
   L.LiveOut.assign(NumBlocks, BitVector(NumValues));
 
-  // Per-block gen (upward-exposed uses) and kill (defs) sets.
-  std::vector<BitVector> Gen(NumBlocks, BitVector(NumValues));
-  std::vector<BitVector> Kill(NumBlocks, BitVector(NumValues));
-  for (size_t B = 0; B < NumBlocks; ++B) {
-    for (const DefUse &I : G.Blocks[B].Instrs) {
-      for (int U : I.Uses)
-        if (!Kill[B].test(static_cast<size_t>(U)))
-          Gen[B].set(static_cast<size_t>(U));
-      for (int D : I.Defs)
-        Kill[B].set(static_cast<size_t>(D));
-    }
-  }
-
   // Classic round-robin fixpoint; backward problems converge fastest when
   // iterating blocks in reverse layout order.
+  BitVector Out(NumValues);
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t BI = NumBlocks; BI-- > 0;) {
-      BitVector Out(NumValues);
-      for (int S : G.Blocks[BI].Succs) {
+      Out.clear();
+      for (int S : P.Succs[BI]) {
         assert(S >= 0 && static_cast<size_t>(S) < NumBlocks &&
                "bad successor index");
         Out.unionWith(L.LiveIn[static_cast<size_t>(S)]);
@@ -44,15 +32,36 @@ Liveness ucc::computeLiveness(const FlowGraph &G) {
         Changed = true;
       }
       // LiveIn = Gen | (Out - Kill)
-      Out.subtract(Kill[BI]);
-      Out.unionWith(Gen[BI]);
+      Out.subtract(P.Kill[BI]);
+      Out.unionWith(P.Gen[BI]);
       if (!(Out == L.LiveIn[BI])) {
-        L.LiveIn[BI] = std::move(Out);
+        L.LiveIn[BI] = Out;
         Changed = true;
       }
     }
   }
   return L;
+}
+
+Liveness ucc::computeLiveness(const FlowGraph &G) {
+  size_t NumBlocks = G.Blocks.size();
+  size_t NumValues = static_cast<size_t>(G.NumValues);
+
+  LivenessProblem P;
+  P.Gen.assign(NumBlocks, BitVector(NumValues));
+  P.Kill.assign(NumBlocks, BitVector(NumValues));
+  P.Succs.reserve(NumBlocks);
+  for (size_t B = 0; B < NumBlocks; ++B) {
+    for (const DefUse &I : G.Blocks[B].Instrs) {
+      for (int U : I.Uses)
+        if (!P.Kill[B].test(static_cast<size_t>(U)))
+          P.Gen[B].set(static_cast<size_t>(U));
+      for (int D : I.Defs)
+        P.Kill[B].set(static_cast<size_t>(D));
+    }
+    P.Succs.push_back(G.Blocks[B].Succs);
+  }
+  return solveLiveness(P);
 }
 
 std::vector<BitVector> Liveness::liveAfterPerInstr(const FlowGraph &G,

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Generic backward liveness over an abstract CFG of def/use lists. Both
-/// the IR (virtual registers) and the machine layer (virtual + physical
-/// registers) instantiate this with an adapter, so the fixpoint logic lives
-/// in exactly one place.
+/// Generic backward liveness. The fixpoint (solveLiveness) lives in exactly
+/// one place and runs over per-block gen/kill sets. The machine layer
+/// (virtual + physical registers) reaches it through an abstract CFG of
+/// def/use lists (computeLiveness); the IR builds its gen/kill sets
+/// directly (computeIRLiveness in analysis/IRAnalysis.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +50,19 @@ struct Liveness {
   /// values live immediately *after* instruction K of the block.
   std::vector<BitVector> liveAfterPerInstr(const FlowGraph &G, int B) const;
 };
+
+/// The whole input of the liveness fixpoint, per block: upward-exposed
+/// uses (gen), definitions (kill) and successor block indices. Clients that
+/// can read gen/kill straight off their own instructions build this
+/// directly instead of materialising a FlowGraph.
+struct LivenessProblem {
+  std::vector<BitVector> Gen;
+  std::vector<BitVector> Kill;
+  std::vector<std::vector<int>> Succs;
+};
+
+/// Runs backward liveness to a fixpoint over \p P.
+Liveness solveLiveness(const LivenessProblem &P);
 
 /// Runs backward liveness to a fixpoint over \p G.
 Liveness computeLiveness(const FlowGraph &G);

@@ -7,33 +7,26 @@
 
 using namespace ucc;
 
-std::vector<int> ucc::irDefs(const Instr &I) {
-  if (I.hasDst())
-    return {I.Dst};
-  return {};
-}
-
-std::vector<int> ucc::irUses(const Instr &I) {
-  std::vector<int> Uses;
-  Uses.reserve(I.Srcs.size());
-  for (VReg S : I.Srcs)
-    Uses.push_back(S);
-  return Uses;
-}
-
-FlowGraph ucc::buildFlowGraph(const Function &F) {
-  FlowGraph G;
-  G.NumValues = F.NumVRegs;
-  G.Blocks.reserve(F.Blocks.size());
-  for (const BasicBlock &BB : F.Blocks) {
-    FlowBlock FB;
-    FB.Succs = BB.successors();
-    FB.Instrs.reserve(BB.Instrs.size());
-    for (const Instr &I : BB.Instrs)
-      FB.Instrs.push_back(DefUse{irDefs(I), irUses(I)});
-    G.Blocks.push_back(std::move(FB));
+Liveness ucc::computeIRLiveness(const Function &F) {
+  size_t NumBlocks = F.Blocks.size();
+  size_t NumValues = static_cast<size_t>(F.NumVRegs);
+  LivenessProblem P;
+  P.Gen.assign(NumBlocks, BitVector(NumValues));
+  P.Kill.assign(NumBlocks, BitVector(NumValues));
+  P.Succs.reserve(NumBlocks);
+  for (size_t B = 0; B < NumBlocks; ++B) {
+    BitVector &Gen = P.Gen[B];
+    BitVector &Kill = P.Kill[B];
+    for (const Instr &I : F.Blocks[B].Instrs) {
+      for (VReg S : I.Srcs)
+        if (!Kill.test(static_cast<size_t>(S)))
+          Gen.set(static_cast<size_t>(S));
+      if (I.hasDst())
+        Kill.set(static_cast<size_t>(I.Dst));
+    }
+    P.Succs.push_back(F.Blocks[B].successors());
   }
-  return G;
+  return solveLiveness(P);
 }
 
 std::vector<int> ucc::loopDepths(const Function &F) {

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// IR-level analysis helpers: def/use extraction, liveness adapter, loop
-/// depth estimation and the static execution-frequency estimate `freq(s)`
-/// the paper's objective function consumes.
+/// IR-level analysis helpers: liveness, loop depth estimation and the
+/// static execution-frequency estimate `freq(s)` the paper's objective
+/// function consumes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +21,9 @@
 
 namespace ucc {
 
-/// Virtual registers defined by \p I (at most one at the IR level).
-std::vector<int> irDefs(const Instr &I);
-/// Virtual registers used by \p I.
-std::vector<int> irUses(const Instr &I);
-
-/// Builds the abstract CFG for liveness over \p F's virtual registers.
-FlowGraph buildFlowGraph(const Function &F);
+/// Liveness of \p F's virtual registers. Gen/kill sets are read straight
+/// off the instructions, with no per-instruction def/use lists.
+Liveness computeIRLiveness(const Function &F);
 
 /// Estimates the loop-nesting depth of every block.
 ///

@@ -20,6 +20,7 @@
 #include "core/CompileCache.h"
 #include "frontend/IRGen.h"
 #include "ir/Verifier.h"
+#include "opt/Passes.h"
 #include "regalloc/LinearScan.h"
 #include "regalloc/Validator.h"
 #include "support/Interner.h"
@@ -48,8 +49,7 @@ struct CompileTrace {
 
 /// Shared front half: parse, lower, verify, optimize, select.
 std::optional<std::pair<Module, MachineModule>>
-frontHalf(const std::string &Source, const CompileOptions &Opts,
-          DiagnosticEngine &Diag) {
+frontHalf(const std::string &Source, DiagnosticEngine &Diag) {
   Module M = [&] {
     ScopedSpan Span("parse");
     return compileToIR(Source, Diag);
@@ -71,7 +71,7 @@ frontHalf(const std::string &Source, const CompileOptions &Opts,
   }
   {
     ScopedSpan Span("opt");
-    optimizeModule(M, Opts.Opt);
+    optimizeModule(M);
   }
   assert(moduleIsValid(M) && "optimizer broke the module");
   return std::make_pair(std::move(M), MachineModule());
@@ -288,7 +288,7 @@ std::optional<CompileOutput> Compiler::compile(const std::string &Source,
                                                DiagnosticEngine &Diag) {
   CompileTrace Trace;
   ScopedSpan Span("compile");
-  auto Front = frontHalf(Source, Opts, Diag);
+  auto Front = frontHalf(Source, Diag);
   if (!Front)
     return std::nullopt;
   return backHalf(std::move(Front->first), Opts, /*OldRecord=*/nullptr);
@@ -300,7 +300,7 @@ Compiler::recompile(const std::string &Source,
                     const CompileOptions &Opts, DiagnosticEngine &Diag) {
   CompileTrace Trace;
   ScopedSpan Span("recompile");
-  auto Front = frontHalf(Source, Opts, Diag);
+  auto Front = frontHalf(Source, Diag);
   if (!Front)
     return std::nullopt;
   return backHalf(std::move(Front->first), Opts, &OldRecord);

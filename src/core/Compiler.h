@@ -35,7 +35,6 @@
 #include "dataalloc/DataAlloc.h"
 #include "diff/ImageDiff.h"
 #include "energy/EnergyModel.h"
-#include "opt/Passes.h"
 #include "regalloc/UccAlloc.h"
 #include "support/Diagnostics.h"
 
@@ -53,7 +52,6 @@ enum class RegAllocKind { Baseline, UpdateConscious };
 
 /// Compiler configuration.
 struct CompileOptions {
-  OptLevel Opt = OptLevel::O1;
   RegAllocKind RA = RegAllocKind::Baseline;
   DataAllocKind DA = DataAllocKind::BaselineHash;
   UccAllocOptions Ucc;   ///< UCC-RA knobs (K, Cnt, strategy, splits)

@@ -23,9 +23,6 @@
 
 namespace ucc {
 
-/// Optimization effort. O0 = none, O1 = full pipeline (default).
-enum class OptLevel { O0, O1 };
-
 /// Folds constant expressions and branches on constant conditions.
 /// Block-local value tracking (the IR is not SSA).
 bool foldConstants(Function &F);
@@ -47,7 +44,7 @@ bool simplifyCFG(Function &F);
 
 /// Runs the full pipeline over every function until a (bounded) fixpoint.
 /// Returns true if anything changed.
-bool optimizeModule(Module &M, OptLevel Level = OptLevel::O1);
+bool optimizeModule(Module &M);
 
 } // namespace ucc
 

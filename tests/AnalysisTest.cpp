@@ -154,20 +154,46 @@ TEST(LoopDepth, FrequencyCapApplies) {
     EXPECT_LE(W, 1e6);
 }
 
-TEST(IRDefUse, ExtractionMatchesOpcodes) {
-  Instr I;
-  I.Op = Opcode::Bin;
-  I.Dst = 5;
-  I.Srcs = {1, 2};
-  EXPECT_EQ(irDefs(I), (std::vector<int>{5}));
-  EXPECT_EQ(irUses(I), (std::vector<int>{1, 2}));
-
+TEST(Liveness, IRLivenessReadsSrcsAsUsesAndDstAsDef) {
+  // Block 0: %0 = const 1; %1 = add %0, %2; storeg @g, %1; br 1
+  // Block 1: out 15, %0; halt
+  // %2 is read before any definition, so it is live into the entry; %0
+  // is defined there and read in block 1; %1 dies at the store.
+  Function F;
+  for (int R = 0; R < 3; ++R)
+    F.makeVReg();
+  F.makeBlock("entry");
+  F.makeBlock("exit");
+  Instr Const;
+  Const.Op = Opcode::Const;
+  Const.Dst = 0;
+  Instr Add;
+  Add.Op = Opcode::Bin;
+  Add.Dst = 1;
+  Add.Srcs = {0, 2};
   Instr Store;
   Store.Op = Opcode::StoreG;
   Store.Global = 0;
-  Store.Srcs = {3, 4};
-  EXPECT_TRUE(irDefs(Store).empty());
-  EXPECT_EQ(irUses(Store), (std::vector<int>{3, 4}));
+  Store.Srcs = {1};
+  Instr Br;
+  Br.Op = Opcode::Br;
+  Br.TrueBB = 1;
+  Instr Out;
+  Out.Op = Opcode::Out;
+  Out.Srcs = {0};
+  Instr Halt;
+  F.Blocks[0].Instrs = {Const, Add, Store, Br};
+  F.Blocks[1].Instrs = {Out, Halt};
+
+  Liveness L = computeIRLiveness(F);
+  EXPECT_FALSE(L.LiveIn[0].test(0));
+  EXPECT_FALSE(L.LiveIn[0].test(1));
+  EXPECT_TRUE(L.LiveIn[0].test(2));
+  EXPECT_TRUE(L.LiveOut[0].test(0));
+  EXPECT_FALSE(L.LiveOut[0].test(1));
+  EXPECT_FALSE(L.LiveOut[0].test(2));
+  EXPECT_TRUE(L.LiveIn[1].test(0));
+  EXPECT_FALSE(L.LiveOut[1].any());
 }
 
 } // namespace

@@ -290,6 +290,15 @@ TEST_F(ToolFixture, CliUsageErrorsExitTwoWithAMessage) {
             std::string::npos)
       << capturedOutput();
 
+  // There is one optimization level. A record does not say which level
+  // built it, so an `--O0` image could not be updated like-for-like.
+  EXPECT_EQ(uccc("compile " + path("v1.mc") + " -o " + path("v1.img") +
+                 " --O0"),
+            2);
+  EXPECT_NE(capturedOutput().find("unknown argument '--O0'"),
+            std::string::npos)
+      << capturedOutput();
+
   // A value flag at the end of the line has no value.
   EXPECT_EQ(uccc("compile " + path("v1.mc") + " -o"), 2);
   EXPECT_NE(capturedOutput().find("option '-o' expects a value"),

@@ -100,7 +100,7 @@ namespace {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  uccc compile <src> -o <img> [--record <rec>] [--dis] [--O0]\n"
+      "  uccc compile <src> -o <img> [--record <rec>] [--dis]\n"
       "  uccc update  <src> --record <rec> --image <img> -o <img>\n"
       "               [--new-record <rec>] [--script <pkg>]\n"
       "               [--baseline] [--cnt <n>] [--spacet <n>] [--k <n>]\n"
@@ -347,18 +347,13 @@ int cmdCompile(Args &A) {
   std::string Src = A.positional();
   std::string OutPath = A.option("-o");
   std::string RecPath = A.option("--record");
-  bool O0 = A.flag("--O0");
   bool Dis = A.flag("--dis");
   if (Src.empty() || OutPath.empty())
     usage();
   A.finish();
 
-  CompileOptions Opts;
-  if (O0)
-    Opts.Opt = OptLevel::O0;
-
   DiagnosticEngine Diag;
-  auto Out = Compiler::compile(readTextFile(Src), Opts, Diag);
+  auto Out = Compiler::compile(readTextFile(Src), CompileOptions(), Diag);
   if (!Out) {
     reportDiagnostics(Diag);
     return 1;
