@@ -5,32 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Word alignment (the anchor-accelerated engine plus the exact-LCS
-/// oracle), script construction (with adjacent-primitive merging and
-/// remove+insert -> replace folding), the wire codec, and the sensor-side
-/// interpreter. Every script built by makeEditScript reports its
-/// per-opcode byte breakdown to the telemetry registry (`diff.*`) — the
-/// quantity every experiment's transmission-energy term is built from.
-///
-/// The engine (EditScript.h has the dispatch policy) is the delta pipeline
-/// of docs/PERFORMANCE.md: trim the common prefix/suffix, split at
-/// patience anchors (words unique to both sides, chained by longest
-/// increasing subsequence), solve the gaps with Myers' O(ND) greedy diff
-/// in linear space (divide-and-conquer on the middle snake), and fall back
-/// to a hash-indexed greedy block matcher once a gap's edit distance blows
-/// the D budget. Worst-case cost is near-linear in M+N instead of the
-/// oracle's quadratic table.
+/// Word alignment (the exact LCS of support/Lcs.h), script construction
+/// (with adjacent-primitive merging and remove+insert -> replace folding),
+/// script composition, the wire codec, and the sensor-side interpreter.
+/// Every script built by makeEditScript reports its per-opcode byte
+/// breakdown to the telemetry registry (`diff.*`) — the quantity every
+/// experiment's transmission-energy term is built from.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "diff/EditScript.h"
 
 #include "support/ByteStream.h"
+#include "support/Lcs.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <cassert>
-#include <unordered_map>
 
 using namespace ucc;
 
@@ -111,393 +101,13 @@ bool EditScript::decode(const std::vector<uint8_t> &Bytes, EditScript &Out) {
   return !R.hadError();
 }
 
-std::optional<std::vector<std::pair<int, int>>>
-ucc::alignWordsExact(const std::vector<uint32_t> &Old,
-                     const std::vector<uint32_t> &New) {
-  size_t M = Old.size(), N = New.size();
-  // Refuse instead of mis-allocating: the (M+1)*(N+1) table must fit
-  // ExactAlignCellCap cells (the product is computed divide-side so the
-  // check itself cannot overflow size_t).
-  if (M + 1 > ExactAlignCellCap / (N + 1))
-    return std::nullopt;
-
-  // Classic O(M*N) LCS table: exact (the paper compares against the *best
-  // possible* binary match, section 5.3) and the byte-stability reference
-  // for every script the engine's exact dispatch produces.
-  std::vector<uint32_t> Table((M + 1) * (N + 1), 0);
-  auto At = [&](size_t I, size_t J) -> uint32_t & {
-    return Table[I * (N + 1) + J];
-  };
-  for (size_t I = M; I-- > 0;) {
-    for (size_t J = N; J-- > 0;) {
-      if (Old[I] == New[J])
-        At(I, J) = At(I + 1, J + 1) + 1;
-      else
-        At(I, J) = std::max(At(I + 1, J), At(I, J + 1));
-    }
-  }
-
-  std::vector<std::pair<int, int>> Matches;
-  size_t I = 0, J = 0;
-  while (I < M && J < N) {
-    if (Old[I] == New[J]) {
-      Matches.push_back({static_cast<int>(I), static_cast<int>(J)});
-      ++I;
-      ++J;
-    } else if (At(I + 1, J) >= At(I, J + 1)) {
-      ++I;
-    } else {
-      ++J;
-    }
-  }
-  return Matches;
-}
-
-namespace {
-
-/// The anchor-accelerated alignment engine. One instance per alignWords
-/// call; all state is local, so concurrent calls never share anything.
-class DiffEngine {
-public:
-  DiffEngine(const std::vector<uint32_t> &Old,
-             const std::vector<uint32_t> &New, const DiffOptions &Opts,
-             DiffStats &Stats)
-      : Old(Old), New(New), Opts(Opts), Stats(Stats) {}
-
-  std::vector<std::pair<int, int>> run() {
-    Matches.reserve(std::min(Old.size(), New.size()));
-    align(0, static_cast<int>(Old.size()), 0,
-          static_cast<int>(New.size()), 0);
-    return std::move(Matches);
-  }
-
-private:
-  /// Middle snake of one Myers divide step, in absolute word indices.
-  struct Snake {
-    int X = 0, Y = 0, U = 0, V = 0;
-  };
-
-  void emit(int I, int J) { Matches.push_back({I, J}); }
-
-  /// Aligns Old[OL,OH) against New[NL,NH): trim, then anchors, then Myers.
-  void align(int OL, int OH, int NL, int NH, int Depth) {
-    while (OL < OH && NL < NH && Old[OL] == New[NL]) {
-      emit(OL, NL);
-      ++OL;
-      ++NL;
-    }
-    int Suffix = 0;
-    while (OL < OH && NL < NH && Old[OH - 1] == New[NH - 1]) {
-      --OH;
-      --NH;
-      ++Suffix;
-    }
-    if (OL < OH && NL < NH) {
-      bool Small = static_cast<size_t>(OH - OL) <= Opts.SmallGap &&
-                   static_cast<size_t>(NH - NL) <= Opts.SmallGap;
-      if (Small || Depth >= Opts.MaxAnchorDepth ||
-          !anchorSplit(OL, OH, NL, NH, Depth))
-        myers(OL, OH, NL, NH);
-    }
-    for (int K = 0; K < Suffix; ++K)
-      emit(OH + K, NH + K);
-  }
-
-  /// Patience pass: words unique to both ranges become candidate anchors;
-  /// the longest chain increasing in both coordinates splits the problem.
-  /// Returns false when the range has no usable anchors.
-  bool anchorSplit(int OL, int OH, int NL, int NH, int Depth) {
-    // Occurrence count and (last) position per word, both sides.
-    std::unordered_map<uint32_t, std::pair<int, int>> OldOcc, NewOcc;
-    OldOcc.reserve(static_cast<size_t>(OH - OL));
-    NewOcc.reserve(static_cast<size_t>(NH - NL));
-    for (int I = OL; I < OH; ++I) {
-      auto &E = OldOcc.try_emplace(Old[I], 0, I).first->second;
-      ++E.first;
-      E.second = I;
-    }
-    for (int J = NL; J < NH; ++J) {
-      auto &E = NewOcc.try_emplace(New[J], 0, J).first->second;
-      ++E.first;
-      E.second = J;
-    }
-
-    // Candidates in old order; their new positions then need a longest
-    // strictly-increasing subsequence (patience chaining, O(k log k)).
-    std::vector<int> CandNew;
-    std::vector<int> CandOld;
-    for (int I = OL; I < OH; ++I) {
-      auto OIt = OldOcc.find(Old[I]);
-      if (OIt->second.first != 1)
-        continue;
-      auto NIt = NewOcc.find(Old[I]);
-      if (NIt == NewOcc.end() || NIt->second.first != 1)
-        continue;
-      CandOld.push_back(I);
-      CandNew.push_back(NIt->second.second);
-    }
-    if (CandNew.empty())
-      return false;
-
-    std::vector<int> Tails;     // candidate index ending each pile
-    std::vector<int> Prev(CandNew.size(), -1);
-    for (size_t K = 0; K < CandNew.size(); ++K) {
-      auto Pos = std::lower_bound(
-          Tails.begin(), Tails.end(), CandNew[K],
-          [&](int TailIdx, int Val) { return CandNew[static_cast<size_t>(
-                                                 TailIdx)] < Val; });
-      if (Pos != Tails.begin())
-        Prev[K] = *(Pos - 1);
-      if (Pos == Tails.end())
-        Tails.push_back(static_cast<int>(K));
-      else
-        *Pos = static_cast<int>(K);
-    }
-    std::vector<std::pair<int, int>> Chain;
-    for (int At = Tails.back(); At >= 0; At = Prev[static_cast<size_t>(At)])
-      Chain.push_back({CandOld[static_cast<size_t>(At)],
-                       CandNew[static_cast<size_t>(At)]});
-    std::reverse(Chain.begin(), Chain.end());
-
-    Stats.Anchors += static_cast<int64_t>(Chain.size());
-    int PO = OL, PN = NL;
-    for (const auto &[AO, AN] : Chain) {
-      align(PO, AO, PN, AN, Depth + 1);
-      emit(AO, AN);
-      PO = AO + 1;
-      PN = AN + 1;
-    }
-    align(PO, OH, PN, NH, Depth + 1);
-    return true;
-  }
-
-  /// Myers linear-space divide-and-conquer over a (trimmed, non-empty)
-  /// range. Exact while the D budget holds; a range whose middle snake
-  /// exceeds it drops to the block-copy fallback.
-  void myers(int OL, int OH, int NL, int NH) {
-    Snake S;
-    int D = middleSnake(OL, OH, NL, NH, S);
-    if (D < 0) {
-      fallback(OL, OH, NL, NH);
-      return;
-    }
-    Stats.MyersD += D;
-    if (D <= 1) {
-      // At most one insertion or deletion: the shorter side matches
-      // word-for-word around it.
-      int I = OL, J = NL;
-      while (I < OH && J < NH) {
-        if (Old[I] == New[J]) {
-          emit(I, J);
-          ++I;
-          ++J;
-        } else if (OH - I > NH - J) {
-          ++I;
-        } else {
-          ++J;
-        }
-      }
-      return;
-    }
-    myersSub(OL, S.X, NL, S.Y);
-    for (int K = 0; K < S.U - S.X; ++K)
-      emit(S.X + K, S.Y + K);
-    myersSub(S.U, OH, S.V, NH);
-  }
-
-  /// Trims a divide half, then recurses into myers() when both sides
-  /// survive (the extra trimming keeps the recursion shallow).
-  void myersSub(int OL, int OH, int NL, int NH) {
-    while (OL < OH && NL < NH && Old[OL] == New[NL]) {
-      emit(OL, NL);
-      ++OL;
-      ++NL;
-    }
-    int Suffix = 0;
-    while (OL < OH && NL < NH && Old[OH - 1] == New[NH - 1]) {
-      --OH;
-      --NH;
-      ++Suffix;
-    }
-    if (OL < OH && NL < NH)
-      myers(OL, OH, NL, NH);
-    for (int K = 0; K < Suffix; ++K)
-      emit(OH + K, NH + K);
-  }
-
-  /// Finds the middle snake of Old[OL,OH) vs New[NL,NH) (Myers 1986,
-  /// "An O(ND) Difference Algorithm", section 4b). Returns the range's
-  /// exact edit distance with \p S filled in, or -1 once the search would
-  /// exceed DiffOptions::MyersDCap.
-  int middleSnake(int OL, int OH, int NL, int NH, Snake &S) {
-    const int N = OH - OL, M = NH - NL;
-    const int Delta = N - M;
-    const bool Odd = (Delta & 1) != 0;
-    const int MaxD = (N + M + 1) / 2;
-    const int Budget = std::min(MaxD, Opts.MyersDCap);
-
-    // Diagonal index k lives in [-Budget-1, Budget+1] for both sweeps.
-    const int Off = Budget + 2;
-    VF.assign(static_cast<size_t>(2 * Off + 1), 0);
-    VB.assign(static_cast<size_t>(2 * Off + 1), 0);
-
-    for (int D = 0; D <= Budget + 1; ++D) {
-      if (D > Budget)
-        return -1; // edit distance exceeds the budget
-      // Forward sweep from (OL, NL).
-      for (int K = -D; K <= D; K += 2) {
-        int X = (K == -D ||
-                 (K != D && VF[static_cast<size_t>(Off + K - 1)] <
-                                VF[static_cast<size_t>(Off + K + 1)]))
-                    ? VF[static_cast<size_t>(Off + K + 1)]
-                    : VF[static_cast<size_t>(Off + K - 1)] + 1;
-        int Y = X - K;
-        int X0 = X, Y0 = Y;
-        while (X < N && Y < M && Old[OL + X] == New[NL + Y]) {
-          ++X;
-          ++Y;
-        }
-        VF[static_cast<size_t>(Off + K)] = X;
-        if (Odd && K - Delta >= -(D - 1) && K - Delta <= D - 1) {
-          // Reverse path of phase D-1 on the same diagonal: its furthest
-          // reach, translated to forward coordinates, is N - VB[...].
-          int RX = VB[static_cast<size_t>(Off + (Delta - K))];
-          if (X + RX >= N) {
-            S = {OL + X0, NL + Y0, OL + X, NL + Y};
-            return 2 * D - 1;
-          }
-        }
-      }
-      // Reverse sweep from (OH, NH): the same algorithm on the reversed
-      // words; KR indexes reversed-coordinate diagonals.
-      for (int KR = -D; KR <= D; KR += 2) {
-        int X = (KR == -D ||
-                 (KR != D && VB[static_cast<size_t>(Off + KR - 1)] <
-                                 VB[static_cast<size_t>(Off + KR + 1)]))
-                    ? VB[static_cast<size_t>(Off + KR + 1)]
-                    : VB[static_cast<size_t>(Off + KR - 1)] + 1;
-        int Y = X - KR;
-        int X0 = X, Y0 = Y;
-        while (X < N && Y < M && Old[OH - 1 - X] == New[NH - 1 - Y]) {
-          ++X;
-          ++Y;
-        }
-        VB[static_cast<size_t>(Off + KR)] = X;
-        if (!Odd && Delta - KR >= -D && Delta - KR <= D) {
-          int FX = VF[static_cast<size_t>(Off + (Delta - KR))];
-          if (X + FX >= N) {
-            // The reverse snake, in forward coordinates, runs from
-            // (N-X, M-Y) up to (N-X0, M-Y0).
-            S = {OL + N - X, NL + M - Y, OL + N - X0, NL + M - Y0};
-            return 2 * D;
-          }
-        }
-      }
-    }
-    return -1; // unreachable: D == MaxD always finds the snake
-  }
-
-  /// rsync/bsdiff-style fallback for ranges whose edit distance exceeds
-  /// the Myers budget: hash-index the old range's words, then greedily
-  /// emit in-order block copies of at least MinFallbackRun words.
-  void fallback(int OL, int OH, int NL, int NH) {
-    std::unordered_map<uint32_t, std::vector<int>> Index;
-    Index.reserve(static_cast<size_t>(OH - OL));
-    for (int I = OL; I < OH; ++I) {
-      std::vector<int> &Bucket = Index[Old[I]];
-      if (Bucket.size() < Opts.MaxIndexBucket)
-        Bucket.push_back(I); // positions stay sorted by construction
-    }
-    int MinOld = OL;
-    int J = NL;
-    while (J < NH && MinOld < OH) {
-      auto It = Index.find(New[J]);
-      if (It == Index.end()) {
-        ++J;
-        continue;
-      }
-      auto Pos = std::lower_bound(It->second.begin(), It->second.end(),
-                                  MinOld);
-      if (Pos == It->second.end()) {
-        ++J;
-        continue;
-      }
-      int I = *Pos;
-      int Run = 0;
-      while (I + Run < OH && J + Run < NH && Old[I + Run] == New[J + Run])
-        ++Run;
-      if (Run < static_cast<int>(Opts.MinFallbackRun)) {
-        ++J;
-        continue;
-      }
-      for (int K = 0; K < Run; ++K)
-        emit(I + K, J + K);
-      ++Stats.FallbackBlocks;
-      MinOld = I + Run;
-      J += Run;
-    }
-  }
-
-  const std::vector<uint32_t> &Old;
-  const std::vector<uint32_t> &New;
-  const DiffOptions &Opts;
-  DiffStats &Stats;
-  std::vector<std::pair<int, int>> Matches;
-  std::vector<int> VF, VB; ///< Myers furthest-reach buffers, reused
-};
-
-} // namespace
-
-std::vector<std::pair<int, int>>
-ucc::alignWords(const std::vector<uint32_t> &Old,
-                const std::vector<uint32_t> &New, const DiffOptions &Opts,
-                DiffStats *Stats) {
-  DiffStats Local;
-  DiffStats &S = Stats ? *Stats : Local;
-
-  std::vector<std::pair<int, int>> Matches;
-  if (!Opts.ForceEngine && Old.size() <= Opts.ExactThreshold &&
-      New.size() <= Opts.ExactThreshold) {
-    // Always feasible at the default threshold (4096^2 cells is far below
-    // ExactAlignCellCap); a caller-raised threshold can make the oracle
-    // refuse, in which case the engine below picks the input up.
-    if (auto Exact = alignWordsExact(Old, New)) {
-      S.UsedExact = true;
-      Matches = std::move(*Exact);
-    }
-  }
-  if (!S.UsedExact) {
-    DiffEngine Engine(Old, New, Opts, S);
-    Matches = Engine.run();
-    if (Opts.OracleCheck) {
-      if (auto Exact = alignWordsExact(Old, New)) {
-        ++S.OracleChecks;
-        // The engine's matches are a common subsequence, so it can never
-        // beat the LCS; near-parity is asserted by the DiffTest fuzz suite
-        // via the documented script-size bound.
-        assert(Matches.size() <= Exact->size());
-        (void)Exact;
-      }
-    }
-  }
-
-  if (Telemetry *T = currentTelemetry()) {
-    if (S.Anchors)
-      T->addCounter("diff.anchors", S.Anchors);
-    if (S.MyersD)
-      T->addCounter("diff.myers_d", S.MyersD);
-    if (S.FallbackBlocks)
-      T->addCounter("diff.fallback_blocks", S.FallbackBlocks);
-    if (S.OracleChecks)
-      T->addCounter("diff.oracle_checks", S.OracleChecks);
-  }
-  return Matches;
-}
-
 std::vector<std::pair<int, int>>
 ucc::alignWords(const std::vector<uint32_t> &Old,
                 const std::vector<uint32_t> &New) {
-  return alignWords(Old, New, DiffOptions{});
+  if (Old.size() > MaxAlignWords || New.size() > MaxAlignWords)
+    return {};
+  return lcsAlign(Old.size(), New.size(),
+                  [&](size_t I, size_t J) { return Old[I] == New[J]; });
 }
 
 EditScript ucc::scriptFromMatches(
@@ -555,13 +165,7 @@ EditScript ucc::scriptFromMatches(
 
 EditScript ucc::makeEditScript(const std::vector<uint32_t> &Old,
                                const std::vector<uint32_t> &New) {
-  return makeEditScript(Old, New, DiffOptions{});
-}
-
-EditScript ucc::makeEditScript(const std::vector<uint32_t> &Old,
-                               const std::vector<uint32_t> &New,
-                               const DiffOptions &Opts) {
-  EditScript Script = scriptFromMatches(Old, New, alignWords(Old, New, Opts));
+  EditScript Script = scriptFromMatches(Old, New, alignWords(Old, New));
 
   if (Telemetry *T = currentTelemetry()) {
     static const char *OpKey[] = {"diff.bytes.copy", "diff.bytes.remove",

@@ -17,9 +17,10 @@
 #ifndef UCC_DIFF_EDITSCRIPT_H
 #define UCC_DIFF_EDITSCRIPT_H
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ucc {
@@ -50,105 +51,24 @@ struct EditScript {
   static bool decode(const std::vector<uint8_t> &Bytes, EditScript &Out);
 };
 
-//===----------------------------------------------------------------------===//
-// Word alignment
-//===----------------------------------------------------------------------===//
-//
-// Two backends produce the (OldIdx, NewIdx) match pairs an edit script is
-// built from:
-//
-//  - `alignWordsExact`: the full-table LCS of the original implementation.
-//    Exact (maximal match count, fixed tie-breaking) but O(M*N) time and
-//    memory, so it refuses inputs whose table would exceed
-//    `ExactAlignCellCap` cells instead of silently mis-allocating.
-//  - the anchor-accelerated engine behind `alignWords`: common prefix /
-//    suffix trimming, a patience pass over words unique to both sides
-//    (splitting the problem at the anchors), Myers O(ND) greedy diff with
-//    linear-space divide-and-conquer for the gaps, and a hash-indexed
-//    block-copy fallback once a gap's edit distance exceeds the D budget.
-//    Near-linear time and O(M+N) memory on every input.
-//
-// `alignWords` dispatches: inputs where both sides fit
-// `DiffOptions::ExactThreshold` take the exact backend (workload functions
-// are a few thousand words, so every existing workload keeps byte-identical
-// edit scripts); larger inputs take the engine. `DiffOptions::ForceEngine`
-// pins the engine for tests and benches.
+/// Largest function, in words per side, that alignWords aligns. Its LCS
+/// table holds (MaxAlignWords+1)^2 uint32_t cells, 64 MiB at worst; a
+/// Mica2's 128 KB program flash holds at most 32K words for the whole
+/// image, and real functions are a few hundred words.
+constexpr size_t MaxAlignWords = 4096;
 
-/// Policy and tuning knobs for `alignWords`. The defaults are what every
-/// production call site uses; tests and benches override to pin a backend
-/// or force the fallback.
-struct DiffOptions {
-  /// Use the exact LCS backend when both inputs have at most this many
-  /// words. Must stay small enough that the quadratic table is affordable
-  /// ((ExactThreshold+1)^2 cells; 4096 -> a transient 64 MiB table worst
-  /// case, and far less on real function pairs).
-  size_t ExactThreshold = 4096;
-  /// Myers D budget per gap between anchors. A gap whose edit distance
-  /// exceeds this switches to the block-copy fallback instead of paying
-  /// O((M+N)*D).
-  int MyersDCap = 1024;
-  /// Minimum run length the block-copy fallback emits as a match. Shorter
-  /// accidental matches are cheaper to retransmit than to track.
-  uint32_t MinFallbackRun = 4;
-  /// Occurrence cap per word in the fallback's hash index; words more
-  /// common than this stop indexing new positions (they anchor nothing).
-  uint32_t MaxIndexBucket = 64;
-  /// Recursion depth cap for the patience anchor pass.
-  int MaxAnchorDepth = 12;
-  /// Ranges with both sides at most this size skip the anchor pass and go
-  /// straight to Myers (cheaper than building occurrence maps).
-  size_t SmallGap = 256;
-  /// Always run the engine, even under ExactThreshold (testing).
-  bool ForceEngine = false;
-  /// Cross-validate the engine result against the exact oracle whenever
-  /// the oracle is feasible; counts `diff.oracle_checks`.
-  bool OracleCheck = false;
-};
-
-/// Introspection counters one `alignWords` call fills in (also mirrored
-/// into the `diff.*` telemetry counters).
-struct DiffStats {
-  int64_t Anchors = 0;        ///< patience anchors the engine split on
-  int64_t MyersD = 0;         ///< summed Myers D over all gap solves
-  int64_t FallbackBlocks = 0; ///< block-copy runs emitted by the fallback
-  int64_t OracleChecks = 0;   ///< cross-validations against the exact LCS
-  bool UsedExact = false;     ///< dispatched to the exact backend
-};
-
-/// Cell cap for the exact LCS backend: `alignWordsExact` refuses inputs
-/// with (M+1)*(N+1) > ExactAlignCellCap (a 1 GiB uint32_t table) instead
-/// of mis-allocating — both sides of a square problem must stay under
-/// ~16384 words. The engine has no such limit.
-constexpr size_t ExactAlignCellCap = size_t(1) << 28;
-
-/// Exact LCS alignment of \p Old and \p New (the original full-table
-/// implementation): maximal match count, deterministic tie-breaking.
-/// Returns matched index pairs (OldIdx, NewIdx), strictly increasing in
-/// both, or std::nullopt when the table would exceed ExactAlignCellCap.
-std::optional<std::vector<std::pair<int, int>>>
-alignWordsExact(const std::vector<uint32_t> &Old,
-                const std::vector<uint32_t> &New);
-
-/// Word alignment of \p Old and \p New. Returns matched index pairs
-/// (OldIdx, NewIdx), strictly increasing in both. Exact LCS below
-/// DiffOptions::ExactThreshold, the anchor-accelerated engine above it
-/// (see the section comment). Deterministic for any input and thread-safe.
-std::vector<std::pair<int, int>>
-alignWords(const std::vector<uint32_t> &Old, const std::vector<uint32_t> &New,
-           const DiffOptions &Opts, DiffStats *Stats = nullptr);
-
-/// `alignWords` with default options.
+/// Exact LCS alignment of \p Old and \p New: the paper's "best possible
+/// binary match" (section 5.3). Returns matched index pairs (OldIdx,
+/// NewIdx), strictly increasing in both, with the maximal match count and
+/// a fixed tie-breaking. A pair with either side above MaxAlignWords gets
+/// no matches, so its script ships the new words whole. Deterministic and
+/// thread-safe.
 std::vector<std::pair<int, int>>
 alignWords(const std::vector<uint32_t> &Old, const std::vector<uint32_t> &New);
 
-/// Builds a minimal-primitive edit script from a word alignment.
+/// Builds a minimal-primitive edit script from the alignWords alignment.
 EditScript makeEditScript(const std::vector<uint32_t> &Old,
                           const std::vector<uint32_t> &New);
-
-/// `makeEditScript` with explicit alignment options (tests, benches).
-EditScript makeEditScript(const std::vector<uint32_t> &Old,
-                          const std::vector<uint32_t> &New,
-                          const DiffOptions &Opts);
 
 /// Builds a script from an explicit alignment: \p Matches are (OldIdx,
 /// NewIdx) pairs, strictly increasing in both, with Old[OldIdx] ==

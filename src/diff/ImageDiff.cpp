@@ -342,7 +342,11 @@ bool ucc::applyUpdate(const BinaryImage &Old, const ImageUpdate &Update,
   if (!applyEditScript(OldData, Update.DataScript, NewData))
     return false;
   Out.DataInit.resize(NewData.size());
-  for (size_t K = 0; K < NewData.size(); ++K)
+  for (size_t K = 0; K < NewData.size(); ++K) {
+    // Data words are 16 bits; a wider literal cannot be flashed as sent.
+    if (NewData[K] > 0xFFFF)
+      return false;
     Out.DataInit[K] = static_cast<int16_t>(NewData[K]);
+  }
   return true;
 }

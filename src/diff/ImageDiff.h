@@ -98,7 +98,8 @@ bool composeImageUpdates(const BinaryImage &Base, const ImageUpdate &First,
                          const ImageUpdate &Second, ImageUpdate &Out);
 
 /// Sensor-side reprogramming: applies \p Update to \p Old. Returns false if
-/// the package does not fit the old image.
+/// the package does not fit the old image or carries a data-segment word
+/// wider than 16 bits.
 bool applyUpdate(const BinaryImage &Old, const ImageUpdate &Update,
                  BinaryImage &Out);
 

@@ -15,12 +15,12 @@
 
 #include "regalloc/UccAlloc.h"
 
-#include "diff/Align.h"
 #include "regalloc/LiveIntervals.h"
 #include "regalloc/UccIlpModel.h"
 
 #include "support/Arena.h"
 #include "support/Format.h"
+#include "support/Lcs.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>

@@ -161,11 +161,10 @@ void Telemetry::declareStandardCounters() {
       // da: UCC-DA (section 4).
       "da.regions", "da.holes_filled", "da.hole_words", "da.relocated_vars",
       "da.region_words",
-      // diff: edit scripts (section 2.2) and the alignment engine.
+      // diff: edit scripts (section 2.2) and their composition.
       "diff.scripts", "diff.prims", "diff.script_bytes", "diff.bytes.copy",
       "diff.bytes.remove", "diff.bytes.insert", "diff.bytes.replace",
-      "diff.compositions", "diff.anchors", "diff.myers_d",
-      "diff.fallback_blocks", "diff.oracle_checks",
+      "diff.compositions",
       // store: the sink-side version chain and its update planner.
       "store.commits", "store.loads", "store.plans", "store.plans_direct",
       "store.plans_chained",

@@ -1,11 +1,19 @@
 //===- tests/DiffTest.cpp - edit scripts and image diffing ----------------===//
 
+#include "ProgramGen.h"
+
+#include "core/Compiler.h"
 #include "diff/EditScript.h"
 #include "diff/ImageDiff.h"
+#include "support/Format.h"
+#include "support/Hash.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <cinttypes>
 
 using namespace ucc;
 
@@ -243,11 +251,11 @@ TEST(ImageDiffs, CountsPerFunction) {
 }
 
 //===----------------------------------------------------------------------===//
-// The anchor-accelerated engine (EditScript.h section comment)
+// The word aligner (EditScript.h: alignWords, MaxAlignWords)
 //===----------------------------------------------------------------------===//
 
-/// Relocates random blocks — the edit pattern point mutations never
-/// produce and the patience anchor pass exists for.
+/// Relocates random blocks: the LCS keeps either a moved block or the
+/// words it jumped over, an edit pattern point mutations never produce.
 std::vector<uint32_t> moveBlocks(RNG &Rng, std::vector<uint32_t> Words,
                                  int Moves) {
   for (int K = 0; K < Moves && Words.size() > 8; ++K) {
@@ -265,57 +273,50 @@ std::vector<uint32_t> moveBlocks(RNG &Rng, std::vector<uint32_t> Words,
   return Words;
 }
 
-TEST(ExactAlignment, RefusesOversizedTables) {
-  // 20001^2 cells blows ExactAlignCellCap; the guard must refuse before
-  // touching memory (this test allocates two word vectors and nothing
-  // else).
-  std::vector<uint32_t> Old(20000, 1), New(20000, 2);
-  EXPECT_FALSE(alignWordsExact(Old, New).has_value());
-  // An asymmetric pair keeps the table affordable: only the product of
-  // the two sides is capped, not either side alone.
-  EXPECT_TRUE(alignWordsExact(Old, {1, 2, 3}).has_value());
-}
-
-TEST(DiffEngine, SmallInputsDispatchToTheExactBackend) {
-  RNG Rng(17);
-  std::vector<uint32_t> Old = randomWords(Rng, 200);
-  std::vector<uint32_t> New = mutate(Rng, Old, 40);
-  DiffStats Stats;
-  auto Engine = alignWords(Old, New, DiffOptions{}, &Stats);
-  EXPECT_TRUE(Stats.UsedExact);
-  auto Exact = alignWordsExact(Old, New);
-  ASSERT_TRUE(Exact.has_value());
-  EXPECT_EQ(Engine, *Exact) << "below ExactThreshold the dispatch must be "
-                               "bit-for-bit the seed LCS";
-}
-
-TEST(DiffEngine, MyersMatchesTheExactMatchCount) {
-  // With anchors disabled and an unconstrained D budget the engine is
-  // pure Myers + trimming, which is exact: the match count must equal the
-  // LCS length on every input.
-  for (uint64_t Seed = 0; Seed < 20; ++Seed) {
-    RNG Rng(Seed * 13 + 1);
-    std::vector<uint32_t> Old = randomWords(Rng, 100 + Rng.below(300));
-    std::vector<uint32_t> New =
-        mutate(Rng, Old, static_cast<int>(Rng.below(80)));
-    DiffOptions Opts;
-    Opts.ForceEngine = true;
-    Opts.MaxAnchorDepth = 0;
-    Opts.MyersDCap = 1 << 20;
-    DiffStats Stats;
-    auto Engine = alignWords(Old, New, Opts, &Stats);
-    auto Exact = alignWordsExact(Old, New);
-    ASSERT_TRUE(Exact.has_value());
-    EXPECT_FALSE(Stats.UsedExact);
-    EXPECT_EQ(Engine.size(), Exact->size()) << "seed " << Seed;
+/// LCS length by the textbook forward recurrence over two rolling rows:
+/// an oracle written independently of lcsAlign's backward table.
+size_t lcsLength(const std::vector<uint32_t> &A,
+                 const std::vector<uint32_t> &B) {
+  std::vector<size_t> Prev(B.size() + 1, 0), Cur(B.size() + 1, 0);
+  for (size_t I = 1; I <= A.size(); ++I) {
+    for (size_t J = 1; J <= B.size(); ++J)
+      Cur[J] = A[I - 1] == B[J - 1] ? Prev[J - 1] + 1
+                                    : std::max(Prev[J], Cur[J - 1]);
+    std::swap(Prev, Cur);
   }
+  return Prev[B.size()];
 }
 
-/// The fuzz property of the engine: for random insert/delete/mutate/move
-/// mixes the script must patch Old into New exactly, and its size may
-/// exceed the exact oracle's script by at most the documented bound
-/// (25% + 32 bytes — anchors and the fallback trade optimality for
-/// near-linear cost; see docs/PERFORMANCE.md).
+TEST(ExactAlignment, RefusesOversizedTables) {
+  // Above MaxAlignWords on either side the aligner builds no table: the
+  // pair gets no matches and its script ships the new words whole, yet
+  // still patches exactly. Only the longer side counts, so one extra word
+  // flips a pair whose table would be tiny.
+  std::vector<uint32_t> Big(MaxAlignWords + 1);
+  for (size_t K = 0; K < Big.size(); ++K)
+    Big[K] = static_cast<uint32_t>(K);
+  std::vector<uint32_t> Head = {0, 1, 2};
+  EXPECT_TRUE(alignWords(Big, Head).empty());
+  EXPECT_TRUE(alignWords(Head, Big).empty());
+  std::vector<uint32_t> AtLimit(Big.begin(), Big.end() - 1);
+  EXPECT_EQ(alignWords(AtLimit, Head).size(), 3u);
+
+  // A one-word edit of an oversized function costs exactly the whole
+  // replace: ceil(4097 / 63) = 66 primitive bytes plus 4 bytes per word.
+  std::vector<uint32_t> Edited = Big;
+  Edited[2000] = 99999;
+  EditScript S = makeEditScript(Big, Edited);
+  ASSERT_EQ(S.Prims.size(), 1u);
+  EXPECT_EQ(S.Prims[0].Op, EditOp::Replace);
+  EXPECT_EQ(S.encodedBytes(), 66u + 4u * (MaxAlignWords + 1));
+  std::vector<uint32_t> Out;
+  ASSERT_TRUE(applyEditScript(Big, S, Out));
+  EXPECT_EQ(Out, Edited);
+}
+
+/// Random insert/delete/mutate/move mixes: the default script must patch
+/// Old into New exactly, and its alignment must reach the LCS length the
+/// independent oracle computes.
 class DiffEngineFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DiffEngineFuzz, PatchesExactlyAndStaysNearTheOracle) {
@@ -325,88 +326,142 @@ TEST_P(DiffEngineFuzz, PatchesExactlyAndStaysNearTheOracle) {
       mutate(Rng, Old, static_cast<int>(Rng.below(120)));
   New = moveBlocks(Rng, std::move(New), static_cast<int>(Rng.below(4)));
 
-  DiffOptions Opts;
-  Opts.ForceEngine = true;
-  EditScript S = makeEditScript(Old, New, Opts);
+  EditScript S = makeEditScript(Old, New);
   std::vector<uint32_t> Out;
   ASSERT_TRUE(applyEditScript(Old, S, Out));
   EXPECT_EQ(Out, New);
 
-  auto Exact = alignWordsExact(Old, New);
-  ASSERT_TRUE(Exact.has_value());
-  size_t OracleBytes = scriptFromMatches(Old, New, *Exact).encodedBytes();
-  EXPECT_LE(S.encodedBytes(), OracleBytes + OracleBytes / 4 + 32)
-      << "engine script too far above the " << OracleBytes
-      << "-byte oracle script";
+  EXPECT_EQ(alignWords(Old, New).size(), lcsLength(Old, New));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffEngineFuzz, ::testing::Range(0, 40));
 
-TEST(DiffEngine, FallbackHandlesBudgetBlowout) {
-  // Heavily shuffled blocks over a wide alphabet: edit distance blows a
-  // tiny D budget immediately, so the block-copy fallback must carry the
-  // alignment — and the script must still patch exactly.
-  RNG Rng(4242);
-  std::vector<uint32_t> Old(3000);
-  for (size_t K = 0; K < Old.size(); ++K)
-    Old[K] = static_cast<uint32_t>(Rng.below(1u << 30));
-  std::vector<uint32_t> New = moveBlocks(Rng, Old, 12);
-
-  DiffOptions Opts;
-  Opts.ForceEngine = true;
-  Opts.MaxAnchorDepth = 0; // no anchor rescue: force Myers -> fallback
-  Opts.MyersDCap = 2;
-  Opts.SmallGap = 0;
-  DiffStats Stats;
-  auto Matches = alignWords(Old, New, Opts, &Stats);
-  EXPECT_GT(Stats.FallbackBlocks, 0) << "budget blowout must hit the "
-                                        "fallback";
-  EditScript S = scriptFromMatches(Old, New, Matches);
-  std::vector<uint32_t> Out;
-  ASSERT_TRUE(applyEditScript(Old, S, Out));
-  EXPECT_EQ(Out, New);
+CompileOutput compileOrDie(const std::string &Source,
+                           const CompileOptions &Opts = CompileOptions(),
+                           const CompilationRecord *Record = nullptr) {
+  DiagnosticEngine Diag;
+  auto Out = Record ? Compiler::recompile(Source, *Record, Opts, Diag)
+                    : Compiler::compile(Source, Opts, Diag);
+  EXPECT_TRUE(Out.has_value()) << Diag.str() << "\nsource:\n" << Source;
+  return Out ? std::move(*Out) : CompileOutput();
 }
 
-TEST(DiffEngine, AnchorsSplitRelocatedUniqueBlocks) {
-  // Unique words relocated wholesale are exactly what the patience pass
-  // anchors on.
-  RNG Rng(888);
-  std::vector<uint32_t> Old(2000);
-  for (size_t K = 0; K < Old.size(); ++K)
-    Old[K] = static_cast<uint32_t>(K); // every word unique
-  std::vector<uint32_t> New = moveBlocks(Rng, Old, 6);
-
-  DiffOptions Opts;
-  Opts.ForceEngine = true;
-  Opts.SmallGap = 64;
-  DiffStats Stats;
-  auto Matches = alignWords(Old, New, Opts, &Stats);
-  EXPECT_GT(Stats.Anchors, 0);
-  EditScript S = scriptFromMatches(Old, New, Matches);
-  std::vector<uint32_t> Out;
-  ASSERT_TRUE(applyEditScript(Old, S, Out));
-  EXPECT_EQ(Out, New);
-}
-
-TEST(DiffEngine, OracleCheckAndTelemetryCounters) {
-  RNG Rng(55);
-  std::vector<uint32_t> Old = randomWords(Rng, 600);
-  std::vector<uint32_t> New = mutate(Rng, Old, 60);
-
-  DiffOptions Opts;
-  Opts.ForceEngine = true;
-  Opts.OracleCheck = true;
-  Telemetry T;
-  DiffStats Stats;
-  {
-    TelemetryScope Scope(T);
-    alignWords(Old, New, Opts, &Stats);
+/// Continues FNV-1a hash \p H over the serialized update package turning
+/// \p Old into \p New and over every per-function `Matched` count of
+/// diffImages (as little-endian 32-bit words).
+uint64_t updateDigest(const BinaryImage &Old, const BinaryImage &New,
+                      uint64_t H = Fnv1aBasis) {
+  std::vector<uint8_t> Bytes = makeImageUpdate(Old, New).serialize();
+  for (const FunctionDiff &F : diffImages(Old, New).Functions) {
+    uint32_t Matched = static_cast<uint32_t>(F.Matched);
+    for (int Shift = 0; Shift < 32; Shift += 8)
+      Bytes.push_back(static_cast<uint8_t>(Matched >> Shift));
   }
-  EXPECT_EQ(Stats.OracleChecks, 1);
-  EXPECT_EQ(T.counter("diff.oracle_checks"), 1);
-  EXPECT_EQ(T.counter("diff.myers_d"), Stats.MyersD);
-  EXPECT_EQ(T.counter("diff.anchors"), Stats.Anchors);
-  EXPECT_EQ(T.counter("diff.fallback_blocks"), Stats.FallbackBlocks);
+  return fnv1a(Bytes.data(), Bytes.size(), H);
+}
+
+/// The differ's output, pinned: an aligner change must leave every update
+/// package and every Diff_inst count bit-identical. Inputs are the paper's
+/// Fig. 9 update cases (old compile against both the fresh compile and the
+/// UCC-RA + UCC-DA recompile of the new source) and generator programs
+/// with one mutation (GCC-RA + UCC-DA recompile, perfbench's path). A
+/// compiler change that moves these images re-pins from the table the
+/// failure message prints; a differ change must not.
+TEST(Diff, UpdatePackagesArePinned) {
+  static const uint64_t PinnedCases[] = {
+      0x4e8ee30c34580b05ULL, 0x4e59460f37748e81ULL, 0x8da6f4e32bc77679ULL,
+      0x9daecf917248a221ULL, 0x1edbe610c64aced5ULL, 0x25e6faebd124eb47ULL,
+      0x3e24bcba969dba52ULL, 0x5243a33eeccb351dULL, 0x4947ae3715f78293ULL,
+      0x7d31005d9be6b938ULL, 0xe7888fbb787140f5ULL, 0xdd904880df8da264ULL,
+      0xab64b35bfac33c35ULL,
+  };
+  static const uint64_t PinnedCorpus[] = {
+      0xf39fd63934564430ULL, 0xf82213827372a4d5ULL, 0x8793ad4cae6aa0e6ULL,
+      0xd47f23081153e239ULL, 0x5e822338ed4ca959ULL, 0x4f3f4b2b7e4de35fULL,
+      0x9009816ed6aa0eceULL, 0x620c961c9e093c38ULL, 0x49b64ecb5e54ca75ULL,
+      0xa73f138a65de92bbULL, 0xf9c1cc424aa1b0aeULL, 0xaf9aac646ca2196fULL,
+      0xc0481d298b75e671ULL, 0xe5ddd8d2bba80c8bULL, 0xd5ee23b9397bbccaULL,
+      0xdb0d7c6bba59e984ULL, 0x7d6025ff3df6326aULL, 0x5fc4e034ee707578ULL,
+      0x2d4ca9a39a6aea25ULL, 0x852ddd619be16582ULL, 0x11d731f534a2ea65ULL,
+      0x0f1582a285247232ULL, 0x0b353347b354edeeULL, 0x03f9825eba0b7761ULL,
+      0x6b478dc29ccabdd6ULL, 0x51f6a39af30e9351ULL, 0x0683e430357890f7ULL,
+      0x981e9fd77d546cd3ULL, 0x196bf0c9992a1e01ULL, 0x60276f66635fa615ULL,
+      0x77e65845915e7531ULL, 0x536d15b17c8ab660ULL, 0x31ed3010eddf6e66ULL,
+      0x5badd12319440c0cULL, 0xc94bd9408a1054cfULL, 0xb6c2cdda1f945cfbULL,
+      0xbd9c0d8938691677ULL, 0x99073db395499916ULL, 0x59d7f139a3c1b291ULL,
+      0xf03ec852b12123b7ULL, 0x0ba97d0095aee60aULL, 0x36034a70dc35fc57ULL,
+      0x35367a8d011e8093ULL, 0x58445863372e4e40ULL, 0x366eb3cb43d52b06ULL,
+      0xdec48ac5ad4b0df1ULL, 0x369ff8fd8bbc8335ULL, 0x84e99dd40a7330f6ULL,
+      0x81e6bcba30e6dfc5ULL, 0x67475abfafc7c0efULL, 0x944ce657ad9ad7f9ULL,
+      0xd95a248e51bc4318ULL, 0xd740c513f40d2ce0ULL, 0xbd8718ef29b9c58bULL,
+      0x2def2e60e5209eafULL, 0x222fccc03baad708ULL, 0xa44776c08c13a475ULL,
+      0xe8fa40594c8ba3deULL, 0xadb77ccfd3ef16f6ULL, 0x47b11803564dcfe2ULL,
+      0xc141a97db1383d23ULL, 0xe479308e150fa5b5ULL, 0xee80ec57624476b4ULL,
+      0xfab9b5350fad4164ULL, 0x37a2f4514153a0a6ULL, 0x8a2d99db58eac6adULL,
+      0x4dc52ba26dda6bacULL, 0xa406974ce8c98defULL, 0xcd9b406e60f80e6dULL,
+      0xabac20f9938f471bULL, 0xeebf0de2eea33a88ULL, 0xc5bf0b37e87e8ac2ULL,
+      0xe0215b6f9fe8885fULL, 0x84da6783003f3896ULL, 0x47b7786d437ad4ceULL,
+      0x7ce7bbf27220c301ULL, 0x162aca46f8f29cc3ULL, 0xb88367409f1efaeaULL,
+      0x21edce51498f7964ULL, 0xdaf92a7f9d2fe2d6ULL, 0x47cc2774d5386e01ULL,
+      0x59ccd9428c42af39ULL, 0x89b81b19b0cbd11cULL, 0xd19863d5e3f5b21cULL,
+      0x872175415a23c6e1ULL, 0x6b2eb26668508f2eULL, 0xb8e6fca38625330dULL,
+      0x7fb0c16a9d3a846dULL, 0x131c45b7b9fd7f52ULL, 0x7c951edd555dd6e8ULL,
+      0x238b9a904dd30504ULL, 0xa630f16dde30a572ULL, 0xd57bad2e580816ccULL,
+      0x18f22fa95bd84430ULL, 0xdf59983286df911cULL, 0xae758a0f61c495d0ULL,
+      0xf1e20a38a255a902ULL, 0x30d3edbc6beef879ULL, 0x92449148a6d2dc1dULL,
+      0x2e5bb618f5c497e6ULL, 0x164346e8188f7965ULL, 0x1754131351f3b9aaULL,
+      0xfeace098456ea863ULL, 0x7013bd65b7d80dcbULL, 0x64edf5900a49a8b4ULL,
+      0x1ade93549f0d717fULL, 0x088354c0599ff345ULL, 0x29c23af2c467a1b2ULL,
+      0xa39a64b39bafd64aULL, 0xe57020ca6a972604ULL, 0x80fff8dfc5ff3437ULL,
+      0x78ef1809ea48bb3aULL, 0xa6b16bd612df2df0ULL, 0x59361d0f24d667cfULL,
+      0x2988b69ecf25d082ULL, 0x340df635d72711a9ULL, 0x77138fed3f140b54ULL,
+      0x4f235f1bf24b03fcULL, 0xa23d962f88e78ea9ULL, 0x6cc8711cce715a94ULL,
+      0xeb5fec821fa04977ULL, 0xebcb60ed6e4b0603ULL, 0x00f080563575a57dULL,
+      0x8d40d1338c1b25b7ULL, 0x2597e848fd6dfa4dULL, 0x40dd4bdbcb5d58f9ULL,
+      0x9107e6e9f297dbacULL, 0x205d4ac9e0130cadULL,
+  };
+  constexpr int CorpusSeeds = 128;
+
+  std::string Table;
+  bool Mismatch = false;
+  auto Check = [&](uint64_t D, const uint64_t *Pinned, size_t NumPinned,
+                   size_t K, const std::string &What) {
+    Table += format("%s0x%016" PRIx64 "ULL,%s", K % 3 ? "" : "      ", D,
+                    K % 3 == 2 ? "\n" : " ");
+    bool Same = K < NumPinned && D == Pinned[K];
+    EXPECT_TRUE(Same) << What;
+    Mismatch |= !Same;
+  };
+
+  CompileOptions Ucc;
+  Ucc.RA = RegAllocKind::UpdateConscious;
+  Ucc.DA = DataAllocKind::UpdateConscious;
+  const std::vector<UpdateCase> &Cases = updateCases();
+  for (size_t K = 0; K < Cases.size(); ++K) {
+    CompileOutput Old = compileOrDie(Cases[K].OldSource);
+    CompileOutput Fresh = compileOrDie(Cases[K].NewSource);
+    CompileOutput Updated = compileOrDie(Cases[K].NewSource, Ucc, &Old.Record);
+    uint64_t D = updateDigest(Old.Image, Fresh.Image);
+    D = updateDigest(Old.Image, Updated.Image, D);
+    Check(D, PinnedCases, std::size(PinnedCases), K,
+          "update case " + std::to_string(Cases[K].Id));
+  }
+  EXPECT_EQ(Cases.size(), std::size(PinnedCases));
+  Table += "\n";
+
+  CompileOptions Da;
+  Da.DA = DataAllocKind::UpdateConscious;
+  for (int Seed = 0; Seed < CorpusSeeds; ++Seed) {
+    ProgramGen Gen(static_cast<uint64_t>(Seed));
+    CompileOutput Old = compileOrDie(Gen.render());
+    Gen.mutate();
+    CompileOutput New = compileOrDie(Gen.render(), Da, &Old.Record);
+    Check(updateDigest(Old.Image, New.Image), PinnedCorpus,
+          std::size(PinnedCorpus), static_cast<size_t>(Seed),
+          "generator seed " + std::to_string(Seed));
+  }
+  EXPECT_EQ(static_cast<size_t>(CorpusSeeds), std::size(PinnedCorpus));
+  EXPECT_FALSE(Mismatch) << "current digests:\n" << Table;
 }
 
 TEST(ImageDiffs, UpdatePackageRoundTrip) {
@@ -430,6 +485,48 @@ TEST(ImageDiffs, UpdatePackageRoundTrip) {
   ASSERT_EQ(Patched.Functions.size(), 2u);
   EXPECT_EQ(Patched.Functions[1].Name, "extra");
   EXPECT_EQ(Patched.Functions[1].Start, 5u);
+}
+
+/// A package whose data script writes \p Word over the second of two old
+/// data words and keeps the one function, `main`, as it is.
+ImageUpdate dataWordPackage(uint32_t Word) {
+  ImageUpdate U;
+  ImageUpdate::FunctionUpdate Main;
+  Main.Name = "main";
+  Main.Script.Prims = {{EditOp::Copy, 2, {}}};
+  U.Functions.push_back(std::move(Main));
+  U.DataScript.Prims = {{EditOp::Copy, 1, {}}, {EditOp::Replace, 1, {Word}}};
+  U.EntryFunc = 0;
+  return U;
+}
+
+TEST(ImageDiffs, PatcherRefusesDataWordsWiderThan16Bits) {
+  BinaryImage Old;
+  Old.Functions = {{"main", 0, 2}};
+  Old.Code = {1, 2};
+  Old.DataInit = {7, 8};
+  Old.EntryFunc = 0;
+  BinaryImage Patched;
+  ASSERT_TRUE(applyUpdate(Old, dataWordPackage(0xFFFF), Patched));
+  EXPECT_EQ(Patched.DataInit, (std::vector<int16_t>{7, -1}));
+  EXPECT_FALSE(applyUpdate(Old, dataWordPackage(0x10008), Patched))
+      << "0x10008 would flash as 8";
+  EXPECT_FALSE(applyUpdate(Old, dataWordPackage(0xFFFFFFFF), Patched));
+
+  // The wire format carries 32-bit words, so a wide data word decodes;
+  // the patcher is what must refuse it.
+  ImageUpdate Back;
+  ASSERT_TRUE(ImageUpdate::deserialize(dataWordPackage(0x10008).serialize(),
+                                       Back));
+  ASSERT_EQ(Back.DataScript.Prims.size(), 2u);
+  EXPECT_EQ(Back.DataScript.Prims[1].Words, (std::vector<uint32_t>{0x10008}));
+  EXPECT_FALSE(applyUpdate(Old, Back, Patched));
+
+  // The out-of-order assembler materializes through the same patcher.
+  UpdateAssembler Node(Old);
+  for (const UpdateGroup &G : splitIntoGroups(Back))
+    ASSERT_TRUE(Node.accept(G));
+  EXPECT_FALSE(Node.materialize(Patched));
 }
 
 } // namespace

@@ -143,9 +143,8 @@ TEST(JobsDeterminism, RegAllocStatsOrderedByFunction) {
 TEST(JobsDeterminism, ParallelDiffingBitIdenticalAcrossJobs) {
   // Per-function diffing fans out over the pool; the update package and
   // every diff.* counter (telemetry merges in item order) must be
-  // independent of the job count. Synthetic functions above the exact
-  // dispatch threshold make the engine counters (anchors, Myers D) carry
-  // real values, so this also pins the engine's determinism.
+  // independent of the job count. The synthetic functions are half of
+  // MaxAlignWords, so each pool worker aligns a 16 MiB LCS table.
   RNG Rng(2024);
   auto makeImage = [&](bool Mutated) {
     RNG Gen(7); // same base content for both images
@@ -155,8 +154,8 @@ TEST(JobsDeterminism, ParallelDiffingBitIdenticalAcrossJobs) {
       FunctionSpan Span;
       Span.Name = "fn" + std::to_string(F);
       Span.Start = static_cast<uint32_t>(Img.Code.size());
-      Span.Count = 6000;
-      for (int K = 0; K < 6000; ++K)
+      Span.Count = 2048;
+      for (int K = 0; K < 2048; ++K)
         Img.Code.push_back(static_cast<uint32_t>(Gen.below(1u << 20)));
       if (Mutated)
         for (int K = 0; K < 200; ++K)
@@ -186,12 +185,6 @@ TEST(JobsDeterminism, ParallelDiffingBitIdenticalAcrossJobs) {
   EXPECT_EQ(Packages[0], Packages[1])
       << "edit scripts must be byte-identical across job counts";
   EXPECT_GT(Counters[0].at("diff.scripts"), 0);
-  EXPECT_GT(Counters[0].at("diff.myers_d") +
-                Counters[0].at("diff.anchors") +
-                Counters[0].at("diff.fallback_blocks"),
-            0)
-      << "synthetic functions above ExactThreshold must exercise the "
-         "engine";
   EXPECT_EQ(Counters[0], Counters[1])
       << "diff.* counters must be identical across job counts";
 }

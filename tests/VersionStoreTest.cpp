@@ -196,17 +196,15 @@ TEST(VersionStore, SingleStepPlansTieAndGoDirect) {
 
 TEST(VersionStore, ComposedRouteBeatsDirectWhenTheDirectDiffFragments) {
   // Engineered images, planned through planBetweenVersions' Find hook:
-  // one 6000-word function whose words cycle through a two-word pattern
-  // (nothing for the diff engine to anchor on), with 1000 scattered
-  // single-word replacements between the endpoints. The direct endpoint
-  // diff blows the Myers D budget and falls back to block copies that
-  // find no run long enough to keep, so it ships nearly the whole
-  // changed region; each stepwise diff stays under the budget and is
-  // optimal, and their composition ships only the replaced words. The
-  // planner must notice the composed route is cheaper and take it —
-  // DBCN's observation that hopping through stored intermediates can
-  // beat a fresh endpoint diff.
-  constexpr int Words = 6000;
+  // one function whose three versions are {1, 2, 2} -> {4, 2} -> {2}.
+  // The exact LCS breaks ties toward the earliest match, so the direct
+  // endpoint diff keeps the *first* 2 and fragments into remove 1, copy 1,
+  // remove 1. The first step keeps the *last* 2 (replace the 1 by 4,
+  // remove the middle 2, copy), the second step copies it, and their
+  // composition is remove 2, copy 1: one primitive byte less. The planner
+  // must notice the composed route is cheaper and take it — DBCN's
+  // observation that hopping through stored intermediates can beat a
+  // fresh endpoint diff.
   auto image = [](const std::vector<uint32_t> &Code) {
     BinaryImage Img;
     Img.Code = Code;
@@ -215,24 +213,9 @@ TEST(VersionStore, ComposedRouteBeatsDirectWhenTheDirectDiffFragments) {
     Img.EntryFunc = 0;
     return Img;
   };
-  std::vector<uint32_t> Base(Words);
-  for (int K = 0; K < Words; ++K)
-    Base[static_cast<size_t>(K)] = 10u + (static_cast<uint32_t>(K) & 1u);
-  // Endpoint to endpoint, every third word of the first 4500 changes:
-  // edit distance 3000 overruns the (bidirectional) Myers budget and the
-  // surviving two-word runs are below the fallback's minimum, so the
-  // direct diff ships the whole changed region. Each step changes only
-  // half the words (distance 1500, within budget), so the stepwise
-  // scripts are exact and their composition ships just the 1500
-  // replacements.
-  std::vector<uint32_t> MidCode = Base, FinalCode = Base;
-  for (int K = 0; K < 1500; ++K) {
-    size_t At = static_cast<size_t>(K) * 3;
-    uint32_t Val = 1000u + static_cast<uint32_t>(K);
-    if (K % 2 == 0)
-      MidCode[At] = Val;
-    FinalCode[At] = Val;
-  }
+  const std::vector<uint32_t> Base = {1, 2, 2};
+  const std::vector<uint32_t> MidCode = {4, 2};
+  const std::vector<uint32_t> FinalCode = {2};
 
   StoredVersion V0, V1, V2;
   V0.Id = 0;
@@ -252,6 +235,9 @@ TEST(VersionStore, ComposedRouteBeatsDirectWhenTheDirectDiffFragments) {
   auto P = planBetweenVersions(Find, 0, 2);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->ChainSteps, 2);
+  // Both include one function-table byte and one entry-point byte.
+  EXPECT_EQ(P->DirectBytes, 5u);
+  EXPECT_EQ(P->ChainedBytes, 4u);
   EXPECT_LT(P->ChainedBytes, P->DirectBytes);
   EXPECT_EQ(P->Route, UpdatePlan::RouteKind::Chained);
   EXPECT_EQ(P->ScriptBytes, P->ChainedBytes);

@@ -66,9 +66,8 @@ const char *const BenchNames[] = {
     "fig14_iterations",         "fig15_solve_time",
     "fig16_data_alloc",         "ablation_chunk_threshold",
     "ablation_minlp_vs_ilp",    "ablation_splits",
-    "version_chain",            "diff_scale",
-    "plan_service",             "compile_commits",
-    "fleet_scale"};
+    "version_chain",            "plan_service",
+    "compile_commits",          "fleet_scale"};
 
 [[noreturn]] void die(const std::string &Message) {
   std::fprintf(stderr, "ucc-report: %s\n", Message.c_str());
