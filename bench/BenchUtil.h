@@ -21,7 +21,6 @@
 #include "core/Compiler.h"
 #include "sim/Simulator.h"
 #include "support/Json.h"
-#include "support/Metrics.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "workloads/Workloads.h"
@@ -48,9 +47,6 @@ namespace uccbench {
 ///   --trace-json <file>    aggregate telemetry JSON   (UCC_TRACE_JSON)
 ///   --trace-events <file>  Chrome trace-event JSON    (UCC_TRACE_EVENTS)
 ///   --report-json <file>   headline metric report     (UCC_REPORT_JSON)
-///   --metrics <file>       time-series snapshots, JSONL (UCC_METRICS) —
-///                          the bench calls sampleMetrics() at phase
-///                          boundaries; `uccc monitor` renders the file
 ///   --quick                reduced profile for CI     (UCC_BENCH_QUICK=1)
 ///   --jobs <n>             worker threads for the sweep (UCC_JOBS;
 ///                          default hardware concurrency — deterministic
@@ -74,23 +70,16 @@ public:
         optionOrEnv(Argc, Argv, "--trace-events", "UCC_TRACE_EVENTS");
     ReportPath =
         optionOrEnv(Argc, Argv, "--report-json", "UCC_REPORT_JSON");
-    MetricsPath = optionOrEnv(Argc, Argv, "--metrics", "UCC_METRICS");
     Quick = hasFlag(Argc, Argv, "--quick") ||
             std::getenv("UCC_BENCH_QUICK") != nullptr;
     std::string JobsArg = optionOrEnv(Argc, Argv, "--jobs", "UCC_JOBS");
     if (!JobsArg.empty() && std::atoi(JobsArg.c_str()) > 0)
       ucc::ThreadPool::setDefaultJobs(std::atoi(JobsArg.c_str()));
-    if (!TracePath.empty() || !EventsPath.empty() || !MetricsPath.empty()) {
+    if (!TracePath.empty() || !EventsPath.empty()) {
       T.declareStandardCounters();
       if (!EventsPath.empty())
         T.enableEvents();
       Scope = std::make_unique<ucc::TelemetryScope>(T);
-    }
-    if (!MetricsPath.empty()) {
-      Sampler = std::make_unique<ucc::MetricsSnapshotter>(T);
-      // Truncate up front so a crashed run does not leave a stale file
-      // that `uccc monitor` would happily render.
-      writeText(MetricsPath, "");
     }
   }
 
@@ -123,21 +112,6 @@ public:
         return;
       }
     Metrics.emplace_back(MetricName, Value);
-  }
-
-  /// The harness registry (benches publish gauges through it for the
-  /// metrics snapshots); null when no output was requested.
-  ucc::Telemetry *telemetry() { return Scope ? &T : nullptr; }
-
-  /// Appends one time-series snapshot to the `--metrics` JSONL file
-  /// (no-op when the flag was not given). Benches call this at phase
-  /// boundaries — cold loop done, warm loop done — so windowed rates in
-  /// the file line up with the phases the printed tables report.
-  void sampleMetrics() {
-    if (!Sampler)
-      return;
-    Sampler->sample();
-    appendText(MetricsPath, Sampler->lastJsonLine() + "\n");
   }
 
   /// True under the reduced `--quick` profile (CI uses it to keep the
@@ -178,20 +152,10 @@ private:
     }
   }
 
-  static void appendText(const std::string &Path, const std::string &Text) {
-    if (std::FILE *F = std::fopen(Path.c_str(), "a")) {
-      std::fwrite(Text.data(), 1, Text.size(), F);
-      std::fclose(F);
-    } else {
-      std::fprintf(stderr, "bench: cannot write '%s'\n", Path.c_str());
-    }
-  }
-
   std::string Name;
   ucc::Telemetry T;
   std::unique_ptr<ucc::TelemetryScope> Scope;
-  std::unique_ptr<ucc::MetricsSnapshotter> Sampler;
-  std::string TracePath, EventsPath, ReportPath, MetricsPath;
+  std::string TracePath, EventsPath, ReportPath;
   bool Quick = false;
   std::vector<std::pair<std::string, double>> Metrics;
 };

@@ -194,12 +194,9 @@ int main(int Argc, char **Argv) {
 
   // The sweep: jobs x cache. Index [J][C] with C = 0 off, 1 on.
   ChainResult Results[2][2];
-  for (int J = 0; J < 2; ++J) {
-    for (int C = 0; C < 2; ++C) {
+  for (int J = 0; J < 2; ++J)
+    for (int C = 0; C < 2; ++C)
       Results[J][C] = runChain(Sources, JobsSweep[J], C == 1);
-      Bench.sampleMetrics(); // phase boundary: one configuration done
-    }
-  }
 
   // --- Byte identity across the whole sweep: every configuration must
   // produce the identical image and parent script for every version. This

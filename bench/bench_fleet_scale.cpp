@@ -122,7 +122,6 @@ int main(int Argc, char **Argv) {
     Bench.metric(Tag + "_batches", static_cast<double>(R.Batches));
     Bench.metric(Tag + "_joules", R.totalJoules());
     Bench.metric(Tag + "_wall_seconds", Sec);
-    Bench.sampleMetrics();
     return R;
   };
 
@@ -184,7 +183,6 @@ int main(int Argc, char **Argv) {
   Bench.metric("grid100k_joules", R8.totalJoules());
   Bench.metric("grid100k_wall_seconds", Sec8);
   Bench.metric("grid100k_jobs_identical", 1.0);
-  Bench.sampleMetrics();
 
   if (!Bench.quick()) {
     FleetConfig MillionCfg;

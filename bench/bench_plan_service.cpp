@@ -276,7 +276,6 @@ int main(int Argc, char **Argv) {
   int Mismatches = verifyService(Cold); // byte identity with caching off
   double ColdP95Us = quantileUs(ColdLatency, 0.95);
   double ColdP99Us = quantileUs(ColdLatency, 0.99);
-  Bench.sampleMetrics(); // phase boundary: cold loop done
 
   // --- Cache-warm: precompute from the observed fleet histogram, prefill
   // the long tail with one batch, then measure pure served traffic.
@@ -292,14 +291,6 @@ int main(int Argc, char **Argv) {
   double WarmP95Us = quantileUs(WarmLatency, 0.95);
   double WarmP99Us = quantileUs(WarmLatency, 0.99);
 
-  // Publish the warm-phase SLO gauges and snapshot.
-  if (Telemetry *T = Bench.telemetry()) {
-    T->setGauge("serve.p50_us", quantileUs(WarmLatency, 0.50));
-    T->setGauge("serve.p95_us", WarmP95Us);
-    T->setGauge("serve.p99_us", WarmP99Us);
-  }
-  Bench.sampleMetrics(); // phase boundary: warm sequential loop done
-
   // The whole stream as one batch.
   DurationDist BatchLatency;
   double BatchPlansPerSec =
@@ -307,7 +298,6 @@ int main(int Argc, char **Argv) {
               BatchLatency, "batch")
           .plansPerSec();
   PlanServiceStats After = Service.stats();
-  Bench.sampleMetrics(); // phase boundary: batch fan-out done
 
   uint64_t MeasuredHits = After.Hits - Before.Hits;
   uint64_t MeasuredMisses = After.Misses - Before.Misses;
@@ -336,7 +326,6 @@ int main(int Argc, char **Argv) {
     Mismatches += verifyService(Svc); // byte identity after contention
   }
   double ScalingX = Sweep[8].PlansPerSec / Sweep[1].PlansPerSec;
-  Bench.sampleMetrics(); // phase boundary: shard sweep done
 
   // The adversarial mix: every request hashes into ONE of the 8 shards,
   // so sharding buys nothing and the single hot lock is the ceiling.
@@ -358,7 +347,6 @@ int main(int Argc, char **Argv) {
     SameShard = runClosedLoop(Svc, *Crowded);
     Mismatches += verifyService(Svc);
   }
-  Bench.sampleMetrics(); // phase boundary: adversarial scenario done
 
   // --- Scan-thrash: a hot pair of plans accessed repeatedly, then a
   // one-pass scan over every other stale version. LRU lets the scan evict

@@ -9,8 +9,11 @@
 /// Persistence is a `manifest.json` (schema_version 1) naming one `vN.img`
 /// and `vN.rec` per version, all in the store directory; the manifest also
 /// carries the data layout and the parent/script-bytes bookkeeping so
-/// `history` listings need no artifact decoding. Commits, loads and plans
-/// report to the telemetry registry (`store.*`).
+/// `history` listings need no artifact decoding. Every file is written to
+/// a sibling `.tmp` and renamed into place, the manifest last, so a commit
+/// that dies part-way leaves the previous store (the new version's files
+/// are unreferenced until the manifest names them). Commits, loads and
+/// plans report to the telemetry registry (`store.*`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 #include "support/Json.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -43,14 +47,25 @@ bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Out) {
   return true;
 }
 
+StoreWriteHook WriteHook; ///< setStoreWriteHookForTesting's hook
+
+/// Replaces \p Path with \p Bytes atomically: a reader sees the old file
+/// or the new one, never a torn mix.
 bool writeFileBytes(const std::string &Path,
                     const std::vector<uint8_t> &Bytes) {
-  std::ofstream OutS(Path, std::ios::binary);
-  if (!OutS)
-    return false;
+  size_t Keep = Bytes.size();
+  if (WriteHook)
+    Keep = std::min(Keep, WriteHook(Path, Bytes.size()));
+  std::string Tmp = Path + ".tmp";
+  std::ofstream OutS(Tmp, std::ios::binary | std::ios::trunc);
   OutS.write(reinterpret_cast<const char *>(Bytes.data()),
-             static_cast<std::streamsize>(Bytes.size()));
-  return OutS.good();
+             static_cast<std::streamsize>(Keep));
+  OutS.close();
+  if (OutS.fail() || Keep < Bytes.size())
+    return false;
+  std::error_code EC;
+  std::filesystem::rename(Tmp, Path, EC);
+  return !EC;
 }
 
 std::string pathJoin(const std::string &Dir, const std::string &Name) {
@@ -58,6 +73,10 @@ std::string pathJoin(const std::string &Dir, const std::string &Name) {
 }
 
 } // namespace
+
+void ucc::setStoreWriteHookForTesting(StoreWriteHook Hook) {
+  WriteHook = std::move(Hook);
+}
 
 std::optional<VersionStore> VersionStore::open(const std::string &Dir,
                                                DiagnosticEngine &Diag) {

@@ -22,7 +22,8 @@
 /// A store is either purely in-memory (default constructed) or backed by a
 /// directory (`open`), where it persists a JSON manifest plus one image and
 /// one record file per version, so a sink process can be restarted without
-/// losing the chain.
+/// losing the chain. Files are replaced by rename, the manifest last, so a
+/// commit cut off at any write reopens as the store before it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -140,6 +141,14 @@ std::optional<UpdatePlan> planBetweenVersions(
 /// FNV-1a hash of \p Text rendered as 16 hex digits (the store's source
 /// fingerprint; exposed for tests and tools).
 std::string sourceHash(const std::string &Text);
+
+/// Crash-injection seam for tests. When set, every store file write asks
+/// it how many of its \p Bytes (bound for \p Path) reach the disk; a short
+/// count writes that prefix and fails the write, as if the process died
+/// there. Set and cleared from one thread while no store is writing.
+using StoreWriteHook =
+    std::function<size_t(const std::string &Path, size_t Bytes)>;
+void setStoreWriteHookForTesting(StoreWriteHook Hook);
 
 } // namespace ucc
 

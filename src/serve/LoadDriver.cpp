@@ -29,8 +29,7 @@ double secondsSince(Clock::time_point Begin) {
 
 LoadResult ucc::runLoad(const PlanService &Service,
                         const std::vector<std::pair<int, int>> &Stream,
-                        const LoadOptions &Opts, DurationDist &Latency,
-                        const LoadProgress &Progress) {
+                        const LoadOptions &Opts, DurationDist &Latency) {
   LoadResult R;
   if (Stream.empty() || Opts.Requests <= 0)
     return R;
@@ -45,7 +44,7 @@ LoadResult ucc::runLoad(const PlanService &Service,
   };
   // One closed-loop client: takes the next request as soon as its last one
   // is answered, until the stream is done or any client saw a failure.
-  auto Client = [&](DurationDist &Mine, const LoadProgress &Report) {
+  auto Client = [&](DurationDist &Mine) {
     for (int K = Next.fetch_add(1, std::memory_order_relaxed);
          K < Opts.Requests && FailedAt.load(std::memory_order_relaxed) < 0;
          K = Next.fetch_add(1, std::memory_order_relaxed)) {
@@ -54,8 +53,6 @@ LoadResult ucc::runLoad(const PlanService &Service,
       Mine.record(secondsSince(T0));
       if (!Ok)
         Fail(K);
-      else if (Report)
-        Report(K + 1, Mine);
     }
   };
 
@@ -78,11 +75,9 @@ LoadResult ucc::runLoad(const PlanService &Service,
         if (!Plans[static_cast<size_t>(K)])
           Fail(First + K);
       }
-      if (Progress && FailedAt.load() < 0)
-        Progress(First + Len, Latency);
     }
   } else if (Opts.Threads <= 1) {
-    Client(Latency, Progress);
+    Client(Latency);
   } else {
     // Worker threads do not inherit the thread-current telemetry registry,
     // so each gets a scratch registry merged after the join — the same
@@ -98,7 +93,7 @@ LoadResult ucc::runLoad(const PlanService &Service,
         if (Parent)
           Scope.emplace(Scratch[T]);
         DurationDist Mine; // on this thread's stack: no shared cache line
-        Client(Mine, nullptr);
+        Client(Mine);
         Own[T] = std::move(Mine);
       });
     }

@@ -24,7 +24,6 @@
 #include "serve/PlanService.h"
 #include "support/Telemetry.h"
 
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -49,13 +48,6 @@ struct LoadResult {
   double plansPerSec() const { return Seconds > 0 ? Issued / Seconds : 0; }
 };
 
-/// Called on the calling thread with the number of requests answered so
-/// far and their latencies, after each sequential request and each batch.
-/// A threaded run never calls it: telemetry registries and metrics
-/// snapshotters are single-threaded, so its caller samples before and
-/// after.
-using LoadProgress = std::function<void(int Done, const DurationDist &SoFar)>;
-
 /// Replays Opts.Requests requests of \p Stream against \p Service,
 /// recording each one's latency into \p Latency. Closed-loop workers count
 /// into scratch telemetry registries merged into the thread-current one
@@ -63,8 +55,7 @@ using LoadProgress = std::function<void(int Done, const DurationDist &SoFar)>;
 /// run.
 LoadResult runLoad(const PlanService &Service,
                    const std::vector<std::pair<int, int>> &Stream,
-                   const LoadOptions &Opts, DurationDist &Latency,
-                   const LoadProgress &Progress = nullptr);
+                   const LoadOptions &Opts, DurationDist &Latency);
 
 } // namespace ucc
 

@@ -492,6 +492,10 @@ TEST_F(ToolFixture, BatchPlanAndServeBenchDiagnostics) {
             std::string::npos)
       << capturedOutput();
   EXPECT_EQ(uccc("serve-bench" + Store + " --requests -2"), 2);
+  EXPECT_EQ(uccc("serve-bench" + Store + " --batch 0"), 2);
+  EXPECT_NE(capturedOutput().find("--batch expects a positive integer"),
+            std::string::npos)
+      << capturedOutput();
   EXPECT_EQ(uccc("serve-bench --requests 50"), 2);
   EXPECT_NE(capturedOutput().find("requires --store"), std::string::npos)
       << capturedOutput();
@@ -505,6 +509,19 @@ TEST_F(ToolFixture, BatchPlanAndServeBenchDiagnostics) {
   EXPECT_NE(capturedOutput().find("unknown argument '--ttl'"),
             std::string::npos)
       << capturedOutput();
+  // Nor a metrics stream, SLO watch or live console: --trace-json,
+  // --trace-events and --stats are the ways to observe a run.
+  for (std::string Gone : {"--metrics", "--metrics-every", "--slo-p99-us",
+                           "--flight-record"}) {
+    EXPECT_EQ(uccc("serve-bench" + Store + " " + Gone + " 5"), 2) << Gone;
+    EXPECT_NE(capturedOutput().find("unknown argument '" + Gone + "'"),
+              std::string::npos)
+        << capturedOutput();
+  }
+  EXPECT_EQ(uccc("monitor --metrics m.jsonl --once"), 2);
+  EXPECT_NE(capturedOutput().find("unknown command 'monitor'"),
+            std::string::npos)
+      << capturedOutput();
 
   // Operational errors (exit 1): a store too small to serve from, and a
   // batch that names a version the store does not have.
@@ -512,82 +529,6 @@ TEST_F(ToolFixture, BatchPlanAndServeBenchDiagnostics) {
   EXPECT_NE(capturedOutput().find("at least two versions"), std::string::npos)
       << capturedOutput();
   EXPECT_EQ(uccc("plan" + Store + " --batch 0:9"), 1);
-}
-
-TEST_F(ToolFixture, ServeBenchMetricsFileAndMonitorConsole) {
-  writeFile("v1.mc", SourceV1);
-  writeFile("v2.mc", SourceV2);
-  std::string Store = " --store " + path("store");
-  ASSERT_EQ(uccc("commit " + path("v1.mc") + Store), 0) << capturedOutput();
-  ASSERT_EQ(uccc("commit " + path("v2.mc") + Store), 0) << capturedOutput();
-  ASSERT_EQ(uccc("commit " + path("v1.mc") + Store), 0) << capturedOutput();
-
-  std::string Metrics = path("metrics.jsonl");
-  ASSERT_EQ(uccc("serve-bench" + Store + " --requests 60 --warm --metrics " +
-                 Metrics + " --metrics-every 20"),
-            0)
-      << capturedOutput();
-  EXPECT_NE(capturedOutput().find("p99 "), std::string::npos)
-      << capturedOutput();
-
-  // The JSONL file: a baseline sample plus periodic + final samples, each
-  // line a self-contained snapshot; the last one carries the whole run.
-  std::ifstream In(Metrics);
-  ASSERT_TRUE(In.good());
-  std::vector<std::string> Lines;
-  for (std::string L; std::getline(In, L);)
-    if (!L.empty())
-      Lines.push_back(L);
-  ASSERT_GE(Lines.size(), 3u) << readFile("metrics.jsonl");
-  for (const std::string &L : Lines)
-    EXPECT_TRUE(testjson::parse(L).has_value()) << L;
-  auto Last = testjson::parse(Lines.back());
-  ASSERT_TRUE(Last.has_value());
-  ASSERT_NE(Last->get("counters"), nullptr);
-  EXPECT_GE(Last->get("counters")->get("serve.plans")->Num, 60.0);
-  ASSERT_NE(Last->get("gauges"), nullptr);
-  ASSERT_NE(Last->get("gauges")->get("serve.p99_us"), nullptr);
-  EXPECT_GT(Last->get("gauges")->get("serve.p99_us")->Num, 0.0);
-  ASSERT_NE(Last->get("rates"), nullptr);
-
-  // The console renders the same file, one-shot and via the polling loop
-  // (which exits cleanly after two idle polls).
-  ASSERT_EQ(uccc("monitor --metrics " + Metrics + " --once"), 0)
-      << capturedOutput();
-  EXPECT_NE(capturedOutput().find("plans/sec"), std::string::npos)
-      << capturedOutput();
-  EXPECT_NE(capturedOutput().find("hit rate"), std::string::npos);
-  EXPECT_NE(capturedOutput().find("p99"), std::string::npos);
-  ASSERT_EQ(uccc("monitor --metrics " + Metrics +
-                 " --interval-ms 10 --idle-exit 2"),
-            0)
-      << capturedOutput();
-  EXPECT_NE(capturedOutput().find("plans/sec"), std::string::npos)
-      << capturedOutput();
-}
-
-TEST_F(ToolFixture, ServeBenchFlightRecorderDumpsOnSloBreach) {
-  writeFile("v1.mc", SourceV1);
-  writeFile("v2.mc", SourceV2);
-  std::string Store = " --store " + path("store");
-  ASSERT_EQ(uccc("commit " + path("v1.mc") + Store), 0) << capturedOutput();
-  ASSERT_EQ(uccc("commit " + path("v2.mc") + Store), 0) << capturedOutput();
-
-  // A sub-nanosecond p99 budget: every observation breaches, so the
-  // recorder must dump the event ring as a loadable Chrome trace.
-  std::string Flight = path("flight.json");
-  ASSERT_EQ(uccc("serve-bench" + Store +
-                 " --requests 20 --slo-p99-us 0.001 --flight-record " +
-                 Flight),
-            0)
-      << capturedOutput();
-  EXPECT_NE(capturedOutput().find("SLO"), std::string::npos)
-      << "the breach must be logged: " << capturedOutput();
-  std::string Trace = readFile("flight.json");
-  ASSERT_FALSE(Trace.empty());
-  auto Doc = testjson::parse(Trace);
-  ASSERT_TRUE(Doc.has_value()) << Trace;
-  EXPECT_NE(Doc->get("traceEvents"), nullptr);
 }
 
 TEST_F(ToolFixture, ServeBenchTracedBatchCrossesWorkerTracks) {
@@ -685,9 +626,9 @@ TEST_F(ToolFixture, IntegerFlagsRejectOutOfRangeValues) {
 }
 
 TEST_F(ToolFixture, NumberFlagsRejectNonFiniteValues) {
-  // strtod reads nan and inf; as knob values they would disarm the SLO
-  // check or skew the request stream, so they are usage errors, checked
-  // before the store is opened.
+  // strtod reads nan and inf; as knob values they would skew the request
+  // stream, the allocator's cost model or the radio channel, so they are
+  // usage errors, checked before the store is opened.
   std::string Store = " --store " + path("s");
   for (std::string Bad : {"nan", "inf", "infinity", "NAN"}) {
     EXPECT_EQ(uccc("serve-bench" + Store + " --zipf " + Bad), 2) << Bad;
@@ -696,12 +637,6 @@ TEST_F(ToolFixture, NumberFlagsRejectNonFiniteValues) {
               std::string::npos)
         << capturedOutput();
   }
-  EXPECT_EQ(uccc("serve-bench" + Store + " --slo-p99-us nan --flight-record " +
-                 path("f.json")),
-            2);
-  EXPECT_NE(capturedOutput().find("--slo-p99-us expects a number"),
-            std::string::npos)
-      << capturedOutput();
   writeFile("v1.mc", SourceV1);
   EXPECT_EQ(uccc("commit " + path("v1.mc") + Store + " --cnt nan"), 2);
   EXPECT_NE(capturedOutput().find("--cnt expects a number"),
@@ -711,38 +646,6 @@ TEST_F(ToolFixture, NumberFlagsRejectNonFiniteValues) {
             2);
   EXPECT_NE(capturedOutput().find("--loss expects a number"),
             std::string::npos)
-      << capturedOutput();
-}
-
-TEST_F(ToolFixture, MonitorAndMetricsFlagDiagnostics) {
-  writeFile("v1.mc", SourceV1);
-  std::string Store = " --store " + path("store");
-  ASSERT_EQ(uccc("commit " + path("v1.mc") + Store), 0) << capturedOutput();
-
-  // Usage errors (exit 2): the observability flags validate before the
-  // store is even opened.
-  EXPECT_EQ(uccc("monitor"), 2);
-  EXPECT_NE(capturedOutput().find("requires --metrics"), std::string::npos)
-      << capturedOutput();
-  EXPECT_EQ(uccc("monitor --metrics x --once --interval-ms 5"), 2);
-  EXPECT_EQ(uccc("serve-bench" + Store + " --metrics-every 10"), 2);
-  EXPECT_NE(capturedOutput().find("requires --metrics"), std::string::npos)
-      << capturedOutput();
-  EXPECT_EQ(uccc("serve-bench" + Store + " --flight-record x.json"), 2);
-  EXPECT_NE(capturedOutput().find("requires --slo-p99-us"),
-            std::string::npos)
-      << capturedOutput();
-  EXPECT_EQ(uccc("serve-bench" + Store + " --slo-p99-us 5"), 2);
-  EXPECT_NE(capturedOutput().find("requires --flight-record"),
-            std::string::npos)
-      << capturedOutput();
-  EXPECT_EQ(uccc("serve-bench" + Store + " --batch 0"), 2);
-
-  // Operational error (exit 1): a one-shot monitor over a file with no
-  // samples.
-  writeFile("empty.jsonl", "");
-  EXPECT_EQ(uccc("monitor --metrics " + path("empty.jsonl") + " --once"), 1);
-  EXPECT_NE(capturedOutput().find("no metrics samples"), std::string::npos)
       << capturedOutput();
 }
 

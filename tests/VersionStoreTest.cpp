@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 
 using namespace ucc;
 
@@ -318,6 +320,84 @@ TEST_F(ScratchDir, MissingArtifactIsRejected) {
   DiagnosticEngine Diag;
   EXPECT_FALSE(VersionStore::open(Dir, Diag).has_value());
   EXPECT_TRUE(Diag.hasErrors());
+}
+
+/// Installs a store write hook for one scope.
+struct WriteHookScope {
+  explicit WriteHookScope(StoreWriteHook Hook) {
+    setStoreWriteHookForTesting(std::move(Hook));
+  }
+  ~WriteHookScope() { setStoreWriteHookForTesting(nullptr); }
+  WriteHookScope(const WriteHookScope &) = delete;
+  WriteHookScope &operator=(const WriteHookScope &) = delete;
+};
+
+TEST_F(ScratchDir, CommitCutOffAtAnyWriteReopensAsTheStoreBefore) {
+  // buildChain's three commits, one at a time.
+  const UpdateCase &Case = updateCases()[5];
+  const std::string Sources[] = {Case.OldSource, Case.NewSource,
+                                 Case.OldSource};
+  auto Commit = [&](VersionStore &S, int N) {
+    DiagnosticEngine Diag;
+    return N == 0 ? S.addInitial(Sources[0], uccOptions(), Diag)
+                  : S.addUpdate(Sources[N], uccOptions(), Diag);
+  };
+  VersionStore Fresh;
+  buildChain(Fresh);
+  // Reopens \p D and returns how many versions it holds; each must be
+  // bit-identical to the uncut chain's.
+  auto Reopen = [&](const std::string &D) -> size_t {
+    DiagnosticEngine Diag;
+    auto S = VersionStore::open(D, Diag);
+    EXPECT_TRUE(S.has_value()) << Diag.str();
+    if (!S)
+      return SIZE_MAX;
+    for (const StoredVersion &V : S->versions()) {
+      EXPECT_EQ(V.Image.serialize(), Fresh.find(V.Id)->Image.serialize());
+      EXPECT_EQ(V.Record.serialize(), Fresh.find(V.Id)->Record.serialize());
+    }
+    return S->size();
+  };
+
+  for (int N = 0; N < 3; ++N) {
+    // Cut the K-th write of commit N off after half its bytes, for every
+    // K, until a K past the commit's last write lets it through.
+    int K = 1;
+    for (; K < 8; ++K) {
+      std::string D = Dir + "/n" + std::to_string(N) + "k" + std::to_string(K);
+      int Id;
+      {
+        DiagnosticEngine Diag;
+        auto S = VersionStore::open(D, Diag);
+        ASSERT_TRUE(S.has_value()) << Diag.str();
+        for (int M = 0; M < N; ++M)
+          ASSERT_EQ(Commit(*S, M), M);
+        int Seen = 0;
+        WriteHookScope Cut([&](const std::string &, size_t Bytes) {
+          return ++Seen == K ? Bytes / 2 : Bytes;
+        });
+        Id = Commit(*S, N);
+      }
+      size_t Size = Reopen(D);
+      if (Id == N) {
+        EXPECT_EQ(Size, static_cast<size_t>(N + 1));
+        break;
+      }
+      EXPECT_EQ(Id, -1);
+      EXPECT_TRUE(Size == static_cast<size_t>(N) ||
+                  Size == static_cast<size_t>(N + 1))
+          << "commit " << N << " cut at write " << K << ": " << Size;
+      // The cut commit's leftovers do not block committing it again.
+      DiagnosticEngine Diag;
+      auto S = VersionStore::open(D, Diag);
+      ASSERT_TRUE(S.has_value()) << Diag.str();
+      if (S->size() == static_cast<size_t>(N)) {
+        EXPECT_EQ(Commit(*S, N), N);
+      }
+      EXPECT_EQ(Reopen(D), static_cast<size_t>(N + 1));
+    }
+    EXPECT_EQ(K, 4) << "a commit writes its image, record and manifest";
+  }
 }
 
 TEST(VersionStore, CommitLoopBuildsTheChain) {

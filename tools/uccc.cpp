@@ -27,18 +27,9 @@
 ///                 [--topology line:40|grid:8x5|star:20] [--loss p]
 ///   uccc serve-bench --store dir [--requests N] [--cache N] [--zipf s]
 ///                 [--target K] [--seed n] [--warm] [--batch N]
-///                 [--metrics file] [--metrics-every N]
-///                 [--slo-p99-us V --flight-record file]
-///   uccc monitor  --metrics file [--once] [--interval-ms N]
-///                 [--idle-exit N]
 ///
 /// The batch and serve-bench paths go through serve/PlanService: one store
 /// open, one service, every request against the same snapshot and cache.
-/// serve-bench doubles as the observability producer: `--metrics`
-/// appends timestamped counter/gauge/rate snapshots (JSONL, one object per
-/// line — the support/Metrics schema) that `uccc monitor` renders live or
-/// once, and `--flight-record` dumps the event ring as a Chrome trace when
-/// the `--slo-p99-us` latency threshold is breached.
 ///
 /// Every command additionally accepts `--trace-json <file>` (write the
 /// telemetry registry as JSON, schema in docs/OBSERVABILITY.md),
@@ -58,24 +49,18 @@
 #include "serve/PlanService.h"
 #include "sim/Simulator.h"
 #include "support/Format.h"
-#include "support/Json.h"
-#include "support/Log.h"
-#include "support/Metrics.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -125,10 +110,6 @@ namespace {
       "  uccc serve-bench --store <dir> [--requests <n>] [--cache <n>]\n"
       "               [--zipf <s>] [--target <id>] [--seed <n>] [--warm]\n"
       "               [--batch <n>] [--threads <n>] [--shards <n>]\n"
-      "               [--metrics <file>] [--metrics-every <n>]\n"
-      "               [--slo-p99-us <us> --flight-record <file>]\n"
-      "  uccc monitor --metrics <file> [--once] [--interval-ms <n>]\n"
-      "               [--idle-exit <n>]\n"
       "global flags (any command):\n"
       "  --jobs <n>            worker threads for parallel phases\n"
       "                        (default: hardware concurrency, or the\n"
@@ -269,12 +250,7 @@ private:
                                       "--loss",      "--seed",
                                       "--batch",     "--cache",
                                       "--requests",  "--zipf",
-                                      "--threads",   "--shards",
-                                      "--metrics",   "--metrics-every",
-                                      "--slo-p99-us",
-                                      "--flight-record",
-                                      "--interval-ms",
-                                      "--idle-exit"};
+                                      "--threads",   "--shards"};
     for (const char *F : WithValue)
       if (std::strcmp(Flag, F) == 0)
         return true;
@@ -803,10 +779,6 @@ int cmdServeBench(Args &A) {
   std::string BatchArg = A.option("--batch");
   std::string ThreadsArg = A.option("--threads");
   std::string ShardsArg = A.option("--shards");
-  std::string MetricsPath = A.option("--metrics");
-  std::string EveryArg = A.option("--metrics-every");
-  std::string SloArg = A.option("--slo-p99-us");
-  std::string FlightPath = A.option("--flight-record");
   bool Warm = A.flag("--warm");
   std::string StoreDir = storeDirArg(A);
 
@@ -849,16 +821,6 @@ int cmdServeBench(Args &A) {
       dieCli("--shards expects a positive integer");
     ServeOpts.Shards = static_cast<size_t>(N);
   }
-  if (!EveryArg.empty() && MetricsPath.empty())
-    dieCli("--metrics-every requires --metrics");
-  int Every = EveryArg.empty() ? 200 : parseInt(EveryArg, "--metrics-every");
-  if (Every <= 0)
-    dieCli("--metrics-every expects a positive integer");
-  if (!FlightPath.empty() && SloArg.empty())
-    dieCli("--flight-record requires --slo-p99-us");
-  if (FlightPath.empty() && !SloArg.empty())
-    dieCli("--slo-p99-us requires --flight-record");
-  double SloP99Us = SloArg.empty() ? 0.0 : parseDouble(SloArg, "--slo-p99-us");
   A.finish();
 
   VersionStore Store = openStoreOrDie(StoreDir);
@@ -893,77 +855,15 @@ int cmdServeBench(Args &A) {
   ServeOpts.CacheCapacity = Cache;
   PlanService Service(std::move(Store), ServeOpts);
 
-  // Observability session: metrics sampling and the flight recorder need
-  // a registry — reuse the ambient one (--trace-json/--trace-events/
-  // --stats) or install a command-local one. Events are only enabled
-  // when a flight recorder will dump them.
-  Telemetry Local;
-  std::optional<TelemetryScope> LocalScope;
-  Telemetry *Reg = currentTelemetry();
-  if (!Reg && (!MetricsPath.empty() || !FlightPath.empty())) {
-    if (!FlightPath.empty())
-      Local.enableEvents();
-    LocalScope.emplace(Local);
-    Reg = &Local;
-  }
-  std::ofstream MetricsOut;
-  std::optional<MetricsSnapshotter> Sampler;
-  if (!MetricsPath.empty()) {
-    MetricsOut.open(MetricsPath, std::ios::trunc);
-    if (!MetricsOut)
-      die("cannot write '" + MetricsPath + "'");
-    Sampler.emplace(*Reg);
-  }
-  std::optional<FlightRecorder> Recorder;
-  if (!FlightPath.empty()) {
-    SloConfig Cfg;
-    Cfg.P99LatencyUs = SloP99Us;
-    Cfg.TracePath = FlightPath;
-    Recorder.emplace(*Reg, Cfg);
-  }
-  // One observation: publish the latency/cache gauges, append a JSONL
-  // sample, and evaluate the SLO.
-  auto Observe = [&](const DurationDist &H) {
-    if (!Reg)
-      return;
-    Reg->setGauge("serve.p50_us", H.quantileSeconds(0.50) * 1e6);
-    Reg->setGauge("serve.p95_us", H.quantileSeconds(0.95) * 1e6);
-    Reg->setGauge("serve.p99_us", H.quantileSeconds(0.99) * 1e6);
-    Reg->setGauge("serve.cache_entries",
-                  static_cast<double>(Service.stats().CacheEntries));
-    double Now = 0.0;
-    if (Sampler) {
-      Now = Sampler->sample().TsSeconds;
-      MetricsOut << Sampler->lastJsonLine() << "\n";
-      MetricsOut.flush();
-    }
-    if (Recorder && Recorder->check(H.quantileSeconds(0.99) * 1e6, 0, Now))
-      logf(LogLevel::Warn,
-           "serve-bench: p99 SLO (%g us) breached, trace dumped to %s",
-           SloP99Us, FlightPath.c_str());
-  };
-
   int Warmed = Warm ? Service.warm(Fleet, Target) : 0;
-  // The measured window excludes warming: the baseline sample makes the
-  // JSONL's overall rate cover exactly the requests the printed
-  // aggregates cover.
+  // The measured window excludes warming.
   DurationDist H;
-  Observe(H);
-
-  int Sampled = 0;
   LoadResult Run = runLoad(
       Service, Stream,
-      {.Requests = Requests, .Batch = Batch, .Threads = Threads}, H,
-      [&](int Done, const DurationDist &SoFar) {
-        if (Done - Sampled >= Every) {
-          Sampled = Done;
-          Observe(SoFar);
-        }
-      });
+      {.Requests = Requests, .Batch = Batch, .Threads = Threads}, H);
   if (Run.Failed)
     die(format("cannot plan update %d -> %d", Run.Failed->first,
                Run.Failed->second));
-  Observe(H);
 
   PlanServiceStats S = Service.stats();
   std::printf("serve-bench: %zu version(s), target v%d, %d request(s), "
@@ -987,157 +887,6 @@ int cmdServeBench(Args &A) {
     std::printf("  %llu unknown-id reject(s)\n",
                 static_cast<unsigned long long>(S.Rejected));
   return 0;
-}
-
-/// Reads every well-formed JSONL snapshot line from a metrics file (the
-/// support/Metrics schema); a trailing partially-written line is simply
-/// skipped until the producer finishes it.
-std::vector<json::Value> readMetricsLines(const std::string &Path) {
-  std::ifstream In(Path);
-  std::vector<json::Value> Lines;
-  if (!In)
-    return Lines;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    if (std::optional<json::Value> V = json::parse(Line))
-      Lines.push_back(std::move(*V));
-  }
-  return Lines;
-}
-
-double monitorField(const json::Value &Doc, const char *Section,
-                    const char *Name) {
-  if (const json::Value *S = Doc.find(Section))
-    return S->numberOr(Name, 0.0);
-  return 0.0;
-}
-
-/// Renders one console frame from the parsed snapshot history: the newest
-/// sample's gauges/counters plus rates derived across the whole file.
-void renderMonitor(const std::string &Path,
-                   const std::vector<json::Value> &Lines) {
-  const json::Value &Last = Lines.back();
-  const json::Value &First = Lines.front();
-  double Ts = Last.numberOr("ts", 0.0);
-  double Dt = Ts - First.numberOr("ts", 0.0);
-  double Plans = monitorField(Last, "counters", "serve.plans");
-  double WindowRate = monitorField(Last, "rates", "serve.plans");
-  double Overall =
-      Dt > 0.0
-          ? (Plans - monitorField(First, "counters", "serve.plans")) / Dt
-          : 0.0;
-  double Hits = monitorField(Last, "counters", "serve.cache_hits");
-  double Misses = monitorField(Last, "counters", "serve.cache_misses");
-  double HitRate =
-      Hits + Misses > 0.0 ? 100.0 * Hits / (Hits + Misses) : 0.0;
-  std::printf("ucc monitor - %s  (%zu sample(s), t=%.1fs)\n", Path.c_str(),
-              Lines.size(), Ts);
-  std::printf("  plans/sec   %10.0f window  %10.0f overall  (%.0f plans)\n",
-              WindowRate, Overall, Plans);
-  std::printf("  cache       %5.1f%% hit rate  hits %.0f  misses %.0f  "
-              "evictions %.0f  entries %.0f\n",
-              HitRate, Hits, Misses,
-              monitorField(Last, "counters", "serve.evictions"),
-              monitorField(Last, "gauges", "serve.cache_entries"));
-  std::printf("  latency     p50 %.1f us  p95 %.1f us  p99 %.1f us\n",
-              monitorField(Last, "gauges", "serve.p50_us"),
-              monitorField(Last, "gauges", "serve.p95_us"),
-              monitorField(Last, "gauges", "serve.p99_us"));
-  std::printf("  serving     in-flight waits %.0f  precomputed %.0f  "
-              "batches %.0f  commits %.0f\n",
-              monitorField(Last, "counters", "serve.inflight_waits"),
-              monitorField(Last, "counters", "serve.precomputed"),
-              monitorField(Last, "counters", "serve.batches"),
-              monitorField(Last, "counters", "serve.commits"));
-  double Unknown = monitorField(Last, "counters", "serve.rejected");
-  if (Unknown > 0.0)
-    std::printf("  rejects     unknown-id %.0f\n", Unknown);
-  // Per-shard hit counters (serve.shard.<i>.hits) appear once a sharded
-  // service has served traffic; summarize the spread so a hot shard is
-  // visible at a glance.
-  if (const json::Value *Counters = Last.find("counters")) {
-    int NShards = 0, HotShard = -1;
-    double HotHits = 0.0, ShardHits = 0.0;
-    for (const auto &[Name, V] : Counters->Obj) {
-      const std::string Prefix = "serve.shard.";
-      if (Name.compare(0, Prefix.size(), Prefix) != 0 ||
-          Name.size() <= Prefix.size() ||
-          Name.compare(Name.size() - 5, 5, ".hits") != 0)
-        continue;
-      int Idx = std::atoi(Name.c_str() + Prefix.size());
-      ++NShards;
-      ShardHits += V.Num;
-      if (V.Num > HotHits) {
-        HotHits = V.Num;
-        HotShard = Idx;
-      }
-    }
-    if (NShards > 1 && HotShard >= 0 && ShardHits > 0.0)
-      std::printf("  shards      %d reporting  hottest #%d (%.0f hits, "
-                  "%.1f%% of shard traffic)\n",
-                  NShards, HotShard, HotHits, 100.0 * HotHits / ShardHits);
-  }
-  double CHits = monitorField(Last, "counters", "compile.cache_hits");
-  double CMisses = monitorField(Last, "counters", "compile.cache_misses");
-  if (CHits + CMisses > 0.0)
-    std::printf("  recompile   %5.1f%% hit rate  hits %.0f  misses %.0f  "
-                "evictions %.0f  arena %.0f bytes\n",
-                100.0 * CHits / (CHits + CMisses), CHits, CMisses,
-                monitorField(Last, "counters", "compile.cache_evictions"),
-                monitorField(Last, "gauges", "compile.arena_bytes"));
-  if (const json::Value *G = Last.find("gauges"))
-    if (G->find("net.campaign_joules"))
-      std::printf("  energy      %.6f J across %.0f campaign(s)\n",
-                  monitorField(Last, "gauges", "net.campaign_joules"),
-                  monitorField(Last, "counters", "net.campaigns"));
-}
-
-/// The live console: renders a frame whenever the metrics file grows (or
-/// once with --once), in place via ANSI clear. `--idle-exit <n>` ends the
-/// session after n polls without new samples so scripted runs terminate.
-int cmdMonitor(Args &A) {
-  std::string Path = A.option("--metrics");
-  bool Once = A.flag("--once");
-  std::string IntervalArg = A.option("--interval-ms");
-  std::string IdleArg = A.option("--idle-exit");
-  if (Path.empty())
-    dieCli("monitor requires --metrics <file>");
-  if (Once && (!IntervalArg.empty() || !IdleArg.empty()))
-    dieCli("--once cannot be combined with --interval-ms/--idle-exit");
-  int IntervalMs =
-      IntervalArg.empty() ? 1000 : parseInt(IntervalArg, "--interval-ms");
-  if (IntervalMs <= 0)
-    dieCli("--interval-ms expects a positive integer");
-  int IdleExit = IdleArg.empty() ? 0 : parseInt(IdleArg, "--idle-exit");
-  if (IdleExit < 0)
-    dieCli("--idle-exit expects a non-negative integer");
-  A.finish();
-
-  if (Once) {
-    std::vector<json::Value> Lines = readMetricsLines(Path);
-    if (Lines.empty())
-      die("no metrics samples in '" + Path + "'");
-    renderMonitor(Path, Lines);
-    return 0;
-  }
-
-  size_t LastCount = 0;
-  int Idle = 0;
-  for (;;) {
-    std::vector<json::Value> Lines = readMetricsLines(Path);
-    if (!Lines.empty() && Lines.size() != LastCount) {
-      LastCount = Lines.size();
-      Idle = 0;
-      std::printf("\033[2J\033[H");
-      renderMonitor(Path, Lines);
-      std::fflush(stdout);
-    } else if (IdleExit > 0 && ++Idle >= IdleExit) {
-      return 0;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(IntervalMs));
-  }
 }
 
 /// Prints a human-readable telemetry summary (the --stats flag).
@@ -1205,8 +954,6 @@ int dispatch(const std::string &Cmd, Args &A) {
     return cmdCampaign(A);
   if (Cmd == "serve-bench")
     return cmdServeBench(A);
-  if (Cmd == "monitor")
-    return cmdMonitor(A);
   dieCli("unknown command '" + Cmd + "'");
 }
 
