@@ -170,9 +170,9 @@ ChainResult runChain(const std::vector<std::string> &Sources, int Jobs,
   R.UpdateSeconds = secondsSince(Begin);
   R.Cache = Cache.stats();
 
-  for (const StoredVersion &V : Store.versions()) {
-    R.Images.push_back(V.Image.serialize());
-    R.ScriptBytes.push_back(V.ScriptBytesFromParent);
+  for (const auto &V : Store.versions()) {
+    R.Images.push_back(V->Image.serialize());
+    R.ScriptBytes.push_back(V->ScriptBytesFromParent);
   }
   return R;
 }

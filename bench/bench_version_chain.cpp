@@ -230,8 +230,8 @@ VersionStore buildStore(const std::vector<std::string> &Chain,
 
 size_t cumulativeScriptBytes(const VersionStore &Store) {
   size_t Total = 0;
-  for (const StoredVersion &V : Store.versions())
-    Total += V.ScriptBytesFromParent;
+  for (const auto &V : Store.versions())
+    Total += V->ScriptBytesFromParent;
   return Total;
 }
 

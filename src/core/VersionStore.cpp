@@ -9,11 +9,12 @@
 /// Persistence is a `manifest.json` (schema_version 1) naming one `vN.img`
 /// and `vN.rec` per version, all in the store directory; the manifest also
 /// carries the data layout and the parent/script-bytes bookkeeping so
-/// `history` listings need no artifact decoding. Every file is written to
-/// a sibling `.tmp` and renamed into place, the manifest last, so a commit
-/// that dies part-way leaves the previous store (the new version's files
-/// are unreferenced until the manifest names them). Commits, loads and
-/// plans report to the telemetry registry (`store.*`).
+/// `history` listings need no artifact decoding; `open` rebuilds each
+/// version's parent -> child update from the loaded images. Every file is
+/// written to a sibling `.tmp` and renamed into place, the manifest last,
+/// so a commit that dies part-way leaves the previous store (the new
+/// version's files are unreferenced until the manifest names them).
+/// Commits, loads and plans report to the telemetry registry (`store.*`).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -152,6 +153,10 @@ std::optional<VersionStore> VersionStore::open(const std::string &Dir,
       return std::nullopt;
     }
 
+    if (V.Parent >= 0)
+      V.FromParent = makeImageUpdate(
+          S.Versions[static_cast<size_t>(V.Parent)]->Image, V.Image);
+
     const json::Value *Layout = Entry.find("layout");
     if (!Layout || Layout->K != json::Value::Object) {
       Diag.error({}, format("version %d: missing layout", V.Id));
@@ -164,7 +169,7 @@ std::optional<VersionStore> VersionStore::open(const std::string &Dir,
       for (const json::Value &O : Offs->Arr)
         V.Layout.GlobalOffsets.push_back(static_cast<int>(O.Num));
 
-    S.Versions.push_back(std::move(V));
+    S.Versions.push_back(std::make_shared<const StoredVersion>(std::move(V)));
   }
   if (Telemetry *T = currentTelemetry())
     T->addCounter("store.loads", static_cast<int64_t>(S.Versions.size()));
@@ -175,7 +180,8 @@ bool VersionStore::writeManifest(DiagnosticEngine &Diag) const {
   json::Value Doc = json::Value::object();
   Doc.set("schema_version", json::Value::number(1));
   json::Value Vs = json::Value::array();
-  for (const StoredVersion &V : Versions) {
+  for (const std::shared_ptr<const StoredVersion> &P : Versions) {
+    const StoredVersion &V = *P;
     json::Value E = json::Value::object();
     E.set("id", json::Value::number(V.Id));
     E.set("parent", json::Value::number(V.Parent));
@@ -218,6 +224,16 @@ bool VersionStore::persist(const StoredVersion &V, DiagnosticEngine &Diag) {
   return writeManifest(Diag);
 }
 
+int VersionStore::commitVersion(StoredVersion V, DiagnosticEngine &Diag) {
+  Versions.push_back(std::make_shared<const StoredVersion>(std::move(V)));
+  if (!persist(*Versions.back(), Diag)) {
+    Versions.pop_back();
+    return -1;
+  }
+  telemetryCount("store.commits");
+  return Versions.back()->Id;
+}
+
 int VersionStore::addInitial(const std::string &Source,
                              const CompileOptions &Opts,
                              DiagnosticEngine &Diag) {
@@ -235,13 +251,7 @@ int VersionStore::addInitial(const std::string &Source,
   V.Image = std::move(Out->Image);
   V.Record = std::move(Out->Record);
   V.Layout = std::move(Out->Layout);
-  Versions.push_back(std::move(V));
-  if (!persist(Versions.back(), Diag)) {
-    Versions.pop_back();
-    return -1;
-  }
-  telemetryCount("store.commits");
-  return 0;
+  return commitVersion(std::move(V), Diag);
 }
 
 int VersionStore::addUpdate(const std::string &Source,
@@ -263,47 +273,41 @@ int VersionStore::addUpdate(const std::string &Source,
   V.Id = static_cast<int>(Versions.size());
   V.Parent = P->Id;
   V.SourceHash = sourceHash(Source);
-  V.ScriptBytesFromParent =
-      makeImageUpdate(P->Image, Out->Image, Opts.Jobs).scriptBytes();
+  V.FromParent = makeImageUpdate(P->Image, Out->Image, Opts.Jobs);
+  V.ScriptBytesFromParent = V.FromParent.scriptBytes();
   V.Image = std::move(Out->Image);
   V.Record = std::move(Out->Record);
   V.Layout = std::move(Out->Layout);
-  Versions.push_back(std::move(V));
-  if (!persist(Versions.back(), Diag)) {
-    Versions.pop_back();
-    return -1;
-  }
-  telemetryCount("store.commits");
-  return Versions.back().Id;
+  return commitVersion(std::move(V), Diag);
 }
 
 const StoredVersion *VersionStore::find(int Id) const {
   if (Id < 0 || static_cast<size_t>(Id) >= Versions.size())
     return nullptr;
-  return &Versions[static_cast<size_t>(Id)];
+  return Versions[static_cast<size_t>(Id)].get();
 }
 
 const StoredVersion *VersionStore::latest() const {
-  return Versions.empty() ? nullptr : &Versions.back();
+  return Versions.empty() ? nullptr : Versions.back().get();
 }
 
 std::vector<int> VersionStore::children(int Id) const {
   std::vector<int> Out;
-  for (const StoredVersion &V : Versions)
-    if (V.Parent == Id)
-      Out.push_back(V.Id);
+  for (const auto &V : Versions)
+    if (V->Parent == Id)
+      Out.push_back(V->Id);
   return Out;
 }
 
 std::vector<int> VersionStore::tips() const {
   std::vector<bool> HasChild(Versions.size(), false);
-  for (const StoredVersion &V : Versions)
-    if (V.Parent >= 0 && static_cast<size_t>(V.Parent) < Versions.size())
-      HasChild[static_cast<size_t>(V.Parent)] = true;
+  for (const auto &V : Versions)
+    if (V->Parent >= 0 && static_cast<size_t>(V->Parent) < Versions.size())
+      HasChild[static_cast<size_t>(V->Parent)] = true;
   std::vector<int> Out;
-  for (const StoredVersion &V : Versions)
-    if (!HasChild[static_cast<size_t>(V.Id)])
-      Out.push_back(V.Id);
+  for (const auto &V : Versions)
+    if (!HasChild[static_cast<size_t>(V->Id)])
+      Out.push_back(V->Id);
   return Out;
 }
 
@@ -320,7 +324,10 @@ std::optional<UpdatePlan> ucc::planBetweenVersions(
   P.From = FromId;
   P.To = ToId;
 
-  ImageUpdate Direct = makeImageUpdate(From->Image, To->Image);
+  // A parent -> child pair was diffed when the child was committed.
+  ImageUpdate Direct = To->Parent == FromId
+                           ? To->FromParent
+                           : makeImageUpdate(From->Image, To->Image);
   P.DirectBytes = Direct.scriptBytes();
 
   // The version graph is a parent forest — every version has at most one
@@ -367,8 +374,13 @@ std::optional<UpdatePlan> ucc::planBetweenVersions(
   }
   bool HasChain = Path.size() >= 2;
 
+  // A one-hop route is the endpoint pair itself: the same package as
+  // Direct, which it ties and so never beats.
   ImageUpdate Chained;
-  if (HasChain) {
+  if (Path.size() == 2) {
+    P.ChainSteps = 1;
+    P.ChainedBytes = P.DirectBytes;
+  } else if (HasChain) {
     bool First = true;
     for (size_t I = 1; I < Path.size(); ++I) {
       ImageUpdate Step = makeImageUpdate(Find(Path[I - 1])->Image,

@@ -35,6 +35,7 @@
 #include "net/Network.h"
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,6 +49,10 @@ struct StoredVersion {
   std::string SourceHash; ///< FNV-1a of the source text (hex)
   /// Edit-script bytes of the update Parent -> this (0 for the root).
   size_t ScriptBytesFromParent = 0;
+  /// The update Parent -> this, exactly makeImageUpdate(parent image,
+  /// Image) (empty for the root). The planner serves a one-hop upgrade
+  /// from it instead of diffing the pair again.
+  ImageUpdate FromParent;
   BinaryImage Image;
   CompilationRecord Record;
   DataLayoutMap Layout;
@@ -68,8 +73,10 @@ struct UpdatePlan {
   int ChainSteps = 0;      ///< DAG hops From -> To via the LCA (0 if none)
 };
 
-/// The sink's version chain. Pointers returned by find()/latest() are
-/// invalidated by the next addInitial()/addUpdate().
+/// The sink's version chain. Each version is an immutable object behind a
+/// shared_ptr: pointers returned by find()/latest() stay valid for the
+/// store's lifetime, across later commits, and a holder of versions()'s
+/// shared_ptrs (serve/PlanService's snapshots) keeps them alive beyond it.
 class VersionStore {
 public:
   /// An in-memory store (nothing persisted).
@@ -103,7 +110,9 @@ public:
   std::vector<int> tips() const;
 
   size_t size() const { return Versions.size(); }
-  const std::vector<StoredVersion> &versions() const { return Versions; }
+  const std::vector<std::shared_ptr<const StoredVersion>> &versions() const {
+    return Versions;
+  }
   const std::string &directory() const { return Dir; }
 
   /// Plans the update taking \p FromId to \p ToId: builds the fresh
@@ -111,16 +120,18 @@ public:
   /// parent DAG (upgrade, rollback, or cross-branch) — the composed
   /// stepwise route through their lowest common ancestor, then picks
   /// whichever costs fewer edit-script bytes (ties go Direct, matching
-  /// what a graph-oblivious sink would ship). Returns nullopt for unknown
-  /// ids or a composition failure.
+  /// what a graph-oblivious sink would ship). A parent -> child plan is the
+  /// child's stored FromParent, with no diff at all. Returns nullopt for
+  /// unknown ids or a composition failure.
   std::optional<UpdatePlan> plan(int FromId, int ToId) const;
 
 private:
+  int commitVersion(StoredVersion V, DiagnosticEngine &Diag);
   bool persist(const StoredVersion &V, DiagnosticEngine &Diag);
   bool writeManifest(DiagnosticEngine &Diag) const;
 
   std::string Dir; ///< empty = in-memory only
-  std::vector<StoredVersion> Versions;
+  std::vector<std::shared_ptr<const StoredVersion>> Versions;
 };
 
 /// The direct-vs-chained planner over any dense version index: \p Find maps
@@ -132,8 +143,10 @@ private:
 /// is the single planning algorithm behind VersionStore::plan and
 /// serve/PlanService — the service plans on an immutable snapshot, the
 /// store on its live graph, and both produce byte-identical packages
-/// because they share this function. Counts store.plans /
-/// store.plans_direct / store.plans_chained.
+/// because they share this function. The endpoint diff of a parent ->
+/// child pair is the child's FromParent, and a one-hop route (either
+/// direction) is that same package, so neither is diffed again. Counts
+/// store.plans / store.plans_direct / store.plans_chained.
 std::optional<UpdatePlan> planBetweenVersions(
     const std::function<const StoredVersion *(int)> &Find, int FromId,
     int ToId);

@@ -7,7 +7,10 @@
 /// \file
 /// AST for MiniC. Nodes are tagged structs rather than a class hierarchy:
 /// the tree is produced once by the parser and consumed once by IRGen, so a
-/// closed, value-oriented representation keeps both sides simple.
+/// closed, value-oriented representation keeps both sides simple. Every
+/// Expr and Stmt lives in its ProgramAST's arena: building a tree is a
+/// pointer bump per node and freeing it is one release per slab, and the
+/// nodes of one tree sit together in memory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +18,7 @@
 #define UCC_FRONTEND_AST_H
 
 #include "ir/IR.h" // BinKind / UnKind / CmpPred reused as AST operators
+#include "support/Arena.h"
 #include "support/Diagnostics.h"
 
 #include <memory>
@@ -25,8 +29,14 @@ namespace ucc {
 
 struct Expr;
 struct Stmt;
-using ExprPtr = std::unique_ptr<Expr>;
-using StmtPtr = std::unique_ptr<Stmt>;
+
+/// Ends a node's lifetime without freeing its storage, which belongs to
+/// the ProgramAST's arena.
+struct NodeDestroyer {
+  template <typename T> void operator()(T *Node) const { Node->~T(); }
+};
+using ExprPtr = std::unique_ptr<Expr, NodeDestroyer>;
+using StmtPtr = std::unique_ptr<Stmt, NodeDestroyer>;
 
 /// Expression operators beyond BinKind: comparisons and short-circuit logic
 /// need their own lowering, so the AST keeps them distinct.
@@ -116,6 +126,9 @@ struct FuncDecl {
 
 /// A parsed translation unit.
 struct ProgramAST {
+  /// Storage of every Expr and Stmt below. Declared first, so it is
+  /// released after the nodes are destroyed.
+  std::unique_ptr<Arena> Nodes = std::make_unique<Arena>();
   std::vector<GlobalDecl> Globals;
   std::vector<FuncDecl> Functions;
 };

@@ -5,8 +5,8 @@
 #include "frontend/Parser.h"
 #include "support/Format.h"
 
-#include <deque>
-#include <unordered_map>
+#include <optional>
+#include <string_view>
 
 using namespace ucc;
 
@@ -29,7 +29,7 @@ public:
     if (Diag.hasErrors())
       return std::move(M);
     for (size_t I = 0; I < Program.Functions.size(); ++I)
-      lowerFunction(Program.Functions[I], M.Functions[I]);
+      lowerFunction(Program.Functions[I], static_cast<int>(I));
     M.EntryFunc = M.findFunction("main");
     return std::move(M);
   }
@@ -44,6 +44,10 @@ private:
                                  G.Name.c_str()));
         continue;
       }
+      GlobalBindings.push_back(
+          Binding{G.ArraySize > 0 ? Binding::Kind::GlobalArray
+                                  : Binding::Kind::Global,
+                  static_cast<int>(M.Globals.size())});
       GlobalVar GV;
       GV.Name = G.Name;
       GV.SizeWords = G.ArraySize > 0 ? G.ArraySize : 1;
@@ -76,11 +80,12 @@ private:
 
   //===--- function lowering ----------------------------------------------===//
 
-  void lowerFunction(const FuncDecl &Decl, Function &Fn) {
+  void lowerFunction(const FuncDecl &Decl, int FnIndex) {
+    Function &Fn = M.Functions[static_cast<size_t>(FnIndex)];
     CurFn = &Fn;
-    CurDecl = &Decl;
-    Scopes.clear();
-    Scopes.emplace_back();
+    CurFnIndex = FnIndex;
+    Locals.clear();
+    ScopeStarts.assign(1, 0);
     BreakTargets.clear();
     ContinueTargets.clear();
 
@@ -106,51 +111,37 @@ private:
       append(std::move(Ret));
     }
     CurFn = nullptr;
-    CurDecl = nullptr;
   }
 
   //===--- scope handling -------------------------------------------------===//
 
+  /// Binds \p Name in the innermost scope; false if that scope already
+  /// binds it.
   bool declare(const std::string &Name, Binding B) {
-    auto [It, Inserted] = Scopes.back().emplace(Name, B);
-    (void)It;
-    return Inserted;
+    for (size_t I = ScopeStarts.back(); I < Locals.size(); ++I)
+      if (Locals[I].first == Name)
+        return false;
+    Locals.emplace_back(Name, B);
+    return true;
   }
 
-  const Binding *lookupLocal(const std::string &Name) const {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return &Found->second;
-    }
-    return nullptr;
+  void openScope() { ScopeStarts.push_back(Locals.size()); }
+  void closeScope() {
+    Locals.resize(ScopeStarts.back());
+    ScopeStarts.pop_back();
   }
 
-  /// Resolves \p Name to a binding, checking globals after locals.
-  /// Returns nullptr (and diagnoses) when the name is unknown.
-  const Binding *resolve(const std::string &Name, SourceLoc Loc) {
-    if (const Binding *B = lookupLocal(Name))
-      return B;
+  /// Resolves \p Name to a binding, innermost local first, then globals.
+  /// Returns nullopt (and diagnoses) when the name is unknown.
+  std::optional<Binding> resolve(const std::string &Name, SourceLoc Loc) {
+    for (size_t I = Locals.size(); I-- > 0;)
+      if (Locals[I].first == Name)
+        return Locals[I].second;
     int G = M.findGlobal(Name);
-    if (G >= 0) {
-      Binding B;
-      B.K = M.Globals[static_cast<size_t>(G)].SizeWords > 1 ||
-                    isDeclaredArray(Name)
-                ? Binding::Kind::GlobalArray
-                : Binding::Kind::Global;
-      B.Index = G;
-      GlobalBindingStorage.push_back(B);
-      return &GlobalBindingStorage.back();
-    }
+    if (G >= 0)
+      return GlobalBindings[static_cast<size_t>(G)];
     Diag.error(Loc, format("use of undeclared identifier '%s'", Name.c_str()));
-    return nullptr;
-  }
-
-  bool isDeclaredArray(const std::string &Name) const {
-    for (const GlobalDecl &G : Program.Globals)
-      if (G.Name == Name)
-        return G.ArraySize > 0;
-    return false;
+    return std::nullopt;
   }
 
   //===--- emission helpers -----------------------------------------------===//
@@ -192,8 +183,11 @@ private:
     append(std::move(I));
   }
 
-  int newBlock(const std::string &Name) {
-    return CurFn->makeBlock(format("%s%d", Name.c_str(), BlockCounter++));
+  /// A new block named \p Prefix plus the module-wide block counter.
+  int newBlock(const char *Prefix) {
+    std::string Name = Prefix;
+    Name += std::to_string(BlockCounter++);
+    return CurFn->makeBlock(Name);
   }
 
   //===--- statement lowering ---------------------------------------------===//
@@ -201,10 +195,10 @@ private:
   void lowerStmt(const Stmt &S) {
     switch (S.K) {
     case Stmt::Kind::Block: {
-      Scopes.emplace_back();
+      openScope();
       for (const StmtPtr &Child : S.Body)
         lowerStmt(*Child);
-      Scopes.pop_back();
+      closeScope();
       return;
     }
     case Stmt::Kind::Decl:
@@ -281,7 +275,7 @@ private:
   }
 
   void lowerAssign(const Stmt &S) {
-    const Binding *B = resolve(S.Name, S.Loc);
+    std::optional<Binding> B = resolve(S.Name, S.Loc);
     if (!B)
       return;
     VReg Value = lowerExpr(*S.Value);
@@ -407,7 +401,7 @@ private:
   }
 
   void lowerReturn(const Stmt &S) {
-    bool WantsValue = ReturnsInt[static_cast<size_t>(currentFnIndex())];
+    bool WantsValue = ReturnsInt[static_cast<size_t>(CurFnIndex)];
     Instr I;
     I.Op = Opcode::Ret;
     I.Loc = S.Loc;
@@ -434,10 +428,6 @@ private:
   }
 
   //===--- expression lowering --------------------------------------------===//
-
-  int currentFnIndex() const {
-    return M.findFunction(CurFn->Name);
-  }
 
   VReg lowerExpr(const Expr &E) {
     switch (E.K) {
@@ -478,7 +468,7 @@ private:
   }
 
   VReg lowerVarRef(const Expr &E) {
-    const Binding *B = resolve(E.Name, E.Loc);
+    std::optional<Binding> B = resolve(E.Name, E.Loc);
     if (!B)
       return emitConst(0, E.Loc);
     switch (B->K) {
@@ -504,7 +494,7 @@ private:
   }
 
   VReg lowerIndex(const Expr &E) {
-    const Binding *B = resolve(E.Name, E.Loc);
+    std::optional<Binding> B = resolve(E.Name, E.Loc);
     if (!B)
       return emitConst(0, E.Loc);
     VReg Idx = lowerExpr(*E.LHS);
@@ -648,15 +638,19 @@ private:
   Module M;
   std::vector<bool> ReturnsInt; ///< parallel to M.Functions
 
+  /// One binding per M.Globals entry.
+  std::vector<Binding> GlobalBindings;
+
   Function *CurFn = nullptr;
-  const FuncDecl *CurDecl = nullptr;
+  int CurFnIndex = -1;
   int CurBB = 0;
   int BlockCounter = 0;
-  std::vector<std::unordered_map<std::string, Binding>> Scopes;
+  /// The function's visible locals, innermost last; ScopeStarts.back() is
+  /// where the innermost scope's bindings begin.
+  std::vector<std::pair<std::string_view, Binding>> Locals;
+  std::vector<size_t> ScopeStarts;
   std::vector<int> BreakTargets;
   std::vector<int> ContinueTargets;
-  // resolve() hands out pointers; globals need stable storage.
-  std::deque<Binding> GlobalBindingStorage;
 };
 
 } // namespace

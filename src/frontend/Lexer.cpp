@@ -4,8 +4,8 @@
 
 #include "support/Format.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <string>
+#include <utility>
 
 using namespace ucc;
 
@@ -99,31 +99,44 @@ const char *ucc::tokKindName(TokKind Kind) {
 
 namespace {
 
-const std::unordered_map<std::string, TokKind> &keywordTable() {
-  static const std::unordered_map<std::string, TokKind> Table = {
+// ASCII character classes. MiniC source is ASCII; unlike <cctype> these
+// read no locale, and every other byte is a stray character.
+bool isSpace(char C) { return C == ' ' || (C >= '\t' && C <= '\r'); }
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) { return (C | 0x20) >= 'a' && (C | 0x20) <= 'z'; }
+bool isIdentChar(char C) { return isAlpha(C) || isDigit(C) || C == '_'; }
+bool isHexDigit(char C) {
+  return isDigit(C) || ((C | 0x20) >= 'a' && (C | 0x20) <= 'f');
+}
+
+/// The keyword \p Word spells, or Ident. A length check rejects most
+/// candidates before any character is compared.
+TokKind keywordKind(std::string_view Word) {
+  static constexpr std::pair<std::string_view, TokKind> Keywords[] = {
       {"int", TokKind::KwInt},       {"void", TokKind::KwVoid},
       {"if", TokKind::KwIf},         {"else", TokKind::KwElse},
       {"while", TokKind::KwWhile},   {"for", TokKind::KwFor},
       {"return", TokKind::KwReturn}, {"break", TokKind::KwBreak},
       {"continue", TokKind::KwContinue},
   };
-  return Table;
+  for (const auto &[Spelling, Kind] : Keywords)
+    if (Word == Spelling)
+      return Kind;
+  return TokKind::Ident;
 }
 
 class LexerImpl {
 public:
-  LexerImpl(const std::string &Source, DiagnosticEngine &Diag)
+  LexerImpl(std::string_view Source, DiagnosticEngine &Diag)
       : Src(Source), Diag(Diag) {}
 
   std::vector<Token> run() {
     std::vector<Token> Out;
-    while (true) {
-      skipTrivia();
-      Token T = next();
-      Out.push_back(T);
-      if (T.Kind == TokKind::Eof)
-        break;
-    }
+    // MiniC runs 2-3 source bytes per token, so this rarely regrows.
+    Out.reserve(Src.size() / 2 + 1);
+    do {
+      Out.push_back(next());
+    } while (Out.back().Kind != TokKind::Eof);
     return Out;
   }
 
@@ -148,7 +161,7 @@ private:
   void skipTrivia() {
     while (Pos < Src.size()) {
       char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
+      if (isSpace(C)) {
         advance();
         continue;
       }
@@ -186,122 +199,137 @@ private:
     return T;
   }
 
+  /// Lexes the token after any trivia. A stray character is reported and
+  /// lexing resumes past it, trivia first; this is a loop, so a run of
+  /// stray characters of any length costs no stack.
   Token next() {
-    SourceLoc Loc = here();
-    if (Pos >= Src.size())
-      return make(TokKind::Eof, Loc);
+    while (true) {
+      skipTrivia();
+      SourceLoc Loc = here();
+      if (Pos >= Src.size())
+        return make(TokKind::Eof, Loc);
 
-    char C = advance();
-    if (std::isalpha(static_cast<unsigned char>(C)) || C == '_')
-      return lexIdent(C, Loc);
-    if (std::isdigit(static_cast<unsigned char>(C)))
-      return lexNumber(C, Loc);
+      char C = advance();
+      if (isAlpha(C) || C == '_')
+        return lexIdent(Loc);
+      if (isDigit(C))
+        return lexNumber(C, Loc);
 
-    auto twoChar = [&](char Next, TokKind Two, TokKind One) {
-      if (peek() == Next) {
-        advance();
-        return make(Two, Loc);
-      }
-      return make(One, Loc);
-    };
+      auto twoChar = [&](char Next, TokKind Two, TokKind One) {
+        if (peek() == Next) {
+          advance();
+          return make(Two, Loc);
+        }
+        return make(One, Loc);
+      };
 
-    switch (C) {
-    case '(':
-      return make(TokKind::LParen, Loc);
-    case ')':
-      return make(TokKind::RParen, Loc);
-    case '{':
-      return make(TokKind::LBrace, Loc);
-    case '}':
-      return make(TokKind::RBrace, Loc);
-    case '[':
-      return make(TokKind::LBracket, Loc);
-    case ']':
-      return make(TokKind::RBracket, Loc);
-    case ',':
-      return make(TokKind::Comma, Loc);
-    case ';':
-      return make(TokKind::Semi, Loc);
-    case '+':
-      return make(TokKind::Plus, Loc);
-    case '-':
-      return make(TokKind::Minus, Loc);
-    case '*':
-      return make(TokKind::Star, Loc);
-    case '/':
-      return make(TokKind::Slash, Loc);
-    case '%':
-      return make(TokKind::Percent, Loc);
-    case '^':
-      return make(TokKind::Caret, Loc);
-    case '~':
-      return make(TokKind::Tilde, Loc);
-    case '&':
-      return twoChar('&', TokKind::AmpAmp, TokKind::Amp);
-    case '|':
-      return twoChar('|', TokKind::PipePipe, TokKind::Pipe);
-    case '=':
-      return twoChar('=', TokKind::EqEq, TokKind::Assign);
-    case '!':
-      return twoChar('=', TokKind::NotEq, TokKind::Bang);
-    case '<':
-      if (peek() == '<') {
-        advance();
-        return make(TokKind::Shl, Loc);
+      switch (C) {
+      case '(':
+        return make(TokKind::LParen, Loc);
+      case ')':
+        return make(TokKind::RParen, Loc);
+      case '{':
+        return make(TokKind::LBrace, Loc);
+      case '}':
+        return make(TokKind::RBrace, Loc);
+      case '[':
+        return make(TokKind::LBracket, Loc);
+      case ']':
+        return make(TokKind::RBracket, Loc);
+      case ',':
+        return make(TokKind::Comma, Loc);
+      case ';':
+        return make(TokKind::Semi, Loc);
+      case '+':
+        return make(TokKind::Plus, Loc);
+      case '-':
+        return make(TokKind::Minus, Loc);
+      case '*':
+        return make(TokKind::Star, Loc);
+      case '/':
+        return make(TokKind::Slash, Loc);
+      case '%':
+        return make(TokKind::Percent, Loc);
+      case '^':
+        return make(TokKind::Caret, Loc);
+      case '~':
+        return make(TokKind::Tilde, Loc);
+      case '&':
+        return twoChar('&', TokKind::AmpAmp, TokKind::Amp);
+      case '|':
+        return twoChar('|', TokKind::PipePipe, TokKind::Pipe);
+      case '=':
+        return twoChar('=', TokKind::EqEq, TokKind::Assign);
+      case '!':
+        return twoChar('=', TokKind::NotEq, TokKind::Bang);
+      case '<':
+        if (peek() == '<') {
+          advance();
+          return make(TokKind::Shl, Loc);
+        }
+        return twoChar('=', TokKind::Le, TokKind::Lt);
+      case '>':
+        if (peek() == '>') {
+          advance();
+          return make(TokKind::Shr, Loc);
+        }
+        return twoChar('=', TokKind::Ge, TokKind::Gt);
+      default:
+        Diag.error(Loc, format("unexpected character '%c'", C));
+        break;
       }
-      return twoChar('=', TokKind::Le, TokKind::Lt);
-    case '>':
-      if (peek() == '>') {
-        advance();
-        return make(TokKind::Shr, Loc);
-      }
-      return twoChar('=', TokKind::Ge, TokKind::Gt);
-    default:
-      Diag.error(Loc, format("unexpected character '%c'", C));
-      return next();
     }
   }
 
-  Token lexIdent(char First, SourceLoc Loc) {
-    std::string Text(1, First);
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-      Text += advance();
-    auto It = keywordTable().find(Text);
-    Token T = make(It != keywordTable().end() ? It->second : TokKind::Ident,
-                   Loc);
-    T.Text = std::move(Text);
+  /// Lexes the identifier or keyword whose first character was just read.
+  Token lexIdent(SourceLoc Loc) {
+    size_t Start = Pos - 1;
+    size_t End = Pos;
+    while (End < Src.size() && isIdentChar(Src[End]))
+      ++End;
+    Col += static_cast<unsigned>(End - Pos); // no newline inside a word
+    Pos = End;
+    std::string_view Word = Src.substr(Start, End - Start);
+    Token T = make(keywordKind(Word), Loc);
+    T.Text = Word;
     return T;
   }
 
+  /// Lexes the literal whose first digit was just read. Accumulation stops
+  /// once the value passes 16 bits, so no spelling can overflow it, and
+  /// the range error quotes the literal as written.
   Token lexNumber(char First, SourceLoc Loc) {
+    size_t Start = Pos - 1;
     int64_t Value = 0;
+    auto accumulate = [&Value](int Base, int Digit) {
+      if (Value <= 0xffff)
+        Value = Value * Base + Digit;
+    };
     if (First == '0' && (peek() == 'x' || peek() == 'X')) {
       advance();
       bool AnyDigit = false;
-      while (std::isxdigit(static_cast<unsigned char>(peek()))) {
+      while (isHexDigit(peek())) {
         char D = advance();
-        int Digit = std::isdigit(static_cast<unsigned char>(D))
-                        ? D - '0'
-                        : std::tolower(D) - 'a' + 10;
-        Value = Value * 16 + Digit;
+        accumulate(16, isDigit(D) ? D - '0' : (D | 0x20) - 'a' + 10);
         AnyDigit = true;
       }
       if (!AnyDigit)
         Diag.error(Loc, "hex literal requires at least one digit");
     } else {
       Value = First - '0';
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        Value = Value * 10 + (advance() - '0');
+      while (isDigit(peek()))
+        accumulate(10, advance() - '0');
     }
-    if (Value > 0xffff)
-      Diag.error(Loc, format("integer literal %lld exceeds 16 bits",
-                             static_cast<long long>(Value)));
+    if (Value > 0xffff) {
+      std::string Spelling(Src.substr(Start, Pos - Start));
+      Diag.error(Loc, "integer literal " + Spelling + " exceeds 16 bits");
+    }
     Token T = make(TokKind::IntLit, Loc);
     T.IntValue = Value;
     return T;
   }
 
-  const std::string &Src;
+  std::string_view Src;
   DiagnosticEngine &Diag;
   size_t Pos = 0;
   unsigned Line = 1;
@@ -310,7 +338,7 @@ private:
 
 } // namespace
 
-std::vector<Token> ucc::lex(const std::string &Source,
+std::vector<Token> ucc::lex(std::string_view Source,
                             DiagnosticEngine &Diag) {
   return LexerImpl(Source, Diag).run();
 }

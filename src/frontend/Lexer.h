@@ -16,7 +16,7 @@
 #include "support/Diagnostics.h"
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace ucc {
@@ -68,11 +68,12 @@ enum class TokKind {
   Ge,
 };
 
-/// One lexed token.
+/// One lexed token. Trivially copyable: Text views the lexed source, so a
+/// token stream is only valid while that source is.
 struct Token {
   TokKind Kind = TokKind::Eof;
-  std::string Text;  ///< identifier spelling
-  int64_t IntValue = 0; ///< for IntLit
+  std::string_view Text; ///< identifier and keyword spelling
+  int64_t IntValue = 0;  ///< for IntLit
   SourceLoc Loc;
 };
 
@@ -81,8 +82,9 @@ const char *tokKindName(TokKind Kind);
 
 /// Tokenizes \p Source. Lexical errors are reported to \p Diag; lexing
 /// continues past errors so the parser can report more problems in one run.
-/// The returned stream always ends with an Eof token.
-std::vector<Token> lex(const std::string &Source, DiagnosticEngine &Diag);
+/// The returned stream always ends with an Eof token, and its tokens view
+/// \p Source.
+std::vector<Token> lex(std::string_view Source, DiagnosticEngine &Diag);
 
 } // namespace ucc
 

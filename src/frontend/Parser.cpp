@@ -6,6 +6,7 @@
 #include "support/Format.h"
 
 #include <memory>
+#include <new>
 
 using namespace ucc;
 
@@ -83,6 +84,7 @@ public:
 
   ProgramAST run() {
     ProgramAST Program;
+    Nodes = Program.Nodes.get();
     while (!at(TokKind::Eof)) {
       if (at(TokKind::KwInt) || at(TokKind::KwVoid)) {
         parseTopLevel(Program);
@@ -104,8 +106,10 @@ private:
   }
   bool at(TokKind Kind) const { return cur().Kind == Kind; }
 
-  Token advance() {
-    Token T = cur();
+  /// Consumes the current token and returns it. Tokens stay put for the
+  /// parser's lifetime, so the reference never dangles.
+  const Token &advance() {
+    const Token &T = cur();
     if (Pos + 1 < Toks.size())
       ++Pos;
     return T;
@@ -118,7 +122,7 @@ private:
     return true;
   }
 
-  Token expect(TokKind Kind, const char *Where) {
+  const Token &expect(TokKind Kind, const char *Where) {
     if (at(Kind))
       return advance();
     error(format("expected %s %s, found %s", tokKindName(Kind), Where,
@@ -140,7 +144,7 @@ private:
   void parseTopLevel(ProgramAST &Program) {
     bool ReturnsInt = at(TokKind::KwInt);
     advance(); // int / void
-    Token Name = expect(TokKind::Ident, "in declaration");
+    const Token &Name = expect(TokKind::Ident, "in declaration");
 
     if (at(TokKind::LParen)) {
       parseFunction(Program, Name, ReturnsInt);
@@ -159,7 +163,7 @@ private:
     G.Loc = Name.Loc;
     G.Name = Name.Text;
     if (accept(TokKind::LBracket)) {
-      Token Size = expect(TokKind::IntLit, "as array size");
+      const Token &Size = expect(TokKind::IntLit, "as array size");
       G.ArraySize = static_cast<int>(Size.IntValue);
       if (G.ArraySize <= 0)
         Diag.error(Size.Loc, "array size must be positive");
@@ -184,7 +188,7 @@ private:
 
   int64_t parseSignedIntLit() {
     bool Negate = accept(TokKind::Minus);
-    Token Lit = expect(TokKind::IntLit, "in initializer");
+    const Token &Lit = expect(TokKind::IntLit, "in initializer");
     return Negate ? -Lit.IntValue : Lit.IntValue;
   }
 
@@ -198,8 +202,8 @@ private:
     if (!at(TokKind::RParen) && !accept(TokKind::KwVoid)) {
       do {
         expect(TokKind::KwInt, "as parameter type");
-        Token P = expect(TokKind::Ident, "as parameter name");
-        F.Params.push_back(P.Text);
+        const Token &P = expect(TokKind::Ident, "as parameter name");
+        F.Params.emplace_back(P.Text);
       } while (accept(TokKind::Comma));
     }
     if (F.Params.size() > 4)
@@ -212,7 +216,7 @@ private:
   //===--- statements -----------------------------------------------------===//
 
   StmtPtr makeStmt(Stmt::Kind Kind, SourceLoc Loc) {
-    auto S = std::make_unique<Stmt>();
+    StmtPtr S(new (Nodes->allocate(sizeof(Stmt), alignof(Stmt))) Stmt());
     S->K = Kind;
     S->Loc = Loc;
     return S;
@@ -267,11 +271,11 @@ private:
 
   StmtPtr parseDecl() {
     SourceLoc Loc = advance().Loc; // int
-    Token Name = expect(TokKind::Ident, "as variable name");
+    const Token &Name = expect(TokKind::Ident, "as variable name");
     StmtPtr S = makeStmt(Stmt::Kind::Decl, Loc);
     S->Name = Name.Text;
     if (accept(TokKind::LBracket)) {
-      Token Size = expect(TokKind::IntLit, "as array size");
+      const Token &Size = expect(TokKind::IntLit, "as array size");
       S->ArraySize = static_cast<int>(Size.IntValue);
       if (S->ArraySize <= 0)
         Diag.error(Size.Loc, "array size must be positive");
@@ -330,7 +334,7 @@ private:
     SourceLoc Loc = cur().Loc;
 
     if (at(TokKind::Ident)) {
-      const std::string &Name = cur().Text;
+      std::string_view Name = cur().Text;
       if (Name == "__out")
         return parseOut();
       if (Name == "__halt") {
@@ -370,7 +374,7 @@ private:
   }
 
   StmtPtr parseAssign(bool Indexed) {
-    Token Name = advance();
+    const Token &Name = advance();
     StmtPtr S = makeStmt(Stmt::Kind::Assign, Name.Loc);
     S->Name = Name.Text;
     if (Indexed) {
@@ -386,7 +390,7 @@ private:
   StmtPtr parseOut() {
     SourceLoc Loc = advance().Loc; // __out
     expect(TokKind::LParen, "after '__out'");
-    Token Port = expect(TokKind::IntLit, "as port number");
+    const Token &Port = expect(TokKind::IntLit, "as port number");
     expect(TokKind::Comma, "after port number");
     StmtPtr S = makeStmt(Stmt::Kind::OutPort, Loc);
     S->Port = Port.IntValue;
@@ -398,7 +402,7 @@ private:
   //===--- expressions ----------------------------------------------------===//
 
   ExprPtr makeExpr(Expr::Kind Kind, SourceLoc Loc) {
-    auto E = std::make_unique<Expr>();
+    ExprPtr E(new (Nodes->allocate(sizeof(Expr), alignof(Expr))) Expr());
     E->K = Kind;
     E->Loc = Loc;
     return E;
@@ -465,10 +469,10 @@ private:
       return E;
     }
     if (at(TokKind::Ident)) {
-      Token Name = advance();
+      const Token &Name = advance();
       if (Name.Text == "__in") {
         expect(TokKind::LParen, "after '__in'");
-        Token Port = expect(TokKind::IntLit, "as port number");
+        const Token &Port = expect(TokKind::IntLit, "as port number");
         expect(TokKind::RParen, "after port number");
         ExprPtr E = makeExpr(Expr::Kind::InPort, Loc);
         E->Port = Port.IntValue;
@@ -504,6 +508,7 @@ private:
   std::vector<Token> Toks;
   DiagnosticEngine &Diag;
   size_t Pos = 0;
+  Arena *Nodes = nullptr; ///< the arena of the ProgramAST being built
 };
 
 } // namespace

@@ -5,14 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving mechanics. The snapshot is a vector of shared_ptr-owned
-/// StoredVersion copies plus one content hash per version; commit builds
-/// the successor snapshot by structural sharing (the old entries are
-/// reused, only the new version is copied) and publishes it by bumping an
-/// atomic snapshot id — readers keep a thread-local pointer to the
-/// snapshot they last used and only take the publication lock when the id
-/// moved, so the steady-state read path is one acquire load with no
-/// shared-cache-line writes.
+/// The serving mechanics. The snapshot is a vector of shared_ptrs to the
+/// store's own immutable StoredVersion objects plus one content hash per
+/// version, so each version exists once however many snapshots hold it;
+/// commit builds the successor snapshot by structural sharing (the old
+/// entries are reused, the new version is shared, nothing is copied) and
+/// publishes it by bumping an atomic snapshot id — readers keep a
+/// thread-local pointer to the snapshot they last used and only take the
+/// publication lock when the id moved, so the steady-state read path is
+/// one acquire load with no shared-cache-line writes.
 ///
 /// The plan cache is a sharded support/MemoCache (docs/PERFORMANCE.md,
 /// "The memo cache"): the latch, the LRU, the global budget and the
@@ -117,10 +118,9 @@ PlanService::PlanService(VersionStore S, PlanServiceOptions O)
 
   auto Initial = std::make_shared<Snapshot>();
   Initial->Id = GlobalSnapId.fetch_add(1, std::memory_order_relaxed) + 1;
-  for (const StoredVersion &V : Store.versions()) {
-    Initial->Versions.push_back(std::make_shared<const StoredVersion>(V));
-    Initial->ImageHash.push_back(imageContentHash(V.Image));
-  }
+  Initial->Versions = Store.versions();
+  for (const auto &V : Initial->Versions)
+    Initial->ImageHash.push_back(imageContentHash(V->Image));
   uint64_t Id = Initial->Id;
   Snap = std::move(Initial);
   CurrentSnapId.store(Id, std::memory_order_release);
@@ -279,16 +279,17 @@ int PlanService::commit(const std::string &Source,
   if (Id < 0)
     return -1;
 
-  // Publish the successor snapshot: reuse every existing entry, copy only
-  // the new version. Readers on the old snapshot are unaffected; readers
-  // with a cached pointer notice the id moved and refresh.
+  // Publish the successor snapshot: reuse every existing entry and share
+  // the store's new version. Readers on the old snapshot are unaffected;
+  // readers with a cached pointer notice the id moved and refresh.
   {
     std::lock_guard<std::mutex> SnapGuard(SnapLock);
     auto Next = std::make_shared<Snapshot>(*Snap);
     Next->Id = GlobalSnapId.fetch_add(1, std::memory_order_relaxed) + 1;
-    const StoredVersion &V = *Store.find(Id);
-    Next->Versions.push_back(std::make_shared<const StoredVersion>(V));
-    Next->ImageHash.push_back(imageContentHash(V.Image));
+    const std::shared_ptr<const StoredVersion> &V =
+        Store.versions()[static_cast<size_t>(Id)];
+    Next->Versions.push_back(V);
+    Next->ImageHash.push_back(imageContentHash(V->Image));
     uint64_t NextId = Next->Id;
     Snap = std::move(Next);
     CurrentSnapId.store(NextId, std::memory_order_release);
@@ -301,6 +302,13 @@ int PlanService::commit(const std::string &Source,
 
 CompileCacheStats PlanService::compileCacheStats() const {
   return FnCache->stats();
+}
+
+std::shared_ptr<const StoredVersion> PlanService::version(int Id) const {
+  std::shared_ptr<const Snapshot> S = snapshot();
+  if (!S->find(Id))
+    return nullptr;
+  return S->Versions[static_cast<size_t>(Id)];
 }
 
 size_t PlanService::versionCount() const { return snapshot()->Versions.size(); }

@@ -13,7 +13,8 @@
 ///  * an immutable snapshot index published through an atomic sequence
 ///    number with a per-thread snapshot cache, so steady-state `plan`
 ///    reads touch no lock and no shared cache line beyond one acquire
-///    load, and `commit` never blocks them;
+///    load, and `commit` never blocks them; a snapshot shares the store's
+///    version objects rather than copying them;
 ///  * a plan cache on support/MemoCache split into N shards (canonical
 ///    pair hash → shard), each with its own lock, LRU list, and
 ///    exactly-once in-flight latch, so concurrent requests for distinct
@@ -146,6 +147,11 @@ public:
 
   /// Accounting for the service's function-level compile cache.
   CompileCacheStats compileCacheStats() const;
+
+  /// Version \p Id as the current snapshot holds it (null if unknown).
+  /// It is the store's own object, shared, so it stays readable after
+  /// later commits and after the service is destroyed.
+  std::shared_ptr<const StoredVersion> version(int Id) const;
 
   /// Versions visible to plan() right now (the snapshot, not the store).
   size_t versionCount() const;

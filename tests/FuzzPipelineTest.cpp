@@ -116,6 +116,43 @@ TEST_P(FuzzHybrid, HybridStrategyKeepsBehavior) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzHybrid, ::testing::Range(0, 10));
 
+/// A deterministic corpus of sources built to break a lexer: long runs of
+/// stray characters (once one stack frame each), 20-40 digit literals
+/// (once accumulated into int64_t until it overflowed) and a block
+/// comment still open at end of input. The sanitizer jobs run it with
+/// every UBSan check fatal. Each must fail to compile with a diagnostic.
+TEST(FuzzPipeline, LexerHostileCorpusIsDiagnosed) {
+  std::vector<std::string> Corpus;
+  for (char Stray : {'@', '$', '#', '`', '\\'})
+    Corpus.push_back("int main() { return " + std::string(150000, Stray) +
+                     " 0; }");
+  std::string Mixed;
+  for (int I = 0; I < 50000; ++I)
+    Mixed += I % 3 ? "@ " : "$\n";
+  Corpus.push_back("void main() { " + Mixed + "__halt(); }");
+  const char Digits[] = "0123456789abcdefABCDEF";
+  RNG Rng(7);
+  for (int Length = 20; Length <= 40; Length += 5) {
+    std::string Dec = "9", Hex = "0xF";
+    for (int D = 1; D < Length; ++D) {
+      Dec += Digits[Rng.below(10)];
+      Hex += Digits[Rng.below(22)];
+    }
+    Corpus.push_back("int g = " + Dec + "; void main() { __halt(); }");
+    Corpus.push_back("void main() { __out(0, " + Hex + "); __halt(); }");
+    Corpus.push_back("int t[" + Dec + "]; void main() { __halt(); }");
+  }
+  Corpus.push_back("void main() { __halt(); } /* never closed");
+  Corpus.push_back("void main() { __halt(); /* never closed }");
+
+  for (const std::string &Source : Corpus) {
+    DiagnosticEngine Diag;
+    EXPECT_FALSE(Compiler::compile(Source, CompileOptions(), Diag))
+        << Source.substr(0, 80);
+    EXPECT_TRUE(Diag.hasErrors()) << Source.substr(0, 80);
+  }
+}
+
 TEST(FuzzPipeline, UccNeverLosesToBaselineInAggregate) {
   long TotalBase = 0, TotalUcc = 0;
   for (int Seed = 100; Seed < 120; ++Seed) {

@@ -1,6 +1,7 @@
 //===- tests/OptTest.cpp - optimizer pass tests ---------------------------===//
 
 #include "ProgramGen.h"
+#include "WorkloadPrograms.h"
 
 #include "frontend/IRGen.h"
 #include "ir/Verifier.h"
@@ -293,29 +294,6 @@ uint64_t optimizedDigest(const std::string &Source, uint64_t H = Fnv1aBasis) {
   std::string Text = M.print();
   H = fnv1a(Text.data(), Text.size(), H);
   return fnv1a(&Changed, 1, H);
-}
-
-/// Every program in src/workloads, by a stable name.
-std::vector<std::pair<std::string, std::string>> workloadPrograms() {
-  std::vector<std::pair<std::string, std::string>> Programs;
-  auto Add = [&](const std::string &Name, const std::string &Source) {
-    for (const auto &P : Programs)
-      if (P.second == Source)
-        return; // most cases start from an unedited workload
-    Programs.emplace_back(Name, Source);
-  };
-  for (const Workload &W : workloads())
-    Add(W.Name, W.Source);
-  auto AddCase = [&](const std::string &Name, const UpdateCase &C) {
-    Add(Name + ".old", C.OldSource);
-    Add(Name + ".new", C.NewSource);
-  };
-  for (const UpdateCase &C : updateCases())
-    AddCase("case" + std::to_string(C.Id), C);
-  for (const UpdateCase &C : dataLayoutCases())
-    AddCase("case" + std::to_string(C.Id), C);
-  AddCase("liverange", liveRangeExtensionCase());
-  return Programs;
 }
 
 /// The optimizer's output, pinned: a pass rewrite must leave every

@@ -404,6 +404,32 @@ TEST(PlanService, SnapshotIsolationAcrossCommitAndPlan) {
   EXPECT_EQ(Served->Update.serialize(), Direct->Update.serialize());
 }
 
+TEST(PlanService, PlansAndVersionsOutliveTheService) {
+  std::shared_ptr<const UpdatePlan> Plan;
+  std::shared_ptr<const StoredVersion> Old, New;
+  {
+    PlanService Service(buildChain(3));
+    Plan = Service.plan(1, 2);
+    Old = Service.version(1);
+    New = Service.version(2);
+    // The snapshot shares the store's objects instead of copying them,
+    // and a commit leaves them in place.
+    EXPECT_EQ(Old.get(), Service.store().find(1));
+    DiagnosticEngine Diag;
+    ASSERT_EQ(Service.commit(updateCases()[5].NewSource, uccOptions(), Diag),
+              3)
+        << Diag.str();
+    EXPECT_EQ(Service.version(2), New);
+    EXPECT_EQ(Service.store().find(2), New.get());
+    EXPECT_EQ(Service.version(4), nullptr);
+  }
+  ASSERT_TRUE(Plan && Old && New);
+  EXPECT_EQ(Plan->Update.serialize(), New->FromParent.serialize());
+  BinaryImage Patched;
+  ASSERT_TRUE(applyUpdate(Old->Image, Plan->Update, Patched));
+  EXPECT_EQ(Patched.serialize(), New->Image.serialize());
+}
+
 TEST(PlanService, BatchDedupesAndPreservesOrder) {
   PlanService Service(buildChain());
   std::vector<std::pair<int, int>> Pairs = {

@@ -98,6 +98,25 @@ TEST_F(ToolFixture, CompileRunFlow) {
       << capturedOutput();
 }
 
+TEST_F(ToolFixture, LexerHostileSourcesAreErrorsNotCrashes) {
+  // 200000 stray characters once overflowed the lexer's stack (SIGSEGV),
+  // and a 30-digit literal once wrapped and compiled.
+  writeFile("stray.mc",
+            "int main() { return " + std::string(200000, '@') + " 0; }\n");
+  EXPECT_EQ(uccc("compile " + path("stray.mc") + " -o " + path("stray.img")),
+            1);
+  EXPECT_NE(capturedOutput().find("1:21: error: unexpected character '@'"),
+            std::string::npos);
+  writeFile("wide.mc",
+            "int main() { return 123456789012345678901234567890; }\n");
+  EXPECT_EQ(uccc("compile " + path("wide.mc") + " -o " + path("wide.img")), 1);
+  EXPECT_NE(capturedOutput().find("integer literal "
+                                  "123456789012345678901234567890 exceeds "
+                                  "16 bits"),
+            std::string::npos)
+      << capturedOutput();
+}
+
 TEST_F(ToolFixture, UpdatePatchFlowReproducesFreshImage) {
   writeFile("v1.mc", SourceV1);
   writeFile("v2.mc", SourceV2);

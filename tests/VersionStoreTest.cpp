@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VersionStore.h"
+#include "support/Telemetry.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -186,14 +187,27 @@ TEST(VersionStore, SingleStepPlansTieAndGoDirect) {
   // A one-hop plan's composed route IS the direct diff (the same
   // endpoint pair through the same differ), so the bytes tie exactly —
   // and ties must deterministically pick Direct, upgrades and rollbacks
-  // alike.
+  // alike, shipping exactly the fresh endpoint diff.
   for (auto [From, To] : {std::pair{0, 1}, {1, 2}, {1, 0}, {2, 1}}) {
     auto P = Store.plan(From, To);
     ASSERT_TRUE(P.has_value()) << From << "->" << To;
     EXPECT_EQ(P->ChainSteps, 1);
     EXPECT_EQ(P->ChainedBytes, P->DirectBytes);
     EXPECT_EQ(P->Route, UpdatePlan::RouteKind::Direct);
+    EXPECT_EQ(P->Update.serialize(),
+              makeImageUpdate(Store.find(From)->Image, Store.find(To)->Image)
+                  .serialize())
+        << From << "->" << To;
   }
+  // An upgrade is the update its commit already built: no diff runs.
+  Telemetry T;
+  {
+    TelemetryScope Scope(T);
+    for (auto [From, To] : {std::pair{0, 1}, {1, 2}})
+      ASSERT_TRUE(Store.plan(From, To).has_value());
+  }
+  EXPECT_EQ(T.counter("store.plans"), 2);
+  EXPECT_EQ(T.counter("diff.scripts"), 0);
 }
 
 TEST(VersionStore, ComposedRouteBeatsDirectWhenTheDirectDiffFragments) {
@@ -283,6 +297,14 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
     EXPECT_EQ(A->Parent, B->Parent);
     EXPECT_EQ(A->SourceHash, B->SourceHash);
     EXPECT_EQ(A->ScriptBytesFromParent, B->ScriptBytesFromParent);
+    EXPECT_EQ(A->FromParent.serialize(), B->FromParent.serialize());
+  }
+  // The rebuilt parent -> child updates serve the same one-hop plans.
+  for (auto [From, To] : {std::pair{0, 1}, {1, 2}, {2, 1}}) {
+    auto A = Reopened->plan(From, To);
+    auto B = Fresh.plan(From, To);
+    ASSERT_TRUE(A.has_value() && B.has_value());
+    EXPECT_EQ(A->Update.serialize(), B->Update.serialize());
   }
 
   // And the chain keeps growing after the reopen.
@@ -352,9 +374,9 @@ TEST_F(ScratchDir, CommitCutOffAtAnyWriteReopensAsTheStoreBefore) {
     EXPECT_TRUE(S.has_value()) << Diag.str();
     if (!S)
       return SIZE_MAX;
-    for (const StoredVersion &V : S->versions()) {
-      EXPECT_EQ(V.Image.serialize(), Fresh.find(V.Id)->Image.serialize());
-      EXPECT_EQ(V.Record.serialize(), Fresh.find(V.Id)->Record.serialize());
+    for (const auto &V : S->versions()) {
+      EXPECT_EQ(V->Image.serialize(), Fresh.find(V->Id)->Image.serialize());
+      EXPECT_EQ(V->Record.serialize(), Fresh.find(V->Id)->Record.serialize());
     }
     return S->size();
   };

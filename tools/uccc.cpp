@@ -560,13 +560,13 @@ int cmdHistory(Args &A) {
   VersionStore Store = openStoreOrDie(StoreDir);
   std::printf("%-4s %-6s %-16s %10s %8s %8s\n", "id", "parent",
               "source-hash", "script", "code", "data");
-  for (const StoredVersion &V : Store.versions()) {
-    std::string Parent = V.Parent < 0 ? "-" : format("v%d", V.Parent);
+  for (const auto &V : Store.versions()) {
+    std::string Parent = V->Parent < 0 ? "-" : format("v%d", V->Parent);
     std::string Script =
-        V.Parent < 0 ? "-" : format("%zu", V.ScriptBytesFromParent);
-    std::printf("v%-3d %-6s %-16s %10s %8zu %8zu\n", V.Id, Parent.c_str(),
-                V.SourceHash.c_str(), Script.c_str(), V.Image.Code.size(),
-                V.Image.DataInit.size());
+        V->Parent < 0 ? "-" : format("%zu", V->ScriptBytesFromParent);
+    std::printf("v%-3d %-6s %-16s %10s %8zu %8zu\n", V->Id, Parent.c_str(),
+                V->SourceHash.c_str(), Script.c_str(), V->Image.Code.size(),
+                V->Image.DataInit.size());
   }
   std::printf("%zu version(s)\n", Store.size());
   return 0;
