@@ -6,17 +6,12 @@
 // the release just behind the head, a long tail lags several back, and a
 // sprinkling of arbitrary pairs models cross-version queries). Reports
 // cache-cold vs cache-warm plans/sec and p95 latency, batch throughput,
-// a closed-loop multi-threaded driver (`--threads`, default 8) swept
-// across shard counts {1,2,4,8} plus a same-shard adversarial mix, a
-// scan-thrash scenario that pins LRU's behaviour under a one-pass scan,
-// and — the correctness anchor — that every served plan is byte-identical
-// to the direct VersionStore::plan result, across shard counts, thread
-// counts, and cache on/off. The bench hard-fails if the cache-warm
-// speedup drops below 5x cold, any plan diverges, or (on machines with
-// at least 4 cores) the contended 8-thread run fails to reach 3x
-// plans/sec on 8 shards over 1 — on smaller machines the scaling ratio
-// is printed but the gate is skipped, since there is no parallelism to
-// measure.
+// a contended closed-loop multi-threaded driver (`--threads`, default 8)
+// on the warm cache, a scan-thrash scenario that pins LRU's behaviour
+// under a one-pass scan, and — the correctness anchor — that every served
+// plan is byte-identical to the direct VersionStore::plan result, across
+// thread counts and cache on/off. The bench hard-fails if the cache-warm
+// speedup drops below 5x cold or any plan diverges.
 //
 // Every timed phase replays the stream through serve/LoadDriver, the same
 // request driver `uccc serve-bench` runs, so latency percentiles are
@@ -42,7 +37,6 @@
 #include <cstdlib>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -132,10 +126,9 @@ VersionStore buildStore(int Versions) {
   return Store;
 }
 
-PlanServiceOptions serveOpts(size_t Capacity, size_t NumShards = 8) {
+PlanServiceOptions serveOpts(size_t Capacity) {
   PlanServiceOptions Opts;
   Opts.CacheCapacity = Capacity;
-  Opts.Shards = NumShards;
   return Opts;
 }
 
@@ -157,12 +150,6 @@ LoadResult mustRun(const PlanService &Svc,
 double quantileUs(const DurationDist &H, double Q) {
   return H.quantileSeconds(Q) * 1e6;
 }
-
-/// One closed-loop multi-threaded measurement.
-struct MtStats {
-  double PlansPerSec = 0;
-  double P95Us = 0;
-};
 
 } // namespace
 
@@ -234,8 +221,8 @@ int main(int Argc, char **Argv) {
 
   // The byte-identity oracle: the raw store's answer for every distinct
   // pair the stream touches. Every serving configuration below — any
-  // shard count, thread count, cache on or off — must reproduce these
-  // bytes exactly, so the route and script-byte metrics read them here.
+  // thread count, cache on or off — must reproduce these bytes exactly,
+  // so the route and script-byte metrics read them here.
   std::map<std::pair<int, int>, std::vector<uint8_t>> RefBytes;
   int ChainedRoutes = 0;
   size_t TotalScriptBytes = 0;
@@ -305,48 +292,15 @@ int main(int Argc, char **Argv) {
 
   Mismatches += verifyService(Service); // byte identity after warm traffic
 
-  // --- The contended multi-threaded scenarios: a closed loop (every
-  // thread grabs the next request as soon as it finishes the last) over
-  // the warm Zipf stream, swept across shard counts. Same request
-  // stream, same cache capacity — only the lock granularity changes.
-  auto runClosedLoop = [&](const PlanService &Svc,
-                           const std::vector<std::pair<int, int>> &Reqs) {
-    DurationDist Latency;
-    LoadResult Run = mustRun(Svc, Reqs,
-                             {.Requests = MtRequests, .Threads = Threads},
-                             Latency, "multi-threaded");
-    return MtStats{Run.plansPerSec(), quantileUs(Latency, 0.95)};
-  };
-
-  std::map<size_t, MtStats> Sweep;
-  for (size_t NumShards : {size_t(1), size_t(2), size_t(4), size_t(8)}) {
-    PlanService Svc(buildStore(Versions), serveOpts(512, NumShards));
-    Svc.planBatch(Unique, Bench.jobs()); // warm every pair first
-    Sweep[NumShards] = runClosedLoop(Svc, Stream);
-    Mismatches += verifyService(Svc); // byte identity after contention
-  }
-  double ScalingX = Sweep[8].PlansPerSec / Sweep[1].PlansPerSec;
-
-  // The adversarial mix: every request hashes into ONE of the 8 shards,
-  // so sharding buys nothing and the single hot lock is the ceiling.
-  MtStats SameShard;
-  size_t SameShardPairs = 0;
-  {
-    PlanService Svc(buildStore(Versions), serveOpts(512, 8));
-    Svc.planBatch(Unique, Bench.jobs());
-    std::vector<std::vector<std::pair<int, int>>> ByShard(
-        Svc.shardCount());
-    for (const auto &P : Unique)
-      if (auto Idx = Svc.shardIndex(P.first, P.second))
-        ByShard[*Idx].push_back(P);
-    const std::vector<std::pair<int, int>> *Crowded = &ByShard[0];
-    for (const std::vector<std::pair<int, int>> &Pairs : ByShard)
-      if (Pairs.size() > Crowded->size())
-        Crowded = &Pairs;
-    SameShardPairs = Crowded->size();
-    SameShard = runClosedLoop(Svc, *Crowded);
-    Mismatches += verifyService(Svc);
-  }
+  // --- Contended serving: a closed loop (every thread grabs the next
+  // request as soon as it finishes the last) over the warm Zipf stream.
+  DurationDist MtLatency;
+  double MtPlansPerSec =
+      mustRun(Service, Stream, {.Requests = MtRequests, .Threads = Threads},
+              MtLatency, "multi-threaded")
+          .plansPerSec();
+  double MtP95Us = quantileUs(MtLatency, 0.95);
+  Mismatches += verifyService(Service); // byte identity after contention
 
   // --- Scan-thrash: a hot pair of plans accessed repeatedly, then a
   // one-pass scan over every other stale version. LRU lets the scan evict
@@ -354,7 +308,7 @@ int main(int Argc, char **Argv) {
   // gate pins the count.
   uint64_t ScanHotMissesLru = 0;
   {
-    PlanService Svc(buildStore(Versions), serveOpts(2, 1));
+    PlanService Svc(buildStore(Versions), serveOpts(2));
     for (int K = 0; K < 3; ++K) {
       Svc.plan(0, Head);
       Svc.plan(1, Head);
@@ -368,12 +322,11 @@ int main(int Argc, char **Argv) {
   }
 
   // --- A scripted eviction scenario the regression gate can pin: a
-  // capacity-2 single-shard cache walked through three pairs evicts the
-  // LRU pair, and that pair's return misses and evicts again — two
-  // evictions total.
+  // capacity-2 cache walked through three pairs evicts the LRU pair, and
+  // that pair's return misses and evicts again — two evictions total.
   uint64_t Cap2Evictions;
   {
-    PlanService Tiny(buildStore(Versions), serveOpts(2, 1));
+    PlanService Tiny(buildStore(Versions), serveOpts(2));
     Tiny.plan(0, Head);
     Tiny.plan(1, Head);
     Tiny.plan(2, Head); // evicts (0, Head)
@@ -399,24 +352,9 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(MeasuredHits),
               static_cast<unsigned long long>(MeasuredMisses));
 
-  unsigned Cores = std::thread::hardware_concurrency();
-  bool EnforceScaling = Cores >= 4 && Threads >= 4;
-  std::printf("\nContended serving, %d threads, %d requests "
-              "(closed loop, warm cache):\n",
-              Threads, MtRequests);
-  std::printf("%-28s %12s %12s\n", "shards", "plans/sec", "p95 (us)");
-  for (const auto &[NumShards, R] : Sweep)
-    std::printf("%-28zu %12.0f %12.2f\n", NumShards, R.PlansPerSec,
-                R.P95Us);
-  std::printf("%-28s %12.0f %12.2f   (%zu pairs, one shard)\n",
-              "same-shard adversarial", SameShard.PlansPerSec,
-              SameShard.P95Us, SameShardPairs);
-  std::printf("shards=8 over shards=1:      %.2fx", ScalingX);
-  if (!EnforceScaling)
-    std::printf("   (3x gate skipped: %u core%s)", Cores,
-                Cores == 1 ? "" : "s");
-  std::printf("\n");
-
+  std::printf("\ncontended, %d threads:        %.0f plans/sec, p95 %.2f us "
+              "(%d requests, closed loop, warm cache)\n",
+              Threads, MtPlansPerSec, MtP95Us, MtRequests);
   std::printf("\nscan-thrash hot misses:      %llu (lru)\n",
               static_cast<unsigned long long>(ScanHotMissesLru));
   std::printf("capacity-2 evictions:        %llu\n",
@@ -437,18 +375,8 @@ int main(int Argc, char **Argv) {
   Bench.metric("scan_hot_misses_lru",
                static_cast<double>(ScanHotMissesLru));
   Bench.metric("mt_threads", Threads);
-  Bench.metric("mt_same_shard_pairs",
-               static_cast<double>(SameShardPairs));
-  for (const auto &[NumShards, R] : Sweep) {
-    Bench.metric(format("mt_shards%zu_plans_per_sec_seconds", NumShards),
-                 R.PlansPerSec);
-    Bench.metric(format("mt_shards%zu_p95_us_seconds", NumShards),
-                 R.P95Us);
-  }
-  Bench.metric("mt_same_shard_plans_per_sec_seconds",
-               SameShard.PlansPerSec);
-  Bench.metric("mt_same_shard_p95_us_seconds", SameShard.P95Us);
-  Bench.metric("mt_scaling_shards8_over_1_x_seconds", ScalingX);
+  Bench.metric("mt_plans_per_sec_seconds", MtPlansPerSec);
+  Bench.metric("mt_p95_us_seconds", MtP95Us);
   Bench.metric("byte_identical", Mismatches == 0 ? 1.0 : 0.0);
   Bench.metric("cold_plans_per_sec_seconds", ColdPlansPerSec);
   Bench.metric("warm_plans_per_sec_seconds", WarmPlansPerSec);
@@ -467,13 +395,6 @@ int main(int Argc, char **Argv) {
                  "bench_plan_service: warm speedup %.1fx is below the "
                  "5x acceptance floor\n",
                  Speedup);
-    return 1;
-  }
-  if (EnforceScaling && ScalingX < 3.0) {
-    std::fprintf(stderr,
-                 "bench_plan_service: contended %d-thread throughput on "
-                 "8 shards is only %.2fx the 1-shard cache (3x floor)\n",
-                 Threads, ScalingX);
     return 1;
   }
   return 0;

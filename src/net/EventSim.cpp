@@ -9,13 +9,10 @@
 /// slot-timestamped events (pooled per-slot buckets over a window of a few
 /// burst airtimes, plus an overflow heap for far-off timers) with
 /// deterministic (slot, node, kind, seq) ordering, drained one slot-batch
-/// at a time. Because every event schedules its consequences at least one
-/// slot in the future, a whole batch is a conservative synchronization
-/// window: its events touch only the state of the node they are addressed
-/// to, so the batch can be partitioned by node region and processed on
-/// ThreadPool workers, with new events merged back in region order at the
-/// barrier. See EventSim.h for the model and docs/NETWORK.md for the
-/// determinism contract.
+/// at a time on the calling thread. Every event schedules its
+/// consequences at least one slot in the future, so handlers push
+/// straight into the queue while their batch runs. See EventSim.h for the
+/// model and docs/NETWORK.md for the determinism contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +22,6 @@
 #include "support/Hash.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
@@ -86,10 +82,9 @@ struct Event {
 /// arrival, beacon, request and transmit retry; what overflows is a
 /// backed-off poll timer or a kick deferred to a distant wake window.
 ///
-/// Sequence numbers are handed out per target node at push time, so
-/// pushes must happen on one thread (they do: at init and at the
-/// per-batch merge barrier) and the (slot, node, kind, seq) order is a
-/// total order independent of worker scheduling and of bucket order.
+/// Sequence numbers are handed out per target node at push time, so the
+/// (slot, node, kind, seq) order is a total order independent of bucket
+/// order.
 class EventQueue {
 public:
   EventQueue(int NumNodes, int64_t AirSlots)
@@ -185,67 +180,31 @@ private:
 // Fleet simulator
 //===----------------------------------------------------------------------===//
 
-/// Deferred trace-event record; workers append these to their region
-/// scratch and the merge barrier replays them into the ambient registry
-/// (worker threads must not touch the caller's thread-local telemetry).
-struct TraceRec {
-  uint8_t Kind; ///< 0 = tx, 1 = rx, 2 = collision
-  int32_t Node;
-  int32_t From;
-  int32_t Aux; ///< tx: burst index; rx: sender hop
-  int64_t Slot;
-};
-
-/// Everything a region worker produces during one batch. Merged into the
-/// global result and the queue in ascending region order, so totals and
-/// event sequence numbers do not depend on worker scheduling.
-struct RegionScratch {
-  std::vector<Event> Out;
-  std::vector<TraceRec> Traces;
-  int64_t Retransmissions = 0;
-  int64_t Collisions = 0;
-  int64_t Backoffs = 0;
-  int64_t SleepDeferrals = 0;
-  int64_t SleepMisses = 0;
-  int64_t Overheard = 0;
-  int64_t Beacons = 0;
-  int64_t Requests = 0;
-  int Transmitters = 0;
-  int Completions = 0;
-  int MaxHop = 0;
+/// The Tx/Rx energy one batch adds up. The ledger adds each batch's sums
+/// once the batch is done, not each handler's charge as it happens: that
+/// is the summation order FleetSim.ResultsArePinned encodes.
+struct BatchEnergy {
   double TxJoules = 0.0;
   double RxJoules = 0.0;
   double TxSeconds = 0.0;
   double RxSeconds = 0.0;
-
-  void reset() {
-    Out.clear();
-    Traces.clear();
-    Retransmissions = Collisions = Backoffs = 0;
-    SleepDeferrals = SleepMisses = Overheard = Beacons = Requests = 0;
-    Transmitters = Completions = MaxHop = 0;
-    TxJoules = RxJoules = TxSeconds = RxSeconds = 0.0;
-  }
 };
-
-/// Nodes are assigned to regions in blocks of 64 ids, round-robin, so a
-/// geographically local wavefront (contiguous ids in line/grid builders)
-/// still spreads across regions and can use the workers.
-constexpr int RegionBlockBits = 6;
 
 class FleetSim {
 public:
   FleetSim(const Topology &T, size_t ScriptBytes, const FleetConfig &Cfg)
-      : T(T), Cfg(Cfg), N(T.NumNodes) {
-    Packets = Cfg.Fmt.packetsFor(ScriptBytes);
-    Bytes = Cfg.Fmt.bytesOnAir(ScriptBytes);
+      : T(T), Cfg(Cfg), N(T.NumNodes),
+        Packets(Cfg.Fmt.packetsFor(ScriptBytes)),
+        Bytes(Cfg.Fmt.bytesOnAir(ScriptBytes)),
+        AirSeconds(static_cast<double>(Bytes) * 8.0 /
+                   Cfg.Power.RadioBitsPerSec),
+        AirSlots(std::max<int64_t>(
+            1, static_cast<int64_t>(std::ceil(AirSeconds / Cfg.SlotSeconds)))),
+        Queue(N, AirSlots) {
     double PacketBits =
         Packets > 0 ? static_cast<double>(Bytes) * 8.0 / Packets : 0.0;
     TxPerPacketJ = PacketBits * Cfg.Power.radioTxEnergyPerBit();
     RxPerPacketJ = PacketBits * Cfg.Power.radioRxEnergyPerBit();
-    AirSeconds = static_cast<double>(Bytes) * 8.0 / Cfg.Power.RadioBitsPerSec;
-    AirSlots = std::max<int64_t>(
-        1, static_cast<int64_t>(std::ceil(AirSeconds / Cfg.SlotSeconds)));
     ForwardJitterW = std::max<int64_t>(8, 2 * AirSlots);
     RetryJitterW = std::max<int64_t>(8, 2 * AirSlots);
     PollBase = 4 * AirSlots + 8;
@@ -258,11 +217,6 @@ public:
           std::llround(Cfg.Duty.OnFraction * static_cast<double>(PeriodSlots)));
       OnSlots = std::max<int64_t>(1, std::min(OnSlots, PeriodSlots));
     }
-
-    NumRegions = Cfg.Regions > 0
-                     ? Cfg.Regions
-                     : std::clamp(N / 4096, 1, 256);
-    Threshold = std::max(1, Cfg.ParallelThreshold);
   }
 
   FleetResult run();
@@ -315,10 +269,6 @@ private:
   bool complete(int32_t V) const {
     size_t Vz = static_cast<size_t>(V);
     return SeenBurst[Vz] && HaveCount[Vz] == Packets;
-  }
-
-  int regionOf(int32_t Node) const {
-    return static_cast<int>((Node >> RegionBlockBits) % NumRegions);
   }
 
   Event make(uint8_t Kind, int32_t Node, int64_t Slot, int32_t From = -1,
@@ -389,40 +339,41 @@ private:
   }
 
   /// Rx energy for the \p AwakeP packet airtimes the radio listened to.
-  void chargeRx(int32_t V, RegionScratch &S, int AwakeP) {
+  void chargeRx(int32_t V, int AwakeP) {
     double RxJ = AwakeP * RxPerPacketJ;
     double RxS =
         Packets > 0 ? AirSeconds * AwakeP / static_cast<double>(Packets) : 0.0;
     PerNodeJ[static_cast<size_t>(V)] += RxJ;
     RxSecNode[static_cast<size_t>(V)] += RxS;
-    S.RxJoules += RxJ;
-    S.RxSeconds += RxS;
+    Batch.RxJoules += RxJ;
+    Batch.RxSeconds += RxS;
   }
 
-  void handle(const Event &E, RegionScratch &S);
-  void kick(const Event &E, RegionScratch &S);
-  void arriveStart(const Event &E, RegionScratch &S);
-  void arriveEnd(const Event &E, RegionScratch &S);
-  void beacon(const Event &E, RegionScratch &S);
-  void poll(const Event &E, RegionScratch &S);
-  void request(const Event &E, RegionScratch &S);
+  void handle(const Event &E);
+  void kick(const Event &E);
+  void arriveStart(const Event &E);
+  void arriveEnd(const Event &E);
+  void beacon(const Event &E);
+  void poll(const Event &E);
+  void request(const Event &E);
   void finalize(int64_t LastSlot);
-  void emitTrace(const TraceRec &Tr);
   void emitCounters();
 
   const Topology &T;
   const FleetConfig &Cfg;
   int N;
-  int Packets = 0;
-  size_t Bytes = 0;
-  double TxPerPacketJ = 0.0, RxPerPacketJ = 0.0, AirSeconds = 0.0;
-  int64_t AirSlots = 1, ForwardJitterW = 8, RetryJitterW = 8, PollBase = 16;
+  int Packets;
+  size_t Bytes;
+  double AirSeconds;
+  int64_t AirSlots;
+  EventQueue Queue;
+  double TxPerPacketJ = 0.0, RxPerPacketJ = 0.0;
+  int64_t ForwardJitterW = 8, RetryJitterW = 8, PollBase = 16;
   int64_t PeriodSlots = 0, OnSlots = 0;
-  int NumRegions = 1, Threshold = 1;
   Telemetry *Ev = nullptr;
 
   // Per-node state; every entry is only ever touched by events addressed
-  // to that node, so region workers never race.
+  // to that node.
   std::vector<RNG> Rngs;
   std::vector<int64_t> BusyUntil, OwnTxUntil, CollideStamp, Phase;
   std::vector<int32_t> HaveCount, Hop, ActiveArrivals, DoneNeighbors;
@@ -434,32 +385,34 @@ private:
   int HaveWords = 0;
 
   FleetResult Res;
+  BatchEnergy Batch;        ///< the running batch's Tx/Rx sums
+  int BatchCompletions = 0; ///< nodes the running batch completed
 };
 
-void FleetSim::handle(const Event &E, RegionScratch &S) {
+void FleetSim::handle(const Event &E) {
   switch (E.Kind) {
   case EvKick:
-    kick(E, S);
+    kick(E);
     break;
   case EvArriveStart:
-    arriveStart(E, S);
+    arriveStart(E);
     break;
   case EvArriveEnd:
-    arriveEnd(E, S);
+    arriveEnd(E);
     break;
   case EvBeacon:
-    beacon(E, S);
+    beacon(E);
     break;
   case EvRequest:
-    request(E, S);
+    request(E);
     break;
   case EvPoll:
-    poll(E, S);
+    poll(E);
     break;
   }
 }
 
-void FleetSim::beacon(const Event &E, RegionScratch &S) {
+void FleetSim::beacon(const Event &E) {
   int32_t V = E.Node;
   size_t Vz = static_cast<size_t>(V);
   ++DoneNeighbors[Vz];
@@ -468,7 +421,7 @@ void FleetSim::beacon(const Event &E, RegionScratch &S) {
   // if the regular bursts have not filled it in by then, it will ask.
   if (!complete(V) && !PollArmed[Vz] && Cfg.Mac.MaxRequests > 0) {
     PollArmed[Vz] = 1;
-    S.Out.push_back(make(
+    Queue.push(make(
         EvPoll, V,
         E.Slot + PollBase +
             static_cast<int64_t>(
@@ -476,37 +429,37 @@ void FleetSim::beacon(const Event &E, RegionScratch &S) {
   }
 }
 
-void FleetSim::poll(const Event &E, RegionScratch &S) {
+void FleetSim::poll(const Event &E) {
   int32_t V = E.Node;
   size_t Vz = static_cast<size_t>(V);
   if (complete(V) || Polls[Vz] >= Cfg.Mac.MaxRequests)
     return;
   ++Polls[Vz];
-  ++S.Requests;
-  S.Out.push_back(make(EvRequest, LastDoneFrom[Vz], E.Slot + 1, V));
+  ++Res.Requests;
+  Queue.push(make(EvRequest, LastDoneFrom[Vz], E.Slot + 1, V));
   // Exponentially growing gap, Trickle-style: early retries are cheap,
   // late ones stay out of the way of a still-busy channel.
   int64_t Gap = PollBase << std::min<int>(Polls[Vz], 4);
-  S.Out.push_back(make(
+  Queue.push(make(
       EvPoll, V,
       E.Slot + Gap +
           static_cast<int64_t>(
               Rngs[Vz].below(static_cast<uint64_t>(PollBase)))));
 }
 
-void FleetSim::request(const Event &E, RegionScratch &S) {
+void FleetSim::request(const Event &E) {
   int32_t V = E.Node;
   size_t Vz = static_cast<size_t>(V);
   if (!complete(V))
     return; // raced: the server lost completeness claim is impossible,
             // but a stale LastDoneFrom target may simply not serve
   ++Granted[Vz];
-  S.Out.push_back(make(
+  Queue.push(make(
       EvKick, V,
       E.Slot + 1 + static_cast<int64_t>(Rngs[Vz].below(8))));
 }
 
-void FleetSim::kick(const Event &E, RegionScratch &S) {
+void FleetSim::kick(const Event &E) {
   int32_t V = E.Node;
   size_t Vz = static_cast<size_t>(V);
   int Deg = static_cast<int>(T.Neighbors[Vz].size());
@@ -517,24 +470,24 @@ void FleetSim::kick(const Event &E, RegionScratch &S) {
     return; // everyone around already has the script (or budget spent)
 
   if (!awake(V, E.Slot)) {
-    ++S.SleepDeferrals;
+    ++Res.SleepDeferrals;
     int64_t W = nextAwake(V, E.Slot) +
                 static_cast<int64_t>(Rngs[Vz].below(static_cast<uint64_t>(
                     std::max<int64_t>(1, std::min<int64_t>(OnSlots, 8)))));
-    S.Out.push_back(make(EvKick, V, W));
+    Queue.push(make(EvKick, V, W));
     return;
   }
 
   if (Cfg.Mac.Csma && E.Slot <= BusyUntil[Vz] &&
       PendingBackoffs[Vz] < Cfg.Mac.MaxBackoffs) {
-    ++S.Backoffs;
+    ++Res.Backoffs;
     ++PendingBackoffs[Vz];
     int64_t Window =
         int64_t(1) << std::min<int>(PendingBackoffs[Vz], Cfg.Mac.BackoffCapExp);
     int64_t At =
         std::max(BusyUntil[Vz] + 1, E.Slot + 1) +
         static_cast<int64_t>(Rngs[Vz].below(static_cast<uint64_t>(Window)));
-    S.Out.push_back(make(EvKick, V, At));
+    Queue.push(make(EvKick, V, At));
     return;
   }
   PendingBackoffs[Vz] = 0;
@@ -542,9 +495,9 @@ void FleetSim::kick(const Event &E, RegionScratch &S) {
   bool First = BurstsSent[Vz] == 0;
   ++BurstsSent[Vz];
   if (First)
-    ++S.Transmitters;
+    ++Res.Transmitters;
   else
-    S.Retransmissions += Packets;
+    Res.Retransmissions += Packets;
 
   // The node's own transmission occupies its air: it cannot decode an
   // overlapping arrival (half-duplex) and its neighbors' carrier sense
@@ -557,27 +510,28 @@ void FleetSim::kick(const Event &E, RegionScratch &S) {
   double TxJ = Packets * TxPerPacketJ;
   PerNodeJ[Vz] += TxJ;
   TxSecNode[Vz] += AirSeconds;
-  S.TxJoules += TxJ;
-  S.TxSeconds += AirSeconds;
+  Batch.TxJoules += TxJ;
+  Batch.TxSeconds += AirSeconds;
 
   for (int32_t Nb : T.Neighbors[Vz]) {
-    S.Out.push_back(make(EvArriveStart, Nb, E.Slot + 1, V));
-    S.Out.push_back(
+    Queue.push(make(EvArriveStart, Nb, E.Slot + 1, V));
+    Queue.push(
         make(EvArriveEnd, Nb, E.Slot + 1 + AirSlots, V, Hop[Vz], E.Slot + 1));
   }
   if (Ev)
-    S.Traces.push_back({0, V, -1, BurstsSent[Vz], E.Slot});
+    Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "burst.tx", V,
+                    {{"slot", static_cast<double>(E.Slot)},
+                     {"burst", static_cast<double>(BurstsSent[Vz])}});
 
   if (BurstsSent[Vz] < Budget)
-    S.Out.push_back(make(
+    Queue.push(make(
         EvKick, V,
         E.Slot + AirSlots + 4 +
             static_cast<int64_t>(
                 Rngs[Vz].below(static_cast<uint64_t>(RetryJitterW)))));
 }
 
-void FleetSim::arriveStart(const Event &E, RegionScratch &S) {
-  (void)S;
+void FleetSim::arriveStart(const Event &E) {
   size_t Vz = static_cast<size_t>(E.Node);
   // A second concurrent arrival (or one landing during the node's own
   // transmission) garbles every burst overlapping this slot.
@@ -587,7 +541,7 @@ void FleetSim::arriveStart(const Event &E, RegionScratch &S) {
   BusyUntil[Vz] = std::max(BusyUntil[Vz], E.Slot + AirSlots);
 }
 
-void FleetSim::arriveEnd(const Event &E, RegionScratch &S) {
+void FleetSim::arriveEnd(const Event &E) {
   int32_t V = E.Node;
   size_t Vz = static_cast<size_t>(V);
   --ActiveArrivals[Vz];
@@ -596,26 +550,29 @@ void FleetSim::arriveEnd(const Event &E, RegionScratch &S) {
   // inside its wake window; a burst slept through entirely is a miss.
   int AwakeP = awakePackets(V, E.Aux);
   if (AwakeP < 0) {
-    ++S.SleepMisses;
+    ++Res.SleepMisses;
     return;
   }
 
   if (CollideStamp[Vz] >= E.Aux) {
-    ++S.Collisions;
-    chargeRx(V, S, AwakeP); // the radio listened through the garble
+    ++Res.Collisions;
+    chargeRx(V, AwakeP); // the radio listened through the garble
     if (Ev)
-      S.Traces.push_back({2, V, E.From, 0, E.Slot});
+      Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
+                      "burst.collision", V,
+                      {{"slot", static_cast<double>(E.Slot)},
+                       {"from", static_cast<double>(E.From)}});
     return;
   }
 
   if (complete(V)) {
-    ++S.Overheard;
+    ++Res.Overheard;
     if (Cfg.ChargeOverhear)
-      chargeRx(V, S, AwakeP);
+      chargeRx(V, AwakeP);
     return;
   }
 
-  chargeRx(V, S, AwakeP);
+  chargeRx(V, AwakeP);
   double Loss = linkLoss(E.From, V);
   uint64_t *VHave = Have.data() + Vz * static_cast<size_t>(HaveWords);
   forAwakeRuns(V, E.Aux, [&](int Lo, int Hi) {
@@ -632,7 +589,10 @@ void FleetSim::arriveEnd(const Event &E, RegionScratch &S) {
   });
   SeenBurst[Vz] = 1;
   if (Ev)
-    S.Traces.push_back({1, V, E.From, E.Hop, E.Slot});
+    Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "burst.rx", V,
+                    {{"slot", static_cast<double>(E.Slot)},
+                     {"from", static_cast<double>(E.From)},
+                     {"hop", static_cast<double>(E.Hop)}});
 
   if (HaveCount[Vz] != Packets)
     return;
@@ -640,14 +600,14 @@ void FleetSim::arriveEnd(const Event &E, RegionScratch &S) {
   // Completion: remember the hop depth, tell the neighbors (idealized
   // control-plane beacons), and join the forwarders.
   Hop[Vz] = E.Hop + 1;
-  S.MaxHop = std::max(S.MaxHop, Hop[Vz]);
-  ++S.Completions;
+  Res.MaxHops = std::max(Res.MaxHops, Hop[Vz]);
+  ++BatchCompletions;
   int Deg = static_cast<int>(T.Neighbors[Vz].size());
   for (int32_t Nb : T.Neighbors[Vz])
-    S.Out.push_back(make(EvBeacon, Nb, E.Slot + 1, V));
-  S.Beacons += Deg;
+    Queue.push(make(EvBeacon, Nb, E.Slot + 1, V));
+  Res.Beacons += Deg;
   if (Cfg.Mac.MaxBursts > 0)
-    S.Out.push_back(make(
+    Queue.push(make(
         EvKick, V,
         E.Slot + 2 +
             static_cast<int64_t>(
@@ -685,30 +645,6 @@ void FleetSim::finalize(int64_t LastSlot) {
   Res.PerNodeJoules = std::move(PerNodeJ);
 }
 
-void FleetSim::emitTrace(const TraceRec &Tr) {
-  switch (Tr.Kind) {
-  case 0:
-    Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "burst.tx",
-                    Tr.Node,
-                    {{"slot", static_cast<double>(Tr.Slot)},
-                     {"burst", static_cast<double>(Tr.Aux)}});
-    break;
-  case 1:
-    Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "burst.rx",
-                    Tr.Node,
-                    {{"slot", static_cast<double>(Tr.Slot)},
-                     {"from", static_cast<double>(Tr.From)},
-                     {"hop", static_cast<double>(Tr.Aux)}});
-    break;
-  default:
-    Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
-                    "burst.collision", Tr.Node,
-                    {{"slot", static_cast<double>(Tr.Slot)},
-                     {"from", static_cast<double>(Tr.From)}});
-    break;
-  }
-}
-
 void FleetSim::emitCounters() {
   Telemetry *Tel = currentTelemetry();
   if (!Tel)
@@ -721,7 +657,6 @@ void FleetSim::emitCounters() {
   Tel->addCounter("net.failed_packets", Res.FailedPackets);
   Tel->addCounter("net.event.processed", Res.EventsProcessed);
   Tel->addCounter("net.event.batches", Res.Batches);
-  Tel->addCounter("net.event.parallel_batches", Res.ParallelBatches);
   Tel->addCounter("net.collisions", Res.Collisions);
   Tel->addCounter("net.backoffs", Res.Backoffs);
   Tel->addCounter("net.sleep.defers", Res.SleepDeferrals);
@@ -785,86 +720,34 @@ FleetResult FleetSim::run() {
     Have[static_cast<size_t>(P) / 64] |= uint64_t(1) << (P % 64);
   Hop[0] = 0;
   int SinkDeg = static_cast<int>(T.Neighbors[0].size());
-  EventQueue Queue(N, AirSlots);
   for (int32_t Nb : T.Neighbors[0])
     Queue.push(make(EvBeacon, Nb, 1, 0));
   Res.Beacons += SinkDeg;
   if (SinkDeg > 0 && Cfg.Mac.MaxBursts > 0)
     Queue.push(make(EvKick, 0, 2 + static_cast<int64_t>(Rngs[0].below(8))));
 
-  ThreadPool Pool(Cfg.Jobs);
-  std::vector<RegionScratch> Scratch(static_cast<size_t>(NumRegions));
-  std::vector<std::vector<Event>> RegionEvents(
-      static_cast<size_t>(NumRegions));
-  std::vector<int> Active;
-  std::vector<Event> Batch;
+  std::vector<Event> Events;
   int Reached = 1; // the sink
   int64_t LastSlot = 0;
 
   while (!Queue.empty()) {
-    int64_t Slot = Queue.popBatch(Batch);
+    int64_t Slot = Queue.popBatch(Events);
     LastSlot = Slot;
     ++Res.Batches;
-    Res.EventsProcessed += static_cast<int64_t>(Batch.size());
+    Res.EventsProcessed += static_cast<int64_t>(Events.size());
 
-    for (const Event &E : Batch) {
-      int Rg = regionOf(E.Node);
-      if (RegionEvents[static_cast<size_t>(Rg)].empty())
-        Active.push_back(Rg);
-      RegionEvents[static_cast<size_t>(Rg)].push_back(E);
-    }
-    std::sort(Active.begin(), Active.end());
+    for (const Event &E : Events)
+      handle(E);
 
-    // "Eligible" is a property of the batch, not of the job count, so
-    // the counter (and everything downstream) is jobs-invariant.
-    bool Eligible = Active.size() > 1 &&
-                    static_cast<int>(Batch.size()) >= Threshold;
-    if (Eligible)
-      ++Res.ParallelBatches;
-    auto Work = [&](int I) {
-      int Rg = Active[static_cast<size_t>(I)];
-      RegionScratch &S = Scratch[static_cast<size_t>(Rg)];
-      for (const Event &E : RegionEvents[static_cast<size_t>(Rg)])
-        handle(E, S);
-    };
-    if (Eligible && Pool.jobs() > 1)
-      Pool.parallelFor(static_cast<int>(Active.size()), Work);
-    else
-      for (int I = 0; I < static_cast<int>(Active.size()); ++I)
-        Work(I);
+    Res.Energy.TxJoules += Batch.TxJoules;
+    Res.Energy.RxJoules += Batch.RxJoules;
+    Res.Energy.TxSeconds += Batch.TxSeconds;
+    Res.Energy.RxSeconds += Batch.RxSeconds;
+    Batch = BatchEnergy();
 
-    // Merge barrier: ascending region order keeps counter totals, FP
-    // sums, queue sequence numbers and trace order schedule-independent.
-    int Completions = 0;
-    for (int Rg : Active) {
-      RegionScratch &S = Scratch[static_cast<size_t>(Rg)];
-      Res.Retransmissions += S.Retransmissions;
-      Res.Collisions += S.Collisions;
-      Res.Backoffs += S.Backoffs;
-      Res.SleepDeferrals += S.SleepDeferrals;
-      Res.SleepMisses += S.SleepMisses;
-      Res.Overheard += S.Overheard;
-      Res.Beacons += S.Beacons;
-      Res.Requests += S.Requests;
-      Res.Transmitters += S.Transmitters;
-      Res.MaxHops = std::max(Res.MaxHops, S.MaxHop);
-      Completions += S.Completions;
-      Res.Energy.TxJoules += S.TxJoules;
-      Res.Energy.RxJoules += S.RxJoules;
-      Res.Energy.TxSeconds += S.TxSeconds;
-      Res.Energy.RxSeconds += S.RxSeconds;
-      for (const Event &E : S.Out)
-        Queue.push(E);
-      if (Ev)
-        for (const TraceRec &Tr : S.Traces)
-          emitTrace(Tr);
-      S.reset();
-      RegionEvents[static_cast<size_t>(Rg)].clear();
-    }
-    Active.clear();
-
-    if (Completions > 0) {
-      Reached += Completions;
+    if (BatchCompletions > 0) {
+      Reached += BatchCompletions;
+      BatchCompletions = 0;
       if (Ev)
         Ev->recordEvent(TelemetryEvent::Phase::Counter, "net",
                         "net.progress", 0,

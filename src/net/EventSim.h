@@ -40,13 +40,10 @@
 ///
 /// Determinism contract (docs/NETWORK.md): every random draw comes from
 /// the private stream of the node the event is addressed to, events are
-/// totally ordered by (slot, node, seq), and cross-node effects travel as
-/// events with at least one slot of latency. Event processing is
-/// parallelized over block-cyclic node regions with conservative
-/// one-slot-window synchronization: a batch (all events of one slot) is
-/// partitioned by region, regions run on support/ThreadPool workers, and
-/// new events are merged in region order at the barrier. Results and
-/// `net.*` counters are byte-identical for every job count.
+/// totally ordered by (slot, node, kind, seq), and cross-node effects
+/// travel as events with at least one slot of latency. One thread drains
+/// the queue a batch (all events of one slot) at a time, so results and
+/// `net.*` counters are a function of (topology, config, seed) alone.
 ///
 /// The paper-figure model — one BFS level per round over an ideal air —
 /// is net/Network's `disseminate()`; this engine is the full radio model
@@ -101,10 +98,10 @@ struct FleetConfig {
   DutyCycleConfig Duty;
   uint64_t Seed = 1;
   double SlotSeconds = 1e-3; ///< event-time quantum
-  int Regions = 0;           ///< partition count; 0 = auto from node count
-  int Jobs = 0;              ///< ThreadPool workers; 0 = defaultJobs()
-  int ParallelThreshold = 2048; ///< min events in a batch to fan out
-  bool ChargeOverhear = true;   ///< complete nodes still pay Rx for decodes
+  bool ChargeOverhear = true; ///< complete nodes still pay Rx for decodes
+  /// Ignored: the simulator runs on the calling thread. Kept only until
+  /// the end-to-end benchmark stops assigning it.
+  int Jobs = 0;
 };
 
 /// Per-state time/energy totals over the whole fleet (the Contiki
@@ -147,7 +144,6 @@ struct FleetResult {
   int64_t Requests = 0;        ///< straggler pull requests issued
   int64_t EventsProcessed = 0;
   int64_t Batches = 0;         ///< slot batches executed
-  int64_t ParallelBatches = 0; ///< batches fanned out across workers
   double SimSeconds = 0.0;     ///< virtual time of the last event
   EnergyLedger Energy;
   std::vector<double> PerNodeJoules;
@@ -157,7 +153,7 @@ struct FleetResult {
 
 /// Floods a script of \p ScriptBytes from the sink (node 0) across \p T
 /// under the full radio/MAC/duty-cycle model. Deterministic per
-/// (topology, config, seed) and byte-identical for every Jobs value.
+/// (topology, config, seed).
 FleetResult simulateFlood(const Topology &T, size_t ScriptBytes,
                           const FleetConfig &Cfg = FleetConfig());
 

@@ -33,7 +33,7 @@ WindowMemo &cache() {
     MemoCounterNames Names;
     Names.Hits = "ra.window_cache_hits";
     Names.Misses = "ra.window_cache_misses";
-    return WindowMemo(WindowMemo::Unbounded, 1, Names);
+    return WindowMemo(WindowMemo::Unbounded, Names);
   }();
   return C;
 }

@@ -15,11 +15,10 @@
 /// publication lock when the id moved, so the steady-state read path is
 /// one acquire load with no shared-cache-line writes.
 ///
-/// The plan cache is a sharded support/MemoCache (docs/PERFORMANCE.md,
-/// "The memo cache"): the latch, the LRU, the global budget and the
-/// counters live there. This file keeps what is serving's own — the key
-/// (FNV-1a over the two endpoint content hashes, confirmed by exact ids)
-/// and the shard choice.
+/// The plan cache is a support/MemoCache (docs/PERFORMANCE.md, "The memo
+/// cache"): the latch, the LRU, the budget and the counters live there.
+/// This file keeps what is serving's own — the key (FNV-1a over the two
+/// endpoint content hashes, confirmed by exact ids).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,13 +49,6 @@ uint64_t imageContentHash(const BinaryImage &Image) {
 uint64_t pairKey(uint64_t FromHash, uint64_t ToHash) {
   return fnv1a(&ToHash, sizeof(ToHash),
                fnv1a(&FromHash, sizeof(FromHash), StoreHashBasis));
-}
-
-/// Key -> shard. A splitmix finalizer decorrelates the shard choice from
-/// the in-shard hash map's bucket choice (libstdc++ hashes uint64_t
-/// keys by identity).
-size_t shardFor(uint64_t Key, size_t NumShards) {
-  return static_cast<size_t>(splitmix64(Key) % NumShards);
 }
 
 /// Snapshot ids are unique across every service in the process, so a
@@ -112,9 +104,7 @@ PlanService::PlanService(VersionStore S, PlanServiceOptions O)
   Names.Misses = "serve.cache_misses";
   Names.Evictions = "serve.evictions";
   Names.InflightWaits = "serve.inflight_waits";
-  Names.ShardPrefix = "serve.shard.";
-  Cache = std::make_unique<PlanCache>(Opts.CacheCapacity, Opts.Shards,
-                                      std::move(Names));
+  Cache = std::make_unique<PlanCache>(Opts.CacheCapacity, std::move(Names));
 
   auto Initial = std::make_shared<Snapshot>();
   Initial->Id = GlobalSnapId.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -181,8 +171,7 @@ std::shared_ptr<const UpdatePlan> PlanService::plan(int FromId,
         if (std::optional<UpdatePlan> P = planOnSnapshot(*S, FromId, ToId))
           return std::make_shared<const UpdatePlan>(std::move(*P));
         return nullptr;
-      },
-      nullptr, shardFor(Key, Cache->shardCount()));
+      });
 }
 
 std::vector<std::shared_ptr<const UpdatePlan>>
@@ -244,9 +233,8 @@ int PlanService::warm(const std::vector<int> &NodeVersions,
   }
 
   // Hottest version first; ties go to the older version, which campaigns
-  // flood first anyway. The cap is the global capacity — shard placement
-  // is the pair hash's business, so even a warm set that lands entirely
-  // in one shard stays resident.
+  // flood first anyway. The cap is the cache capacity, so the whole warm
+  // set stays resident.
   std::vector<std::pair<int, int>> ByHeat(Count.begin(), Count.end());
   std::stable_sort(ByHeat.begin(), ByHeat.end(),
                    [](const auto &A, const auto &B) {
@@ -332,24 +320,6 @@ PlanServiceStats PlanService::stats() const {
   S.CacheEntries = C.Entries;
   S.Plans = S.Hits + S.Misses + S.Rejected;
   return S;
-}
-
-std::vector<PlanShardStats> PlanService::shardStats() const {
-  std::vector<PlanShardStats> Out;
-  for (size_t I = 0; I < Cache->shardCount(); ++I)
-    Out.push_back(Cache->shardCounts(I));
-  return Out;
-}
-
-size_t PlanService::shardCount() const { return Cache->shardCount(); }
-
-std::optional<size_t> PlanService::shardIndex(int FromId, int ToId) const {
-  std::shared_ptr<const Snapshot> S = snapshot();
-  if (!S->find(FromId) || !S->find(ToId))
-    return std::nullopt;
-  uint64_t Key = pairKey(S->ImageHash[static_cast<size_t>(FromId)],
-                         S->ImageHash[static_cast<size_t>(ToId)]);
-  return shardFor(Key, Cache->shardCount());
 }
 
 void PlanService::clearCache() const { Cache->clear(); }

@@ -15,26 +15,23 @@
 ///    reads touch no lock and no shared cache line beyond one acquire
 ///    load, and `commit` never blocks them; a snapshot shares the store's
 ///    version objects rather than copying them;
-///  * a plan cache on support/MemoCache split into N shards (canonical
-///    pair hash → shard), each with its own lock, LRU list, and
-///    exactly-once in-flight latch, so concurrent requests for distinct
-///    pairs never contend on a shared lock; plans are held behind
-///    `shared_ptr<const UpdatePlan>`, so a cache hit is a pointer copy,
-///    not a deep copy of the composed script. Residency is plain LRU
-///    under one global budget: a cached plan is never stale, so nothing
-///    expires and every computed plan is admitted;
+///  * a plan cache on support/MemoCache — one lock, one LRU list and an
+///    exactly-once in-flight latch, so concurrent requests for one pair
+///    compute it once; plans are held behind `shared_ptr<const
+///    UpdatePlan>`, so a cache hit is a pointer copy, not a deep copy of
+///    the composed script. Residency is plain LRU: a cached plan is never
+///    stale, so nothing expires and every computed plan is admitted;
 ///  * batched requests (`planBatch`) that dedupe shared pairs and fan out
 ///    across support/ThreadPool, plus a precompute pass (`warm`) that
-///    seeds the shards from an observed fleet-version histogram.
+///    seeds the cache from an observed fleet-version histogram.
 ///
 /// Plans are immutable once both endpoints are committed (the version
 /// graph is append-only and parent links never change), which is what
 /// makes them cacheable forever; correctness is anchored by sharing the
 /// exact planner (core planBetweenVersions) with VersionStore::plan, so a
 /// served plan is byte-identical to a direct store plan regardless of
-/// shard count, thread count, or cache capacity. Serving activity is
-/// visible as the `serve.*` telemetry counters — including per-shard
-/// `serve.shard.<i>.*` (see docs/OBSERVABILITY.md) — and as
+/// thread count or cache capacity. Serving activity is visible as the
+/// `serve.*` telemetry counters (see docs/OBSERVABILITY.md) and as
 /// PlanServiceStats for callers that need exact accounting in tests.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,7 +40,6 @@
 #define UCC_SERVE_PLANSERVICE_H
 
 #include "core/VersionStore.h"
-#include "support/MemoCache.h"
 
 #include <atomic>
 #include <cstdint>
@@ -55,28 +51,23 @@
 
 namespace ucc {
 
-/// Serving knobs. CacheCapacity bounds the number of cached plans across
-/// ALL shards (a global budget, not a per-shard quota; each shard evicts
-/// from its own LRU tail when the global count is over budget); 0 disables
-/// caching entirely, which makes every request recompute — the cache-cold
-/// configuration benches measure.
+/// Serving knobs. CacheCapacity bounds the number of cached plans; 0
+/// disables caching entirely, which makes every request recompute — the
+/// cache-cold configuration benches measure.
 struct PlanServiceOptions {
   size_t CacheCapacity = 256;
 
-  /// Number of independent cache shards (clamped to at least 1). Requests
-  /// map to shards by canonical pair hash, so distinct hot pairs spread
-  /// across mutexes; 1 reproduces the single-lock cache exactly (tests
-  /// that script LRU order pin this).
+  /// Ignored: the cache is one LRU under one lock. Kept only until the
+  /// end-to-end benchmark stops assigning it.
   size_t Shards = 8;
 };
 
 /// Exact cache accounting, mirrored into the `serve.*` telemetry
-/// counters. Summed across shards; each shard's slice is gathered under
-/// that shard's own lock. Every plan() call is exactly one hit, miss or
-/// reject, so Plans is derived as their sum. InflightWaits counts
-/// requests that found their pair already being computed and blocked on
-/// the latch; it depends on thread scheduling and is observability-only
-/// (never asserted or regression-gated).
+/// counters and read under the cache lock. Every plan() call is exactly
+/// one hit, miss or reject, so Plans is derived as their sum.
+/// InflightWaits counts requests that found their pair already being
+/// computed and blocked on the latch; it depends on thread scheduling and
+/// is observability-only (never asserted or regression-gated).
 struct PlanServiceStats {
   uint64_t Plans = 0; ///< Hits + Misses + Rejected
   uint64_t Hits = 0;
@@ -92,9 +83,6 @@ struct PlanServiceStats {
   uint64_t Commits = 0;
   size_t CacheEntries = 0;
 };
-
-/// One shard's slice of the accounting (read under that shard's lock).
-using PlanShardStats = MemoCounts;
 
 /// The thread-safe serving front end. `plan`/`planBatch`/`warm` may be
 /// called concurrently from any number of threads, concurrently with
@@ -127,10 +115,8 @@ public:
   /// Precomputes plans for the hottest (version -> \p TargetVersion)
   /// pairs in \p NodeVersions (an observed fleet-version histogram; node 0
   /// is the sink and ignored, matching campaign cohort grouping). Pairs
-  /// are warmed most-populous version first, capped at the GLOBAL cache
-  /// capacity — pair hashes decide which shard holds each plan, so a warm
-  /// set that happens to hash into one shard still fits (capacity is not
-  /// split into per-shard quotas). Returns the number of pairs planned.
+  /// are warmed most-populous version first, capped at the cache
+  /// capacity. Returns the number of pairs planned.
   int warm(const std::vector<int> &NodeVersions, int TargetVersion,
            int Jobs = 0) const;
 
@@ -159,15 +145,6 @@ public:
   int latestId() const;
 
   PlanServiceStats stats() const;
-  /// Per-shard accounting, index = shard (each slice read under its
-  /// shard's lock).
-  std::vector<PlanShardStats> shardStats() const;
-  /// Number of cache shards actually in use (>= 1).
-  size_t shardCount() const;
-  /// The shard the (FromId, ToId) pair maps to under the current
-  /// snapshot, or nullopt for unknown ids. Exposed so adversarial benches
-  /// and distribution tests can construct same-shard request mixes.
-  std::optional<size_t> shardIndex(int FromId, int ToId) const;
 
   /// Drops every cached plan (the latch state of in-flight computations is
   /// preserved). For cold-vs-warm measurements.

@@ -11,7 +11,7 @@
 ///    values are persisted in a directory store's manifest.json, so they
 ///    must never change) and for MemoCache bucket hashes;
 ///  - the splitmix64 finalizer, for decorrelating derived values (RNG
-///    seeding, simulator link qualities, cache shard choice);
+///    seeding, simulator link qualities);
 ///  - KeyWriter, which serializes a cache key's inputs as fixed-width
 ///    little-endian fields with every sequence count-prefixed, so two
 ///    distinct inputs never encode to the same bytes.

@@ -168,10 +168,7 @@ void Telemetry::declareStandardCounters() {
       // store: the sink-side version chain and its update planner.
       "store.commits", "store.loads", "store.plans", "store.plans_direct",
       "store.plans_chained",
-      // serve: the request-serving front end over the store. Per-shard
-      // slices appear as serve.shard.<i>.{hits,misses,evictions} on
-      // first use (shard count is a runtime knob, so they cannot be
-      // pre-declared here).
+      // serve: the request-serving front end over the store.
       "serve.plans", "serve.cache_hits", "serve.cache_misses",
       "serve.rejected", "serve.evictions", "serve.inflight_waits",
       "serve.batches", "serve.batch_deduped", "serve.precomputed",
@@ -184,10 +181,10 @@ void Telemetry::declareStandardCounters() {
       "net.retransmissions", "net.failed_packets", "net.campaigns",
       "net.cohorts", "net.bad_packet_format",
       // net.event: the discrete-event fleet simulator (net/EventSim).
-      "net.event.processed", "net.event.batches",
-      "net.event.parallel_batches", "net.collisions", "net.backoffs",
-      "net.sleep.defers", "net.sleep.misses", "net.overheard",
-      "net.beacons", "net.requests", "net.nodes_incomplete"};
+      "net.event.processed", "net.event.batches", "net.collisions",
+      "net.backoffs", "net.sleep.defers", "net.sleep.misses",
+      "net.overheard", "net.beacons", "net.requests",
+      "net.nodes_incomplete"};
   for (const char *Name : Standard)
     declareCounter(Name);
 }

@@ -1,7 +1,7 @@
 //===- tests/FleetSimTest.cpp - discrete-event fleet simulator ------------===//
 //
-// Fleet-mode radio/MAC/duty-cycle semantics and the parallel determinism
-// contract (jobs 1 vs 8 byte-identical results and net.* counters).
+// Fleet-mode radio/MAC/duty-cycle semantics, the event core's telemetry,
+// and its exact output pinned per scenario.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,55 +133,6 @@ TEST(FleetSim, UnreachableNodesStayIncompleteAndCountFailures) {
             2 * static_cast<int64_t>(PacketFormat().packetsFor(100)));
 }
 
-/// The determinism gate: identical results and identical `net.*`
-/// counters for jobs 1 vs 8, with the threshold forced down so every
-/// multi-region batch actually exercises the parallel path.
-TEST(FleetSim, JobsOneVsEightAreByteIdentical) {
-  auto Run = [](int Jobs, FleetResult &R, Telemetry &Tel) {
-    FleetConfig Cfg;
-    Cfg.Link.LossRate = 0.2;
-    Cfg.Link.LossJitter = 0.1;
-    Cfg.Duty.PeriodSeconds = 0.1;
-    Cfg.Duty.OnFraction = 0.6;
-    Cfg.Mac.MaxBursts = 6;
-    Cfg.Regions = 8;
-    Cfg.ParallelThreshold = 1;
-    Cfg.Jobs = Jobs;
-    TelemetryScope Scope(Tel);
-    R = simulateFlood(Topology::grid(12, 12), 300, Cfg);
-  };
-  FleetResult R1, R8;
-  Telemetry T1, T8;
-  Run(1, R1, T1);
-  Run(8, R8, T8);
-
-  EXPECT_EQ(R1.Packets, R8.Packets);
-  EXPECT_EQ(R1.MaxHops, R8.MaxHops);
-  EXPECT_EQ(R1.Transmitters, R8.Transmitters);
-  EXPECT_EQ(R1.NodesComplete, R8.NodesComplete);
-  EXPECT_EQ(R1.Retransmissions, R8.Retransmissions);
-  EXPECT_EQ(R1.FailedPackets, R8.FailedPackets);
-  EXPECT_EQ(R1.Collisions, R8.Collisions);
-  EXPECT_EQ(R1.Backoffs, R8.Backoffs);
-  EXPECT_EQ(R1.SleepDeferrals, R8.SleepDeferrals);
-  EXPECT_EQ(R1.SleepMisses, R8.SleepMisses);
-  EXPECT_EQ(R1.Overheard, R8.Overheard);
-  EXPECT_EQ(R1.Beacons, R8.Beacons);
-  EXPECT_EQ(R1.EventsProcessed, R8.EventsProcessed);
-  EXPECT_EQ(R1.Batches, R8.Batches);
-  EXPECT_EQ(R1.ParallelBatches, R8.ParallelBatches);
-  EXPECT_GT(R1.ParallelBatches, 0);
-  // Floating-point totals must be bit-identical, not just close: the
-  // merge barrier fixes the accumulation order.
-  EXPECT_EQ(std::memcmp(&R1.Energy, &R8.Energy, sizeof(R1.Energy)), 0);
-  ASSERT_EQ(R1.PerNodeJoules.size(), R8.PerNodeJoules.size());
-  EXPECT_EQ(std::memcmp(R1.PerNodeJoules.data(), R8.PerNodeJoules.data(),
-                        R1.PerNodeJoules.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(T1.counters(), T8.counters());
-  EXPECT_EQ(T1.gauges(), T8.gauges());
-}
-
 TEST(FleetSim, EmitsEventCountersAndGauges) {
   Telemetry Tel;
   {
@@ -259,8 +210,8 @@ std::string pinOf(const FleetResult &R) {
     Mix(D);
   return format("pk=%d bytes=%zu hops=%d tx=%d done=%d left=%d retx=%lld "
                 "failed=%lld coll=%lld backoff=%lld defer=%lld miss=%lld "
-                "over=%lld beacon=%lld req=%lld ev=%lld batch=%lld par=%lld "
-                "nodes=%zu fp=%016llx",
+                "over=%lld beacon=%lld req=%lld ev=%lld batch=%lld nodes=%zu "
+                "fp=%016llx",
                 R.Packets, R.BytesOnAir, R.MaxHops, R.Transmitters,
                 R.NodesComplete, R.NodesIncomplete,
                 static_cast<long long>(R.Retransmissions),
@@ -274,7 +225,6 @@ std::string pinOf(const FleetResult &R) {
                 static_cast<long long>(R.Requests),
                 static_cast<long long>(R.EventsProcessed),
                 static_cast<long long>(R.Batches),
-                static_cast<long long>(R.ParallelBatches),
                 R.PerNodeJoules.size(), static_cast<unsigned long long>(H));
 }
 
@@ -294,7 +244,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(40, 50), 900, Rollout)),
             "pk=38 bytes=1204 hops=97 tx=1784 done=2000 left=0 retx=215574 "
             "failed=0 coll=12441 backoff=5630 defer=5003 miss=0 over=9155 "
-            "beacon=7820 req=2456 ev=93389 batch=34641 par=0 nodes=2000 "
+            "beacon=7820 req=2456 ev=93389 batch=34641 nodes=2000 "
             "fp=eec53ef7df9349c8");
 
   // 557 air slots over a 100-slot period: every burst spans windows.
@@ -306,7 +256,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 2000, MultiWindow)),
             "pk=84 bytes=2672 hops=13 tx=30 done=36 left=0 retx=8484 failed=0 "
             "coll=121 backoff=105 defer=166 miss=0 over=170 beacon=120 req=47 "
-            "ev=1594 batch=809 par=0 nodes=36 fp=0a3eb114cac2d3d8");
+            "ev=1594 batch=809 nodes=36 fp=0a3eb114cac2d3d8");
 
   // Two 0.25 s slots of airtime carry all 38 packets.
   FleetConfig Coarse;
@@ -318,7 +268,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(5, 5), 900, Coarse)),
             "pk=38 bytes=1204 hops=8 tx=23 done=25 left=0 retx=1748 failed=0 "
             "coll=32 backoff=45 defer=73 miss=66 over=69 beacon=80 req=21 "
-            "ev=827 batch=187 par=0 nodes=25 fp=41f8eb606e4f7293");
+            "ev=827 batch=187 nodes=25 fp=41f8eb606e4f7293");
 
   // One awake slot per 50-slot period.
   FleetConfig OneSlot;
@@ -330,7 +280,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 300, OneSlot)),
             "pk=13 bytes=404 hops=11 tx=31 done=36 left=0 retx=2041 failed=0 "
             "coll=197 backoff=248 defer=447 miss=336 over=41 beacon=120 req=44 "
-            "ev=2479 batch=1195 par=0 nodes=36 fp=86a25d6758745dc4");
+            "ev=2479 batch=1195 nodes=36 fp=86a25d6758745dc4");
 
   // A duty-cycle schedule that never sleeps.
   FleetConfig AlwaysOn;
@@ -341,7 +291,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(6, 6), 300, AlwaysOn)),
             "pk=13 bytes=404 hops=10 tx=29 done=36 left=0 retx=780 failed=0 "
             "coll=156 backoff=53 defer=0 miss=0 over=85 beacon=120 req=15 "
-            "ev=965 batch=390 par=0 nodes=36 fp=f6d92a31abe09232");
+            "ev=965 batch=390 nodes=36 fp=f6d92a31abe09232");
 
   FleetConfig ZeroByte;
   ZeroByte.Duty.PeriodSeconds = 0.25;
@@ -350,7 +300,7 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(5, 5), 0, ZeroByte)),
             "pk=0 bytes=0 hops=8 tx=18 done=25 left=0 retx=0 failed=0 coll=2 "
             "backoff=8 defer=53 miss=47 over=28 beacon=80 req=39 ev=538 "
-            "batch=217 par=0 nodes=25 fp=6a0fe6eb97ce8fa2");
+            "batch=217 nodes=25 fp=6a0fe6eb97ce8fa2");
 
   // One unsolicited burst per forwarder, so stragglers pull. With 85 air
   // slots the queue's window is 512 slots, and every poll after the first
@@ -363,7 +313,30 @@ TEST(FleetSim, ResultsArePinned) {
   EXPECT_EQ(pinOf(simulateFlood(Topology::grid(10, 10), 300, Pull)),
             "pk=13 bytes=404 hops=18 tx=91 done=100 left=0 retx=1885 failed=0 "
             "coll=162 backoff=56 defer=0 miss=0 over=349 beacon=360 req=146 "
-            "ev=2776 batch=1187 par=0 nodes=100 fp=68c83a606a7e56c4");
+            "ev=2776 batch=1187 nodes=100 fp=68c83a606a7e56c4");
+
+  // The former fleet-scale bench's sub-8192-node scenarios: a 256-byte
+  // script over a 1000-node line and a 32x32 grid, ideal and contended.
+  FleetConfig Harsh;
+  Harsh.Link.LossRate = 0.2;
+  Harsh.Link.LossJitter = 0.1;
+  Harsh.Duty.PeriodSeconds = 0.1;
+  Harsh.Duty.OnFraction = 0.5;
+  Harsh.Mac.MaxBursts = 6;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::line(1000), 256, FleetConfig())),
+            "pk=11 bytes=344 hops=999 tx=999 done=1000 left=0 retx=0 failed=0 "
+            "coll=0 backoff=0 defer=0 miss=0 over=998 beacon=1998 req=0 "
+            "ev=8990 batch=5929 nodes=1000 fp=10d923b2f5f1b48b");
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(32, 32), 256, FleetConfig())),
+            "pk=11 bytes=344 hops=63 tx=795 done=1024 left=0 retx=14190 "
+            "failed=0 coll=5461 backoff=1520 defer=0 miss=0 over=1641 "
+            "beacon=3968 req=267 ev=26147 batch=5404 nodes=1024 "
+            "fp=f7c9603656cc9228");
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(32, 32), 256, Harsh)),
+            "pk=11 bytes=344 hops=62 tx=906 done=1024 left=0 retx=50545 "
+            "failed=0 coll=12300 backoff=8289 defer=9539 miss=0 over=5325 "
+            "beacon=3968 req=1294 ev=75284 batch=20903 nodes=1024 "
+            "fp=f0f53a2faeb1f1f1");
 }
 
 } // namespace

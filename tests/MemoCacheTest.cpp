@@ -4,10 +4,10 @@
 // caches, tested once: exact hit/miss accounting, LRU order at capacity,
 // capacity-0 pass-through, unbounded capacity, hash collisions confirmed
 // by the full key, clear() keeping in-flight entries and counters, the
-// exactly-once latch under contention, and one budget split across
-// shards. The concurrent tests run under ASan and TSan in CI; the
-// clear()-versus-waiter race is repeated so a waiter that loses its entry
-// shows up as a use-after-free or a data race there.
+// exactly-once latch under contention, and a throwing compute that
+// leaves no entry behind. The concurrent tests run under ASan and TSan in
+// CI; the clear()-versus-waiter race is repeated so a waiter that loses
+// its entry shows up as a use-after-free or a data race there.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,20 +70,15 @@ TEST(MemoCache, TelemetryMirrorsTheCounters) {
   Names.Hits = "t.hits";
   Names.Misses = "t.misses";
   Names.Evictions = "t.evictions";
-  Names.ShardPrefix = "t.shard.";
-  StringMemo C(1, 2, Names);
+  StringMemo C(1, Names);
   Telemetry T;
   TelemetryScope Scope(T);
-  C.getOrCompute(1, 1, [] { return std::string("a"); }, nullptr, 1);
-  C.getOrCompute(1, 1, [] { return std::string("x"); }, nullptr, 1);
-  C.getOrCompute(2, 2, [] { return std::string("b"); }, nullptr, 1);
+  get(C, 1, "a");
+  get(C, 1, "x");
+  get(C, 2, "b");
   EXPECT_EQ(T.counter("t.hits"), 1);
   EXPECT_EQ(T.counter("t.misses"), 2);
   EXPECT_EQ(T.counter("t.evictions"), 1);
-  EXPECT_EQ(T.counter("t.shard.1.hits"), 1);
-  EXPECT_EQ(T.counter("t.shard.1.misses"), 2);
-  EXPECT_EQ(T.counter("t.shard.1.evictions"), 1);
-  EXPECT_EQ(T.counter("t.shard.0.misses"), 0);
 }
 
 TEST(MemoCache, LruOrderAtCapacity) {
@@ -204,33 +200,49 @@ TEST(MemoCache, ExactlyOnceLatchUnderContention) {
   EXPECT_EQ(S.Entries, 1u);
 }
 
-TEST(MemoCache, OneBudgetSplitAcrossShards) {
-  // Capacity 3 over 4 shards is one budget, not a quota of 3/4 each: a
-  // single shard may hold all three entries. An inserting shard evicts
-  // only from its own tail, so a newcomer in an otherwise empty shard
-  // overshoots the budget until a shard with victims inserts again.
-  StringMemo C(3, 4);
-  auto put = [&](int Key, size_t Shard) {
-    C.getOrCompute(Key, static_cast<uint64_t>(Key),
-                   [&] { return std::to_string(Key); }, nullptr, Shard);
-  };
-  put(1, 0);
-  put(2, 0);
-  put(3, 0);
-  EXPECT_EQ(C.counts().Evictions, 0u);
-  EXPECT_EQ(C.shardCounts(0).Entries, 3u);
+TEST(MemoCache, ThrowingComputeLeavesNoEntryBehind) {
+  StringMemo C(8);
+  EXPECT_THROW(C.getOrCompute(5, 5,
+                              []() -> std::string {
+                                throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
+  // Checked with ASSERT so a cache that keeps the dead entry fails here
+  // instead of hanging the next lookup on its latch.
+  ASSERT_EQ(C.counts().Entries, 0u) << "the failed entry must be unlinked";
+  int Computes = 0;
+  bool Hit = true;
+  EXPECT_EQ(get(C, 5, "a", &Computes, &Hit), "a");
+  EXPECT_FALSE(Hit) << "the key computes again after a throw";
+  EXPECT_EQ(Computes, 1);
 
-  put(4, 1); // shard 1 has no victim but the newcomer itself
-  EXPECT_EQ(C.counts().Evictions, 0u);
-  EXPECT_EQ(C.counts().Entries, 4u);
-
-  put(5, 0); // back under budget from shard 0's tail: 1, then 2
-  EXPECT_EQ(C.shardCounts(0).Evictions, 2u);
-  EXPECT_EQ(C.shardCounts(1).Evictions, 0u);
-  EXPECT_EQ(C.counts().Entries, 3u);
-  bool Hit = false;
-  C.getOrCompute(3, 3, [] { return std::string("WRONG"); }, &Hit, 0);
-  EXPECT_TRUE(Hit) << "3 was more recent than 1 and 2";
+  // A waiter parked on an entry whose compute throws wakes, retries the
+  // lookup, and computes the value itself.
+  std::atomic<bool> Started{false}, Release{false};
+  std::thread Owner([&] {
+    EXPECT_THROW(C.getOrCompute(6, 6,
+                                [&]() -> std::string {
+                                  Started = true;
+                                  while (!Release)
+                                    std::this_thread::yield();
+                                  throw std::runtime_error("boom");
+                                }),
+                 std::runtime_error);
+  });
+  while (!Started)
+    std::this_thread::yield();
+  std::string Waited;
+  std::thread Waiter([&] { Waited = get(C, 6, "b"); });
+  // Give the waiter time to reach the latch before the owner throws; if
+  // it arrives later it simply misses, which the test accepts too.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Release = true;
+  Owner.join();
+  Waiter.join();
+  EXPECT_EQ(Waited, "b");
+  MemoCounts S = C.counts();
+  EXPECT_EQ(S.Entries, 2u);
+  EXPECT_EQ(S.Misses, 4u) << "two throwing computes and two retries";
 }
 
 TEST(MemoCache, ClearRacingLatchedWaitersNeverLosesTheirValue) {

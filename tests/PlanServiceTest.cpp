@@ -1,13 +1,12 @@
 //===- tests/PlanServiceTest.cpp - the update-distribution service --------===//
 //
 // The serving layer's contract: plans byte-identical to the raw store,
-// exact hit/miss/eviction accounting summed across shards, an
-// exactly-once in-flight latch under contention, snapshot isolation
-// across concurrent commits, batch dedupe, the fleet campaign, and the
-// load driver that replays request streams against it. The concurrent
-// tests run under TSan in CI — they are the data-race regression net for
-// the snapshot publication, the sharded cache latch and the driver's
-// closed loop.
+// exact hit/miss/eviction accounting, an exactly-once in-flight latch
+// under contention, snapshot isolation across concurrent commits, batch
+// dedupe, the fleet campaign, and the load driver that replays request
+// streams against it. The concurrent tests run under TSan in CI — they
+// are the data-race regression net for the snapshot publication, the
+// cache latch and the driver's closed loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -98,30 +97,25 @@ TEST(PlanService, ServesByteIdenticalPlansAcrossJobCounts) {
   ThreadPool::setDefaultJobs(0);
 }
 
-TEST(PlanService, DagStoresServeByteIdenticalPlansAcrossShardCounts) {
+TEST(PlanService, DagStoresServeByteIdenticalPlansAcrossJobCounts) {
   // Same anchor over a branched store: every ordered pair — upgrades,
   // rollbacks, and the cross-branch hops that route through the LCA —
-  // serves byte-identical to the store, at every shard and job count.
+  // serves byte-identical to the store, at every job count.
   VersionStore Reference = buildDag();
   for (int Jobs : {1, 8}) {
     ThreadPool::setDefaultJobs(Jobs);
-    for (size_t NumShards : {size_t(1), size_t(8)}) {
-      PlanServiceOptions Opts;
-      Opts.Shards = NumShards;
-      PlanService Service(buildDag(), Opts);
-      for (int From = 0; From < 5; ++From)
-        for (int To = 0; To < 5; ++To) {
-          auto Served = Service.plan(From, To);
-          auto Direct = Reference.plan(From, To);
-          ASSERT_TRUE(Served != nullptr && Direct.has_value())
-              << From << "->" << To;
-          EXPECT_EQ(Served->Update.serialize(), Direct->Update.serialize())
-              << From << "->" << To << " shards " << NumShards << " jobs "
-              << Jobs;
-          EXPECT_EQ(Served->Route, Direct->Route);
-          EXPECT_EQ(Served->ChainSteps, Direct->ChainSteps);
-        }
-    }
+    PlanService Service(buildDag());
+    for (int From = 0; From < 5; ++From)
+      for (int To = 0; To < 5; ++To) {
+        auto Served = Service.plan(From, To);
+        auto Direct = Reference.plan(From, To);
+        ASSERT_TRUE(Served != nullptr && Direct.has_value())
+            << From << "->" << To;
+        EXPECT_EQ(Served->Update.serialize(), Direct->Update.serialize())
+            << From << "->" << To << " jobs " << Jobs;
+        EXPECT_EQ(Served->Route, Direct->Route);
+        EXPECT_EQ(Served->ChainSteps, Direct->ChainSteps);
+      }
   }
   ThreadPool::setDefaultJobs(0);
   // The cross-branch pair really is composed through the LCA (v1):
@@ -153,7 +147,6 @@ TEST(PlanService, SharedContentHashesAreToldApartByIds) {
 TEST(PlanService, HitMissEvictionAccounting) {
   PlanServiceOptions Opts;
   Opts.CacheCapacity = 2;
-  Opts.Shards = 1; // one LRU list, so eviction order is scriptable
   PlanService Service(buildChain(), Opts);
 
   EXPECT_TRUE(Service.plan(0, 3) != nullptr); // miss
@@ -181,15 +174,13 @@ TEST(PlanService, HitMissEvictionAccounting) {
   EXPECT_EQ(S.Evictions, 2u);
 }
 
-TEST(PlanService, ShardedAccountingInvariants) {
-  // Satellite invariants under a mixed workload on a sharded cache:
-  // every slice is gathered under its shard's lock, and the quiesced
-  // totals reconcile exactly — every plan() call is one hit, miss or
-  // reject, and residency == Misses - Evictions (nothing else removes
-  // entries).
+TEST(PlanService, AccountingInvariants) {
+  // Under a mixed workload the quiesced totals reconcile exactly: every
+  // plan() call is one hit, miss or reject, and residency == Misses -
+  // Evictions (nothing else removes entries) and never exceeds the
+  // capacity once no compute is in flight.
   PlanServiceOptions Opts;
   Opts.CacheCapacity = 4;
-  Opts.Shards = 4;
   PlanService Service(buildChain(6), Opts);
   Telemetry T;
   TelemetryScope Scope(T);
@@ -207,82 +198,16 @@ TEST(PlanService, ShardedAccountingInvariants) {
   const uint64_t Issued = 36u + 10u + 2u;
   PlanServiceStats S = Service.stats();
   EXPECT_EQ(S.Plans, Issued);
+  EXPECT_EQ(S.Plans, S.Hits + S.Misses + S.Rejected);
   EXPECT_EQ(T.counter("serve.plans"), static_cast<int64_t>(Issued));
   EXPECT_EQ(S.Rejected, 2u);
   EXPECT_EQ(S.CacheEntries, static_cast<size_t>(S.Misses - S.Evictions));
-  // The budget is enforced by the inserting shard's own tail, so a shard
-  // whose only entry is the newcomer can overshoot transiently — but
-  // never by more than one straggler per other shard.
-  EXPECT_LE(S.CacheEntries, 4u + 3u);
-  EXPECT_GE(S.CacheEntries, 1u);
-
-  // The per-shard slices sum to the service totals.
-  EXPECT_EQ(Service.shardCount(), 4u);
-  std::vector<PlanShardStats> Shards = Service.shardStats();
-  ASSERT_EQ(Shards.size(), 4u);
-  uint64_t Hits = 0, Misses = 0, Evictions = 0;
-  size_t Entries = 0;
-  for (const PlanShardStats &Sh : Shards) {
-    Hits += Sh.Hits;
-    Misses += Sh.Misses;
-    Evictions += Sh.Evictions;
-    Entries += Sh.Entries;
-  }
-  EXPECT_EQ(Hits, S.Hits);
-  EXPECT_EQ(Misses, S.Misses);
-  EXPECT_EQ(Evictions, S.Evictions);
-  EXPECT_EQ(Entries, S.CacheEntries);
-
-  // shardIndex is a stable pure function of the pair, and rejects
-  // unknown ids like plan() does.
-  auto Idx = Service.shardIndex(0, 3);
-  ASSERT_TRUE(Idx.has_value());
-  EXPECT_LT(*Idx, Service.shardCount());
-  EXPECT_EQ(Service.shardIndex(0, 3), Idx);
-  EXPECT_FALSE(Service.shardIndex(0, 99).has_value());
-}
-
-TEST(PlanService, CapacityIsAGlobalBudgetNotAPerShardQuota) {
-  // The degenerate distribution: pick pairs that all hash into ONE shard
-  // and fill the whole global budget through it. A per-shard quota
-  // (capacity / shards) would evict; the global budget must not.
-  PlanServiceOptions Opts;
-  Opts.CacheCapacity = 3;
-  Opts.Shards = 4;
-  PlanService Service(buildChain(6), Opts);
-
-  std::vector<std::vector<std::pair<int, int>>> ByShard(
-      Service.shardCount());
-  for (int From = 0; From < 6; ++From)
-    for (int To = 0; To < 6; ++To) {
-      if (From == To)
-        continue;
-      auto Idx = Service.shardIndex(From, To);
-      ASSERT_TRUE(Idx.has_value());
-      ByShard[*Idx].push_back({From, To});
-    }
-  const std::vector<std::pair<int, int>> *Crowded = nullptr;
-  for (const auto &Pairs : ByShard)
-    if (Pairs.size() >= 3) {
-      Crowded = &Pairs;
-      break;
-    }
-  ASSERT_NE(Crowded, nullptr) << "30 pairs over 4 shards must crowd one";
-
-  for (int K = 0; K < 3; ++K)
-    EXPECT_TRUE(
-        Service.plan((*Crowded)[K].first, (*Crowded)[K].second) != nullptr);
-  PlanServiceStats S = Service.stats();
-  EXPECT_EQ(S.Misses, 3u);
-  EXPECT_EQ(S.Evictions, 0u);
-  EXPECT_EQ(S.CacheEntries, 3u);
-  // All three stay resident in the one shard: pure hits on re-access.
-  for (int K = 0; K < 3; ++K)
-    EXPECT_TRUE(
-        Service.plan((*Crowded)[K].first, (*Crowded)[K].second) != nullptr);
-  S = Service.stats();
-  EXPECT_EQ(S.Hits, 3u);
-  EXPECT_EQ(S.Evictions, 0u);
+  EXPECT_EQ(S.CacheEntries, 4u);
+  EXPECT_EQ(T.counter("serve.cache_hits"), static_cast<int64_t>(S.Hits));
+  EXPECT_EQ(T.counter("serve.cache_misses"),
+            static_cast<int64_t>(S.Misses));
+  EXPECT_EQ(T.counter("serve.evictions"),
+            static_cast<int64_t>(S.Evictions));
 }
 
 TEST(PlanService, CapacityZeroDisablesCaching) {
@@ -474,12 +399,10 @@ TEST(PlanService, WarmPrecomputesHotPairsFromFleetHistogram) {
   EXPECT_EQ(S.Hits, 2u);
   EXPECT_EQ(S.Misses, 2u);
 
-  // A capacity-bounded service warms only as many pairs as the GLOBAL
-  // budget can hold, hottest first — regardless of which shards the
-  // warmed pairs hash into.
+  // A capacity-bounded service warms only as many pairs as the cache
+  // can hold, hottest first.
   PlanServiceOptions Tiny;
   Tiny.CacheCapacity = 1;
-  Tiny.Shards = 8;
   PlanService Bounded(buildChain(), Tiny);
   EXPECT_EQ(Bounded.warm(Fleet, 3), 1);
   EXPECT_TRUE(Bounded.plan(1, 3) != nullptr); // the hot pair: a hit

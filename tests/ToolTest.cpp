@@ -550,6 +550,20 @@ TEST_F(ToolFixture, BatchPlanAndServeBenchDiagnostics) {
   EXPECT_EQ(uccc("plan" + Store + " --batch 0:9"), 1);
 }
 
+TEST_F(ToolFixture, ServeBenchHasNoShardFlag) {
+  // The plan cache is one LRU under one lock, so there is no shard count
+  // to choose: --shards is an unknown argument, a usage error.
+  writeFile("v1.mc", SourceV1);
+  writeFile("v2.mc", SourceV2);
+  std::string Store = " --store " + path("store");
+  ASSERT_EQ(uccc("commit " + path("v1.mc") + Store), 0) << capturedOutput();
+  ASSERT_EQ(uccc("commit " + path("v2.mc") + Store), 0) << capturedOutput();
+  EXPECT_EQ(uccc("serve-bench" + Store + " --requests 50 --shards 4"), 2);
+  EXPECT_NE(capturedOutput().find("unknown argument '--shards'"),
+            std::string::npos)
+      << capturedOutput();
+}
+
 TEST_F(ToolFixture, ServeBenchTracedBatchCrossesWorkerTracks) {
   writeFile("v1.mc", SourceV1);
   writeFile("v2.mc", SourceV2);

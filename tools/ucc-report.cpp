@@ -67,7 +67,7 @@ const char *const BenchNames[] = {
     "fig16_data_alloc",         "ablation_chunk_threshold",
     "ablation_minlp_vs_ilp",    "ablation_splits",
     "version_chain",            "plan_service",
-    "compile_commits",          "fleet_scale"};
+    "compile_commits"};
 
 [[noreturn]] void die(const std::string &Message) {
   std::fprintf(stderr, "ucc-report: %s\n", Message.c_str());

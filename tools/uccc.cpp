@@ -109,7 +109,7 @@ namespace {
       "               [--loss <p>] [--seed <n>]\n"
       "  uccc serve-bench --store <dir> [--requests <n>] [--cache <n>]\n"
       "               [--zipf <s>] [--target <id>] [--seed <n>] [--warm]\n"
-      "               [--batch <n>] [--threads <n>] [--shards <n>]\n"
+      "               [--batch <n>] [--threads <n>]\n"
       "global flags (any command):\n"
       "  --jobs <n>            worker threads for parallel phases\n"
       "                        (default: hardware concurrency, or the\n"
@@ -250,7 +250,7 @@ private:
                                       "--loss",      "--seed",
                                       "--batch",     "--cache",
                                       "--requests",  "--zipf",
-                                      "--threads",   "--shards"};
+                                      "--threads"};
     for (const char *F : WithValue)
       if (std::strcmp(Flag, F) == 0)
         return true;
@@ -778,7 +778,6 @@ int cmdServeBench(Args &A) {
   std::string SeedArg = A.option("--seed");
   std::string BatchArg = A.option("--batch");
   std::string ThreadsArg = A.option("--threads");
-  std::string ShardsArg = A.option("--shards");
   bool Warm = A.flag("--warm");
   std::string StoreDir = storeDirArg(A);
 
@@ -814,13 +813,6 @@ int cmdServeBench(Args &A) {
   if (Threads > 1 && Batch > 0)
     dieCli("--threads cannot be combined with --batch (a batch already "
            "fans out internally)");
-  PlanServiceOptions ServeOpts;
-  if (!ShardsArg.empty()) {
-    int N = parseInt(ShardsArg, "--shards");
-    if (N <= 0)
-      dieCli("--shards expects a positive integer");
-    ServeOpts.Shards = static_cast<size_t>(N);
-  }
   A.finish();
 
   VersionStore Store = openStoreOrDie(StoreDir);
@@ -852,6 +844,7 @@ int cmdServeBench(Args &A) {
     Stream.push_back({Fleet.back(), Target});
   }
 
+  PlanServiceOptions ServeOpts;
   ServeOpts.CacheCapacity = Cache;
   PlanService Service(std::move(Store), ServeOpts);
 
@@ -867,9 +860,8 @@ int cmdServeBench(Args &A) {
 
   PlanServiceStats S = Service.stats();
   std::printf("serve-bench: %zu version(s), target v%d, %d request(s), "
-              "zipf s=%.2f, cache %zu, shards %zu%s%s%s\n",
+              "zipf s=%.2f, cache %zu%s%s%s\n",
               NumVersions, Target, Requests, ZipfS, Cache,
-              Service.shardCount(),
               Warm ? format(" (%d pair(s) warmed)", Warmed).c_str() : "",
               Batch > 0 ? format(", batches of %d", Batch).c_str() : "",
               Threads > 1 ? format(", %d threads", Threads).c_str() : "");
