@@ -4,8 +4,10 @@
 // workload it was built for: a firmware with many substantial functions
 // committed through a version store as a long chain of small releases,
 // each touching only 1-3 functions. Cache-off, every commit pays
-// isel -> RA -> frame layout for every function; cache-on, unchanged
-// functions are served from the cache and only the touched ones recompile.
+// parse -> lower -> optimize -> isel -> RA -> frame layout for every
+// function; cache-on, unchanged functions are served from the cache (the
+// front half from its table of the previous commit's optimized IR, the
+// back half from its LRU) and only the touched ones recompile.
 // The bench sweeps jobs {1, 8} x cache {off, on}, reports commits/sec per
 // configuration, and hard-fails unless (a) all four configurations produce
 // byte-identical images and parent scripts for every version and (b) the
@@ -13,8 +15,8 @@
 //
 // Wall-clock metrics carry the `_seconds` suffix so the baseline gate
 // skips them; everything else (function/commit counts, cache hit/miss/
-// eviction accounting, script bytes, byte identity) is deterministic for
-// a given profile and regression-gated.
+// eviction accounting, front-half hits and misses, script bytes, byte
+// identity) is deterministic for a given profile and regression-gated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +39,10 @@ namespace {
 
 /// One sensor-processing stage. Deliberately heavyweight — a dozen live
 /// locals, a loop, and branches — so the per-function back half (isel,
-/// UCC register allocation, frame layout) dominates the shared front half
-/// that the cache cannot skip. \p Rev is the stage's revision: editing a
-/// stage bumps its revision, which perturbs constants in the body the way
-/// a threshold retune does.
+/// UCC register allocation, frame layout) dominates a function's compile
+/// cost. \p Rev is the stage's revision: editing a stage bumps its
+/// revision, which perturbs constants in the body the way a threshold
+/// retune does.
 std::string stageSource(int F, int Rev) {
   int Salt = 17 + F * 13 + Rev * 101;
   return format(R"(
@@ -133,6 +135,7 @@ struct ChainResult {
   std::vector<size_t> ScriptBytes; ///< script-from-parent per version
   CompileCacheStats Cache;         ///< zeros when the cache was off
   CompileCacheStats CacheBefore;   ///< snapshot when the clock started
+  CompileCacheStats Front;         ///< the front half's reuse
 };
 
 /// Commits the whole chain into a fresh store under the given jobs/cache
@@ -169,6 +172,7 @@ ChainResult runChain(const std::vector<std::string> &Sources, int Jobs,
     commit(V);
   R.UpdateSeconds = secondsSince(Begin);
   R.Cache = Cache.stats();
+  R.Front = Cache.frontStats();
 
   for (const auto &V : Store.versions()) {
     R.Images.push_back(V->Image.serialize());
@@ -221,8 +225,11 @@ int main(int Argc, char **Argv) {
   const CompileCacheStats &CS8 = Results[1][1].Cache;
   uint64_t TimedHits = CS1.Hits - Results[0][1].CacheBefore.Hits;
   uint64_t TimedMisses = CS1.Misses - Results[0][1].CacheBefore.Misses;
+  const CompileCacheStats &Front = Results[0][1].Front;
+  const CompileCacheStats &Front8 = Results[1][1].Front;
   if (CS1.Hits != CS8.Hits || CS1.Misses != CS8.Misses ||
-      CS1.Evictions != CS8.Evictions) {
+      CS1.Evictions != CS8.Evictions || Front.Hits != Front8.Hits ||
+      Front.Misses != Front8.Misses) {
     std::fprintf(stderr,
                  "bench_compile_commits: cache accounting differs "
                  "between jobs=1 and jobs=8\n");
@@ -254,6 +261,9 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(CS1.Misses),
               static_cast<unsigned long long>(CS1.Evictions),
               CS1.Entries);
+  std::printf("front-half reuse:            %llu hit(s), %llu miss(es)\n",
+              static_cast<unsigned long long>(Front.Hits),
+              static_cast<unsigned long long>(Front.Misses));
   std::printf("total script bytes:          %zu across %d commits\n",
               TotalScriptBytes, Commits);
   std::printf("byte-identical (4 configs):  %s\n",
@@ -266,6 +276,8 @@ int main(int Argc, char **Argv) {
   Bench.metric("timed_hits", static_cast<double>(TimedHits));
   Bench.metric("timed_misses", static_cast<double>(TimedMisses));
   Bench.metric("warm_evictions", static_cast<double>(CS1.Evictions));
+  Bench.metric("front_hits", static_cast<double>(Front.Hits));
+  Bench.metric("front_misses", static_cast<double>(Front.Misses));
   Bench.metric("total_script_bytes",
                static_cast<double>(TotalScriptBytes));
   Bench.metric("byte_identical", Mismatches == 0 ? 1.0 : 0.0);

@@ -6,6 +6,7 @@
 
 #include "core/CompileCache.h"
 
+#include "frontend/AST.h"
 #include "support/Hash.h"
 
 using namespace ucc;
@@ -34,7 +35,9 @@ void writeIRFunction(KeyWriter &W, const Function &F) {
       W.u8(static_cast<uint8_t>(I.UnK));
       W.u8(static_cast<uint8_t>(I.PredK));
       W.i32(I.Dst);
-      W.ints(I.Srcs);
+      W.u32(static_cast<uint32_t>(I.Srcs.size()));
+      for (VReg S : I.Srcs)
+        W.i32(S);
       W.i64(I.Imm);
       W.i32(I.Global);
       W.i32(I.Slot);
@@ -103,6 +106,40 @@ uint64_t ucc::digestModuleNames(const Module &M) {
   return fnv1a(Bytes);
 }
 
+uint64_t ucc::digestSignatures(const ProgramAST &Program) {
+  std::vector<uint8_t> Bytes;
+  KeyWriter W(Bytes);
+  W.u32(static_cast<uint32_t>(Program.Globals.size()));
+  for (const GlobalDecl &G : Program.Globals) {
+    W.str(G.Name);
+    W.i32(G.ArraySize);
+  }
+  W.u32(static_cast<uint32_t>(Program.Functions.size()));
+  for (const FuncDecl &F : Program.Functions) {
+    W.str(F.Name);
+    W.u32(static_cast<uint32_t>(F.Params.size()));
+    W.u8(F.ReturnsInt ? 1 : 0);
+  }
+  return fnv1a(Bytes);
+}
+
+CompileCache::Key CompileCache::buildFrontKey(std::string_view Text,
+                                              unsigned StartCol, int BlockBase,
+                                              uint64_t SignatureDigest,
+                                              size_t Index) {
+  Key K;
+  K.reserve(Text.size() + 32);
+  KeyWriter W(K);
+  W.u8('F');
+  W.u8(1); // schema version
+  W.u64(SignatureDigest);
+  W.u32(static_cast<uint32_t>(Index));
+  W.i32(BlockBase);
+  W.u32(StartCol);
+  W.str(Text);
+  return K;
+}
+
 CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
   Key K;
   K.reserve(256);
@@ -150,6 +187,32 @@ CompiledFunction CompileCache::lookupOrCompute(
   return Memo.getOrCompute(K, fnv1a(K), Compute, WasHit);
 }
 
+std::shared_ptr<const FrontTable> CompileCache::frontTable() const {
+  std::lock_guard<std::mutex> Lock(FrontLock);
+  return Front;
+}
+
+void CompileCache::storeFrontTable(std::shared_ptr<const FrontTable> Table,
+                                   uint64_t Hits, uint64_t Misses) {
+  std::lock_guard<std::mutex> Lock(FrontLock);
+  Front.swap(Table);
+  FrontHits += Hits;
+  FrontMisses += Misses;
+}
+
 CompileCacheStats CompileCache::stats() const { return Memo.counts(); }
 
-void CompileCache::clear() { Memo.clear(); }
+CompileCacheStats CompileCache::frontStats() const {
+  std::lock_guard<std::mutex> Lock(FrontLock);
+  CompileCacheStats S;
+  S.Hits = FrontHits;
+  S.Misses = FrontMisses;
+  S.Entries = Front ? Front->size() : 0;
+  return S;
+}
+
+void CompileCache::clear() {
+  Memo.clear();
+  std::lock_guard<std::mutex> Lock(FrontLock);
+  Front.reset();
+}

@@ -5,11 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A function-level compilation cache for incremental recompilation. Each
-/// entry memoizes the whole per-function back-half pipeline result —
-/// instruction selection, register allocation, and frame layout — keyed by
-/// an FNV-1a content hash over a canonical byte encoding of everything
-/// that can influence that result:
+/// A function-level compilation cache for incremental recompilation, in
+/// two parts.
+///
+/// The front half's table holds the optimized IR of every function of the
+/// most recent compile that went through the cache (one module). The next
+/// compile still lexes the file and parses its top level; a function
+/// whose key (buildFrontKey: its source text, start column, IRGen's block
+/// counter before it, the module's signature digest and its index)
+/// matches the table's entry at its index is copied from the table with
+/// its source lines shifted, and skips parsing, lowering, verification
+/// and optimization. Every other function runs them and enters the table.
+///
+/// The back half's LRU memoizes the whole per-function back-half pipeline
+/// result — instruction selection, register allocation, and frame layout —
+/// keyed by an FNV-1a content hash over a canonical byte encoding of
+/// everything that can influence that result:
 ///
 ///   * the function's post-opt IR (name, params, vregs, frame objects,
 ///     blocks, every instruction field except source locations),
@@ -25,13 +36,25 @@
 /// The cache itself is a support/MemoCache: the full canonical key bytes
 /// confirm every hit under an FNV-1a bucket hash, an in-flight latch makes
 /// two threads that want the same function compile it once, and an LRU
-/// bounds the resident entries. This file keeps only the key encoding
-/// and the name digests.
+/// bounds the resident entries. This file keeps the back half's key
+/// encoding and name digests, and the front half's key and table.
 ///
 /// Because the key captures every input, a hit returns a result that is
 /// byte-identical to what a fresh compile would produce — the determinism
 /// contract (same output at jobs 1 vs 8, cache on vs off) holds by
-/// construction and is enforced by JobsDeterminismTest.
+/// construction and is enforced by JobsDeterminismTest and
+/// CompileCacheTest.
+///
+/// What misses. The name digest is in every back-half key and the
+/// signature digest in every front-half key, so inserting, removing or
+/// renaming any global or function misses every function, and so does a
+/// parameter-count or return-kind edit in the front half. Block names are
+/// numbered module-wide, so a control-flow edit renames the blocks of
+/// every later function, which then miss in both halves. A function
+/// compiled against a different old version of itself misses the back
+/// half once more at the next commit. Measured on perfbench
+/// `release-train`'s seed-1 chain, 2130 of 3417 back-half lookups hit
+/// (0.62); docs/PERFORMANCE.md has the front half's numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,9 +69,14 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <string_view>
 #include <vector>
 
 namespace ucc {
+
+struct ProgramAST;
 
 /// Exact cache accounting, mirrored into `compile.*` telemetry counters by
 /// the compiler back half.
@@ -94,15 +122,34 @@ uint64_t digestNameTables(const std::vector<std::string> &GlobalNames,
 /// (no intermediate string-table copies).
 uint64_t digestModuleNames(const Module &M);
 
-/// Thread-safe LRU cache of per-function pipeline results.
+/// Digest of the signature table that lowering a function body reads:
+/// the globals in order (name, array size) and the functions in order
+/// (name, parameter count, return kind).
+uint64_t digestSignatures(const ProgramAST &Program);
+
+/// One function of the front half's table: the optimized IR a compile
+/// built for it and the key it was built under.
+struct FrontFunction {
+  std::vector<uint8_t> Key; ///< CompileCache::buildFrontKey
+  Function IR;              ///< post-opt IR, source lines as of StartLine
+  unsigned StartLine = 0;   ///< the line the function's source began on
+  int BlockCount = 0;       ///< blocks its lowering numbered
+};
+
+/// The front half's table: the functions of the most recent compile that
+/// stored one, by function index.
+using FrontTable = std::vector<std::shared_ptr<const FrontFunction>>;
+
+/// Thread-safe LRU cache of per-function pipeline results, plus the front
+/// half's table of the last compile's optimized functions.
 class CompileCache {
 public:
   /// Canonical key bytes; equality of keys implies equality of results.
   using Key = std::vector<uint8_t>;
 
-  /// \p Capacity bounds resident entries; 0 disables storage (every
-  /// lookup misses — useful for cache-off baselines with identical code
-  /// paths).
+  /// \p Capacity bounds the back half's resident entries; 0 disables
+  /// their storage (every back-half lookup misses). The front half's
+  /// table always holds the last compile.
   explicit CompileCache(size_t Capacity = 1024) : Memo(Capacity) {}
 
   /// Builds the canonical key for \p In (serialize + FNV-1a happens in
@@ -119,15 +166,39 @@ public:
                   const std::function<CompiledFunction()> &Compute,
                   bool *WasHit = nullptr);
 
-  /// Exact accounting snapshot.
+  /// The front half's key for function \p Index: its source \p Text (return
+  /// type through closing brace), its start column, IRGen's block counter
+  /// before lowering it, the module's signature digest and \p Index. Equal
+  /// keys lower and optimize to equal IR up to a shift of every source
+  /// line. The index makes the table's slot \p Index the only candidate.
+  static Key buildFrontKey(std::string_view Text, unsigned StartCol,
+                           int BlockBase, uint64_t SignatureDigest,
+                           size_t Index);
+
+  /// Snapshot of the front half's table; null before the first store.
+  std::shared_ptr<const FrontTable> frontTable() const;
+
+  /// Replaces the front half's table with \p Table and accounts the
+  /// compile's lookups.
+  void storeFrontTable(std::shared_ptr<const FrontTable> Table, uint64_t Hits,
+                       uint64_t Misses);
+
+  /// Exact accounting snapshot of the per-function back half.
   CompileCacheStats stats() const;
 
-  /// Drops every completed entry (in-flight entries survive) and resets
-  /// nothing else; accounting keeps accumulating.
+  /// Front-half accounting: function lookups that hit or missed the table,
+  /// and the functions it holds (Entries).
+  CompileCacheStats frontStats() const;
+
+  /// Drops every completed entry (in-flight entries survive) and the front
+  /// half's table, and resets nothing else; accounting keeps accumulating.
   void clear();
 
 private:
   MemoCache<Key, CompiledFunction> Memo;
+  mutable std::mutex FrontLock; ///< guards the three fields below
+  std::shared_ptr<const FrontTable> Front;
+  uint64_t FrontHits = 0, FrontMisses = 0;
 };
 
 } // namespace ucc

@@ -6,7 +6,8 @@
 ///
 /// \file
 /// Implementation of the Compiler facade: the shared front half (parse,
-/// verify, optimize), the back half (ISel, register allocation, data
+/// verify, optimize, reusing unchanged functions when a cache is given),
+/// the back half (ISel, register allocation, data
 /// layout, encoding), record construction, update packaging, and the
 /// profile-to-freq(s) bridge. Every phase runs under a telemetry span so a
 /// `--trace-json` capture shows the full per-phase breakdown.
@@ -19,6 +20,7 @@
 #include "codegen/ISel.h"
 #include "core/CompileCache.h"
 #include "frontend/IRGen.h"
+#include "frontend/Parser.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
 #include "regalloc/LinearScan.h"
@@ -47,9 +49,105 @@ struct CompileTrace {
   }
 };
 
-/// Shared front half: parse, lower, verify, optimize, select.
-std::optional<std::pair<Module, MachineModule>>
-frontHalf(const std::string &Source, DiagnosticEngine &Diag) {
+/// Shifts every source line of \p F by \p Delta; a location that names
+/// no line stays unset.
+void shiftLines(Function &F, int64_t Delta) {
+  if (Delta == 0)
+    return;
+  for (BasicBlock &BB : F.Blocks)
+    for (Instr &I : BB.Instrs)
+      if (I.Loc.isValid())
+        I.Loc.Line = static_cast<unsigned>(I.Loc.Line + Delta);
+}
+
+/// The front half with per-function reuse. The file is lexed and its top
+/// level parsed; each function whose key (CompileCache::buildFrontKey)
+/// matches the table's entry at its index is copied from the table with
+/// its lines shifted, and every other function is parsed, lowered,
+/// verified and optimized. The table then holds this compile's functions.
+/// Returns nullopt, or leaves a diagnostic in \p Diag, when the plain
+/// front half must decide instead.
+std::optional<Module> reusingFrontHalf(const std::string &Source,
+                                       CompileCache &Cache,
+                                       DiagnosticEngine &Diag) {
+  std::shared_ptr<const FrontTable> Old = Cache.frontTable();
+  auto Next = std::make_shared<FrontTable>();
+  /// The misses by index, with their keys; the IR is filled in once
+  /// optimized.
+  std::vector<std::pair<size_t, FrontFunction>> Missed;
+  Module M;
+  {
+    ScopedSpan Span("parse");
+    OutlineParser Outline(Source, Diag);
+    if (Diag.hasErrors())
+      return std::nullopt;
+    const ProgramAST &Program = Outline.program();
+    IRGen Gen(Program, Diag);
+    if (!Gen.declare())
+      return std::nullopt;
+    uint64_t Signatures = digestSignatures(Program);
+    size_t NumFns = Program.Functions.size();
+    Next->resize(NumFns);
+    for (size_t I = 0; I < NumFns; ++I) {
+      SourceLoc Start = Outline.start(I);
+      int BlockBase = Gen.blockCounter();
+      CompileCache::Key K = CompileCache::buildFrontKey(
+          Outline.text(I), Start.Col, BlockBase, Signatures, I);
+      if (Old && I < Old->size() && (*Old)[I]->Key == K) {
+        const FrontFunction &Hit = *(*Old)[I];
+        Function F = Hit.IR;
+        shiftLines(F, static_cast<int64_t>(Start.Line) - Hit.StartLine);
+        Gen.adoptFunction(I, std::move(F), Hit.BlockCount);
+        (*Next)[I] = (*Old)[I];
+        continue;
+      }
+      Outline.parseBody(I);
+      if (Diag.hasErrors())
+        return std::nullopt;
+      Gen.lowerFunction(I);
+      FrontFunction &E = Missed.emplace_back(I, FrontFunction()).second;
+      E.Key = std::move(K);
+      E.StartLine = Start.Line;
+      E.BlockCount = Gen.blockCounter() - BlockBase;
+    }
+    M = Gen.finish();
+    if (Diag.hasErrors() || M.EntryFunc < 0)
+      return std::nullopt;
+  }
+  {
+    ScopedSpan Span("verify");
+    for (const auto &[I, E] : Missed)
+      if (!verifyFunction(M, I).empty())
+        return std::nullopt;
+  }
+  {
+    ScopedSpan Span("opt");
+    for (auto &[I, E] : Missed) {
+      optimizeFunction(M.Functions[I]);
+      E.IR = M.Functions[I];
+      (*Next)[I] = std::make_shared<const FrontFunction>(std::move(E));
+    }
+  }
+  uint64_t Hits = M.Functions.size() - Missed.size();
+  Cache.storeFrontTable(std::move(Next), Hits, Missed.size());
+  telemetryCount("compile.front_hits", static_cast<int64_t>(Hits));
+  telemetryCount("compile.front_misses", static_cast<int64_t>(Missed.size()));
+  return M;
+}
+
+/// Shared front half: parse, lower, verify, optimize. With a cache, the
+/// reusing pass runs first and reports into a scratch engine; on any
+/// diagnostic the plain pass runs and reports, so a malformed edit reads
+/// exactly as it does without a cache.
+std::optional<Module> frontHalf(const std::string &Source,
+                                const CompileOptions &Opts,
+                                DiagnosticEngine &Diag) {
+  if (Opts.Cache) {
+    DiagnosticEngine Scratch;
+    std::optional<Module> M = reusingFrontHalf(Source, *Opts.Cache, Scratch);
+    if (M && Scratch.diagnostics().empty())
+      return M;
+  }
   Module M = [&] {
     ScopedSpan Span("parse");
     return compileToIR(Source, Diag);
@@ -74,7 +172,7 @@ frontHalf(const std::string &Source, DiagnosticEngine &Diag) {
     optimizeModule(M);
   }
   assert(moduleIsValid(M) && "optimizer broke the module");
-  return std::make_pair(std::move(M), MachineModule());
+  return M;
 }
 
 /// Builds the record from a finished compilation.
@@ -288,10 +386,10 @@ std::optional<CompileOutput> Compiler::compile(const std::string &Source,
                                                DiagnosticEngine &Diag) {
   CompileTrace Trace;
   ScopedSpan Span("compile");
-  auto Front = frontHalf(Source, Diag);
-  if (!Front)
+  std::optional<Module> M = frontHalf(Source, Opts, Diag);
+  if (!M)
     return std::nullopt;
-  return backHalf(std::move(Front->first), Opts, /*OldRecord=*/nullptr);
+  return backHalf(std::move(*M), Opts, /*OldRecord=*/nullptr);
 }
 
 std::optional<CompileOutput>
@@ -300,10 +398,10 @@ Compiler::recompile(const std::string &Source,
                     const CompileOptions &Opts, DiagnosticEngine &Diag) {
   CompileTrace Trace;
   ScopedSpan Span("recompile");
-  auto Front = frontHalf(Source, Diag);
-  if (!Front)
+  std::optional<Module> M = frontHalf(Source, Opts, Diag);
+  if (!M)
     return std::nullopt;
-  return backHalf(std::move(Front->first), Opts, &OldRecord);
+  return backHalf(std::move(*M), Opts, &OldRecord);
 }
 
 std::map<std::string, std::vector<double>>

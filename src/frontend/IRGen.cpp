@@ -18,21 +18,38 @@ struct Binding {
   int Index = 0; ///< vreg (LocalScalar) / frame slot / global index
 };
 
+} // namespace
+
+namespace ucc {
+
 class IRGenImpl {
 public:
   IRGenImpl(const ProgramAST &Program, DiagnosticEngine &Diag)
       : Program(Program), Diag(Diag) {}
 
-  Module run() {
+  bool declare() {
     declareGlobals();
     declareFunctions();
-    if (Diag.hasErrors())
-      return std::move(M);
-    for (size_t I = 0; I < Program.Functions.size(); ++I)
-      lowerFunction(Program.Functions[I], static_cast<int>(I));
-    M.EntryFunc = M.findFunction("main");
+    Declared = !Diag.hasErrors();
+    return Declared;
+  }
+
+  void lower(size_t I) {
+    lowerFunction(Program.Functions[I], static_cast<int>(I));
+  }
+
+  void adopt(size_t I, Function F, int BlockCount) {
+    M.Functions[I] = std::move(F);
+    BlockCounter += BlockCount;
+  }
+
+  Module finish() {
+    if (Declared)
+      M.EntryFunc = M.findFunction("main");
     return std::move(M);
   }
+
+  int BlockCounter = 0;
 
 private:
   //===--- module-level declarations --------------------------------------===//
@@ -542,8 +559,13 @@ private:
     Instr I;
     I.Op = Opcode::Call;
     I.Callee = Callee;
-    for (const ExprPtr &Arg : E.Args)
-      I.Srcs.push_back(lowerExpr(*Arg));
+    for (const ExprPtr &Arg : E.Args) {
+      VReg V = lowerExpr(*Arg);
+      // A fifth argument was diagnosed above (arity, or the callee's own
+      // parameter cap) and the module is discarded, so it is dropped.
+      if (I.Srcs.size() < OperandList::Capacity)
+        I.Srcs.push_back(V);
+    }
     if (WantValue || CalleeReturnsInt)
       I.Dst = CurFn->makeVReg();
     I.Loc = E.Loc;
@@ -636,6 +658,7 @@ private:
   const ProgramAST &Program;
   DiagnosticEngine &Diag;
   Module M;
+  bool Declared = false;
   std::vector<bool> ReturnsInt; ///< parallel to M.Functions
 
   /// One binding per M.Globals entry.
@@ -644,7 +667,6 @@ private:
   Function *CurFn = nullptr;
   int CurFnIndex = -1;
   int CurBB = 0;
-  int BlockCounter = 0;
   /// The function's visible locals, innermost last; ScopeStarts.back() is
   /// where the innermost scope's bindings begin.
   std::vector<std::pair<std::string_view, Binding>> Locals;
@@ -653,10 +675,31 @@ private:
   std::vector<int> ContinueTargets;
 };
 
-} // namespace
+} // namespace ucc
+
+IRGen::IRGen(const ProgramAST &Program, DiagnosticEngine &Diag)
+    : Impl(std::make_unique<IRGenImpl>(Program, Diag)) {}
+
+IRGen::~IRGen() = default;
+
+bool IRGen::declare() { return Impl->declare(); }
+
+int IRGen::blockCounter() const { return Impl->BlockCounter; }
+
+void IRGen::lowerFunction(size_t I) { Impl->lower(I); }
+
+void IRGen::adoptFunction(size_t I, Function F, int BlockCount) {
+  Impl->adopt(I, std::move(F), BlockCount);
+}
+
+Module IRGen::finish() { return Impl->finish(); }
 
 Module ucc::lowerToIR(const ProgramAST &Program, DiagnosticEngine &Diag) {
-  return IRGenImpl(Program, Diag).run();
+  IRGen Gen(Program, Diag);
+  if (Gen.declare())
+    for (size_t I = 0; I < Program.Functions.size(); ++I)
+      Gen.lowerFunction(I);
+  return Gen.finish();
 }
 
 Module ucc::compileToIR(const std::string &Source, DiagnosticEngine &Diag) {

@@ -195,6 +195,7 @@ private:
   Token make(TokKind Kind, SourceLoc Loc) {
     Token T;
     T.Kind = Kind;
+    T.Offset = static_cast<uint32_t>(TokStart);
     T.Loc = Loc;
     return T;
   }
@@ -205,6 +206,7 @@ private:
   Token next() {
     while (true) {
       skipTrivia();
+      TokStart = Pos;
       SourceLoc Loc = here();
       if (Pos >= Src.size())
         return make(TokKind::Eof, Loc);
@@ -332,6 +334,7 @@ private:
   std::string_view Src;
   DiagnosticEngine &Diag;
   size_t Pos = 0;
+  size_t TokStart = 0; ///< offset of the token being lexed
   unsigned Line = 1;
   unsigned Col = 1;
 };

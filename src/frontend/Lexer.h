@@ -72,6 +72,7 @@ enum class TokKind {
 /// token stream is only valid while that source is.
 struct Token {
   TokKind Kind = TokKind::Eof;
+  uint32_t Offset = 0;   ///< byte offset of the first character
   std::string_view Text; ///< identifier and keyword spelling
   int64_t IntValue = 0;  ///< for IntLit
   SourceLoc Loc;

@@ -5,6 +5,7 @@
 #include "frontend/Lexer.h"
 #include "support/Format.h"
 
+#include <cassert>
 #include <memory>
 #include <new>
 
@@ -77,26 +78,56 @@ BinOpInfo binOpInfo(TokKind Kind) {
   }
 }
 
+} // namespace
+
+namespace ucc {
+
 class ParserImpl {
 public:
-  ParserImpl(std::vector<Token> Tokens, DiagnosticEngine &Diag)
-      : Toks(std::move(Tokens)), Diag(Diag) {}
+  /// \p Outline leaves function bodies unparsed (OutlineParser).
+  ParserImpl(std::string_view Source, DiagnosticEngine &Diag, bool Outline)
+      : Source(Source), Toks(lex(Source, Diag)), Diag(Diag), Outline(Outline) {}
 
-  ProgramAST run() {
-    ProgramAST Program;
+  /// Parses the top level, and every body unless in outline mode.
+  void run() {
     Nodes = Program.Nodes.get();
     while (!at(TokKind::Eof)) {
       if (at(TokKind::KwInt) || at(TokKind::KwVoid)) {
-        parseTopLevel(Program);
+        parseTopLevel();
         continue;
       }
       error(format("expected declaration, found %s", tokKindName(cur().Kind)));
       advance();
     }
-    return Program;
+  }
+
+  ProgramAST Program;
+
+  //===--- outline mode ---------------------------------------------------===//
+
+  std::string_view text(size_t I) const {
+    const BodySpan &B = Bodies[I];
+    size_t Begin = Toks[B.Header].Offset;
+    return Source.substr(Begin, Toks[B.Close].Offset + 1 - Begin);
+  }
+
+  SourceLoc start(size_t I) const { return Toks[Bodies[I].Header].Loc; }
+
+  void parseBody(size_t I) {
+    const BodySpan &B = Bodies[I];
+    Pos = B.Open;
+    Program.Functions[I].Body = parseBlock();
+    assert((Diag.hasErrors() || Pos == B.Close + 1) &&
+           "a clean body parse ends at its matching brace");
   }
 
 private:
+  /// Token indices of one function in outline mode: its first header
+  /// token and its body's braces.
+  struct BodySpan {
+    size_t Header = 0, Open = 0, Close = 0;
+  };
+
   //===--- token helpers --------------------------------------------------===//
 
   const Token &cur() const { return Toks[Pos]; }
@@ -141,13 +172,14 @@ private:
 
   //===--- declarations ---------------------------------------------------===//
 
-  void parseTopLevel(ProgramAST &Program) {
+  void parseTopLevel() {
+    size_t Header = Pos;
     bool ReturnsInt = at(TokKind::KwInt);
     advance(); // int / void
     const Token &Name = expect(TokKind::Ident, "in declaration");
 
     if (at(TokKind::LParen)) {
-      parseFunction(Program, Name, ReturnsInt);
+      parseFunction(Name, ReturnsInt, Header);
       return;
     }
     if (!ReturnsInt) {
@@ -155,10 +187,10 @@ private:
       recover();
       return;
     }
-    parseGlobal(Program, Name);
+    parseGlobal(Name);
   }
 
-  void parseGlobal(ProgramAST &Program, const Token &Name) {
+  void parseGlobal(const Token &Name) {
     GlobalDecl G;
     G.Loc = Name.Loc;
     G.Name = Name.Text;
@@ -192,8 +224,7 @@ private:
     return Negate ? -Lit.IntValue : Lit.IntValue;
   }
 
-  void parseFunction(ProgramAST &Program, const Token &Name,
-                     bool ReturnsInt) {
+  void parseFunction(const Token &Name, bool ReturnsInt, size_t Header) {
     FuncDecl F;
     F.Loc = Name.Loc;
     F.Name = Name.Text;
@@ -209,8 +240,35 @@ private:
     if (F.Params.size() > 4)
       Diag.error(F.Loc, "functions take at most 4 parameters");
     expect(TokKind::RParen, "after parameters");
-    F.Body = parseBlock();
+    if (Outline)
+      skipBody(Header);
+    else
+      F.Body = parseBlock();
     Program.Functions.push_back(std::move(F));
+  }
+
+  /// Outline mode: records the body's braces, found by brace matching, and
+  /// moves past the closing one.
+  void skipBody(size_t Header) {
+    BodySpan &B = Bodies.emplace_back();
+    B.Header = Header;
+    B.Open = Pos;
+    if (!at(TokKind::LBrace)) {
+      expect(TokKind::LBrace, "to open block");
+      return;
+    }
+    int Depth = 0;
+    for (size_t I = Pos; Toks[I].Kind != TokKind::Eof; ++I) {
+      if (Toks[I].Kind == TokKind::LBrace) {
+        ++Depth;
+      } else if (Toks[I].Kind == TokKind::RBrace && --Depth == 0) {
+        B.Close = I;
+        Pos = I + 1;
+        return;
+      }
+    }
+    Pos = Toks.size() - 1;
+    expect(TokKind::RBrace, "to close block");
   }
 
   //===--- statements -----------------------------------------------------===//
@@ -505,16 +563,35 @@ private:
     return makeExpr(Expr::Kind::IntLit, Loc);
   }
 
+  std::string_view Source;
   std::vector<Token> Toks;
   DiagnosticEngine &Diag;
+  bool Outline;
   size_t Pos = 0;
-  Arena *Nodes = nullptr; ///< the arena of the ProgramAST being built
+  Arena *Nodes = nullptr;       ///< the arena of Program
+  std::vector<BodySpan> Bodies; ///< outline mode: one per function
 };
 
-} // namespace
+} // namespace ucc
 
 ProgramAST ucc::parseProgram(const std::string &Source,
                              DiagnosticEngine &Diag) {
-  std::vector<Token> Toks = lex(Source, Diag);
-  return ParserImpl(std::move(Toks), Diag).run();
+  ParserImpl P(Source, Diag, /*Outline=*/false);
+  P.run();
+  return std::move(P.Program);
 }
+
+OutlineParser::OutlineParser(const std::string &Source, DiagnosticEngine &Diag)
+    : Impl(std::make_unique<ParserImpl>(Source, Diag, /*Outline=*/true)) {
+  Impl->run();
+}
+
+OutlineParser::~OutlineParser() = default;
+
+const ProgramAST &OutlineParser::program() const { return Impl->Program; }
+
+std::string_view OutlineParser::text(size_t I) const { return Impl->text(I); }
+
+SourceLoc OutlineParser::start(size_t I) const { return Impl->start(I); }
+
+void OutlineParser::parseBody(size_t I) { Impl->parseBody(I); }

@@ -4,7 +4,13 @@
 
 #include "support/Format.h"
 
+#include <stdexcept>
+
 using namespace ucc;
+
+void OperandList::overflow() {
+  throw std::length_error("IR instruction with more than 4 operands");
+}
 
 std::vector<int> BasicBlock::successors() const {
   if (Instrs.empty())

@@ -27,7 +27,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ucc {
@@ -75,6 +77,43 @@ enum class UnKind { Neg, Not };
 /// Comparison predicates for Opcode::CondBr (signed).
 enum class CmpPred { EQ, NE, LT, LE, GT, GE };
 
+/// Fixed-capacity inline list of an instruction's value operands, in the
+/// style of codegen's RegList. No opcode takes more than four (CALL passes
+/// at most four register arguments, and the parser caps parameters at
+/// four), so the list needs no heap and keeps Instr trivially copyable.
+/// Overflow throws std::length_error in every build type.
+class OperandList {
+public:
+  static constexpr size_t Capacity = 4;
+
+  OperandList() = default;
+  OperandList(std::initializer_list<VReg> Regs) {
+    for (VReg R : Regs)
+      push_back(R);
+  }
+
+  void push_back(VReg R) {
+    if (Count == Capacity)
+      overflow();
+    Regs[Count++] = R;
+  }
+  void clear() { Count = 0; }
+  size_t size() const { return Count; }
+  bool empty() const { return Count == 0; }
+  VReg &operator[](size_t I) { return Regs[I]; }
+  VReg operator[](size_t I) const { return Regs[I]; }
+  VReg *begin() { return Regs; }
+  VReg *end() { return Regs + Count; }
+  const VReg *begin() const { return Regs; }
+  const VReg *end() const { return Regs + Count; }
+
+private:
+  [[noreturn]] static void overflow();
+
+  uint32_t Count = 0;
+  VReg Regs[Capacity] = {};
+};
+
 /// One IR instruction. Which fields are meaningful depends on Op; the
 /// accessors below and the verifier encode the exact contract.
 struct Instr {
@@ -84,7 +123,7 @@ struct Instr {
   CmpPred PredK = CmpPred::EQ;
 
   VReg Dst = NoVReg;
-  std::vector<VReg> Srcs; ///< value operands, in positional order
+  OperandList Srcs;       ///< value operands, in positional order
   int64_t Imm = 0;        ///< Const immediate / In/Out port number
   int Global = -1;        ///< global index for LoadG/StoreG
   int Slot = -1;          ///< frame object index for LoadF/StoreF
@@ -100,6 +139,8 @@ struct Instr {
 
   bool hasDst() const { return Dst != NoVReg; }
 };
+static_assert(std::is_trivially_copyable_v<Instr>,
+              "copying a function's instructions must stay a memcpy");
 
 /// A basic block: a straight-line run of instructions ending in exactly one
 /// terminator. Blocks are identified by their index in Function::Blocks.

@@ -64,6 +64,11 @@ public:
     return std::move(Problems);
   }
 
+  std::vector<std::string> runOn(size_t FnIdx) {
+    checkFunction(static_cast<int>(FnIdx));
+    return std::move(Problems);
+  }
+
 private:
   void problem(const char *Fmt, ...) __attribute__((format(printf, 2, 3))) {
     va_list Args;
@@ -167,6 +172,10 @@ private:
 
 std::vector<std::string> ucc::verifyModule(const Module &M) {
   return VerifierImpl(M).run();
+}
+
+std::vector<std::string> ucc::verifyFunction(const Module &M, size_t FnIdx) {
+  return VerifierImpl(M).runOn(FnIdx);
 }
 
 bool ucc::moduleIsValid(const Module &M) { return verifyModule(M).empty(); }

@@ -13,6 +13,7 @@
 #ifndef UCC_IR_VERIFIER_H
 #define UCC_IR_VERIFIER_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,10 @@ struct Module;
 ///  * call argument counts match callee parameter counts;
 ///  * the entry function index is valid if set.
 std::vector<std::string> verifyModule(const Module &M);
+
+/// The checks verifyModule() makes on function \p FnIdx of \p M alone
+/// (everything but the entry index), with the same messages.
+std::vector<std::string> verifyFunction(const Module &M, size_t FnIdx);
 
 /// Convenience: true when verifyModule() reports no problems.
 bool moduleIsValid(const Module &M);

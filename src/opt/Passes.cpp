@@ -401,22 +401,27 @@ bool ucc::simplifyCFG(Function &F) {
 // Pipeline driver
 //===----------------------------------------------------------------------===//
 
+bool ucc::optimizeFunction(Function &F) {
+  bool EverChanged = false;
+  // Bounded fixpoint: each pass is monotone (shrinks or simplifies the
+  // function), so a handful of rounds always suffices in practice.
+  for (int Round = 0; Round < 8; ++Round) {
+    bool Changed = false;
+    Changed |= simplifyCFG(F);
+    Changed |= foldConstants(F);
+    Changed |= propagateCopies(F);
+    Changed |= eliminateCommonSubexprs(F);
+    Changed |= eliminateDeadCode(F);
+    EverChanged |= Changed;
+    if (!Changed)
+      break;
+  }
+  return EverChanged;
+}
+
 bool ucc::optimizeModule(Module &M) {
   bool EverChanged = false;
-  for (Function &F : M.Functions) {
-    // Bounded fixpoint: each pass is monotone (shrinks or simplifies the
-    // function), so a handful of rounds always suffices in practice.
-    for (int Round = 0; Round < 8; ++Round) {
-      bool Changed = false;
-      Changed |= simplifyCFG(F);
-      Changed |= foldConstants(F);
-      Changed |= propagateCopies(F);
-      Changed |= eliminateCommonSubexprs(F);
-      Changed |= eliminateDeadCode(F);
-      EverChanged |= Changed;
-      if (!Changed)
-        break;
-    }
-  }
+  for (Function &F : M.Functions)
+    EverChanged |= optimizeFunction(F);
   return EverChanged;
 }

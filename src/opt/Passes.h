@@ -11,7 +11,7 @@
 /// improvements while matching old code-generation decisions is actually
 /// exercised by the pipeline.
 ///
-/// Every pass returns true when it changed something; optimizeModule()
+/// Every pass returns true when it changed something; optimizeFunction()
 /// iterates the pipeline to a fixpoint (bounded).
 ///
 //===----------------------------------------------------------------------===//
@@ -42,8 +42,12 @@ bool eliminateDeadCode(Function &F);
 /// unreachable blocks (remapping block indices).
 bool simplifyCFG(Function &F);
 
-/// Runs the full pipeline over every function until a (bounded) fixpoint.
-/// Returns true if anything changed.
+/// Runs the full pipeline over \p F until a (bounded) fixpoint. Reads
+/// nothing outside \p F. Returns true if anything changed.
+bool optimizeFunction(Function &F);
+
+/// optimizeFunction() over every function. Returns true if anything
+/// changed.
 bool optimizeModule(Module &M);
 
 } // namespace ucc

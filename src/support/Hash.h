@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ucc {
@@ -80,7 +81,7 @@ public:
     std::memcpy(&Bits, &V, sizeof Bits);
     u64(Bits);
   }
-  void str(const std::string &S) {
+  void str(std::string_view S) {
     u32(static_cast<uint32_t>(S.size()));
     Out.insert(Out.end(), S.begin(), S.end());
   }

@@ -157,7 +157,8 @@ void Telemetry::declareStandardCounters() {
       "ra.window_cache_misses",
       // compile: the incremental-recompilation cache (core/CompileCache).
       "compile.cache_hits", "compile.cache_misses",
-      "compile.cache_evictions",
+      "compile.cache_evictions", "compile.front_hits",
+      "compile.front_misses",
       // da: UCC-DA (section 4).
       "da.regions", "da.holes_filled", "da.hole_words", "da.relocated_vars",
       "da.region_words",

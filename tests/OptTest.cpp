@@ -145,11 +145,11 @@ TEST(Optimizer, SimplifyCfgRemovesUnreachableBlocks) {
 
 // Hand-built IR for the single-pass tests below.
 
-Instr makeInstr(Opcode Op, VReg Dst, std::vector<VReg> Srcs = {}) {
+Instr makeInstr(Opcode Op, VReg Dst, OperandList Srcs = {}) {
   Instr I;
   I.Op = Op;
   I.Dst = Dst;
-  I.Srcs = std::move(Srcs);
+  I.Srcs = Srcs;
   return I;
 }
 

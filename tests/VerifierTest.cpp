@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 using namespace ucc;
 
 namespace {
@@ -127,6 +129,19 @@ TEST(VerifierTest, RejectsBadEntryIndex) {
   Module M = minimalModule();
   M.EntryFunc = 9;
   EXPECT_FALSE(verifyModule(M).empty());
+}
+
+TEST(OperandList, HoldsFourOperandsAndThrowsOnAFifth) {
+  // The operand list is inline and fixed at four; a fifth operand is a
+  // compiler bug that must fail loudly in every build type, not only
+  // under an assert.
+  Instr Call;
+  Call.Op = Opcode::Call;
+  Call.Srcs = {1, 2, 3, 4};
+  EXPECT_EQ(Call.Srcs.size(), 4u);
+  EXPECT_EQ(Call.Srcs[3], 4);
+  EXPECT_THROW(Call.Srcs.push_back(5), std::length_error);
+  EXPECT_EQ(Call.Srcs.size(), 4u);
 }
 
 } // namespace
