@@ -231,7 +231,8 @@ VersionStore buildStore(const std::vector<std::string> &Chain,
 size_t cumulativeScriptBytes(const VersionStore &Store) {
   size_t Total = 0;
   for (const auto &V : Store.versions())
-    Total += V->ScriptBytesFromParent;
+    if (V->Parent >= 0)
+      Total += V->FromParent.scriptBytes();
   return Total;
 }
 
@@ -256,8 +257,8 @@ int main(int Argc, char **Argv) {
               "GCC bytes", "code", "data");
   for (int V = 1; V <= Head; ++V)
     std::printf("v%d>v%d  %10zu  %10zu  %6zu  %6d\n", V - 1, V,
-                Ucc.find(V)->ScriptBytesFromParent,
-                Gcc.find(V)->ScriptBytesFromParent,
+                Ucc.find(V)->FromParent.scriptBytes(),
+                Gcc.find(V)->FromParent.scriptBytes(),
                 Ucc.find(V)->Image.Code.size(),
                 Ucc.find(V)->Layout.DataWords);
 

@@ -47,11 +47,10 @@ struct StoredVersion {
   int Id = -1;     ///< dense version number (0 = initial)
   int Parent = -1; ///< version this one was recompiled against (-1 = root)
   std::string SourceHash; ///< FNV-1a of the source text (hex)
-  /// Edit-script bytes of the update Parent -> this (0 for the root).
-  size_t ScriptBytesFromParent = 0;
   /// The update Parent -> this, exactly makeImageUpdate(parent image,
   /// Image) (empty for the root). The planner serves a one-hop upgrade
-  /// from it instead of diffing the pair again.
+  /// from it instead of diffing the pair again; its scriptBytes() is the
+  /// version's cost on air from its parent.
   ImageUpdate FromParent;
   BinaryImage Image;
   CompilationRecord Record;

@@ -208,7 +208,7 @@ TEST(ZipfSamplerTest, DeterministicAcrossRunsForAFixedSeed) {
   for (int K = 0; K < 256; ++K)
     Second.push_back(Zipf.sample(B));
   EXPECT_EQ(First, Second)
-      << "serve-bench fleets must be reproducible from --seed alone";
+      << "request streams must be reproducible from their seed alone";
   // Not degenerate: several distinct ranks appear in the stream.
   EXPECT_GT(std::set<size_t>(First.begin(), First.end()).size(), 3u);
 }

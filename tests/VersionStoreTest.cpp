@@ -78,8 +78,8 @@ TEST(VersionStore, ChainBookkeeping) {
   EXPECT_EQ(Store.find(1)->Parent, 0);
   EXPECT_EQ(Store.find(2)->Parent, 1);
   EXPECT_EQ(Store.latest()->Id, 2);
-  EXPECT_EQ(Store.find(0)->ScriptBytesFromParent, 0u);
-  EXPECT_GT(Store.find(1)->ScriptBytesFromParent, 0u);
+  EXPECT_TRUE(Store.find(0)->FromParent.Functions.empty());
+  EXPECT_GT(Store.find(1)->FromParent.scriptBytes(), 0u);
   // v0 and v2 share their source text; the hash must agree.
   EXPECT_EQ(Store.find(0)->SourceHash, Store.find(2)->SourceHash);
   EXPECT_NE(Store.find(0)->SourceHash, Store.find(1)->SourceHash);
@@ -296,7 +296,7 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
     EXPECT_EQ(A->Layout.DataWords, B->Layout.DataWords);
     EXPECT_EQ(A->Parent, B->Parent);
     EXPECT_EQ(A->SourceHash, B->SourceHash);
-    EXPECT_EQ(A->ScriptBytesFromParent, B->ScriptBytesFromParent);
+    EXPECT_EQ(A->FromParent.scriptBytes(), B->FromParent.scriptBytes());
     EXPECT_EQ(A->FromParent.serialize(), B->FromParent.serialize());
   }
   // The rebuilt parent -> child updates serve the same one-hop plans.

@@ -22,14 +22,12 @@
 /// that got written — a bench whose own self-check fails still reports
 /// its metrics, and the rest of the suite still runs; ingest mode takes
 /// already-written report files as positional arguments.
-/// Metrics whose name ends in `_seconds` are machine-dependent wall-clock
-/// measurements: they are carried through to BENCH.json but never compared
-/// against the baseline. Everything else — pivot counts, branch-and-bound
-/// nodes, edit-script bytes — is deterministic by construction (the solver
-/// and the telemetry merge are scheduling-independent, so `--jobs 8`
-/// reports the same values as `--jobs 1`) and is therefore gated with
-/// zero tolerance unless the baseline's `tolerances` section explicitly
-/// loosens a metric.
+/// Every metric a bench reports — pivot counts, branch-and-bound nodes,
+/// edit-script bytes — is deterministic by construction (the solver and
+/// the telemetry merge are scheduling-independent, so `--jobs 8` reports
+/// the same values as `--jobs 1`; wall-clock timing lives in perfbench)
+/// and is therefore gated with zero tolerance unless the baseline's
+/// `tolerances` section explicitly loosens a metric.
 ///
 /// Exit code: 0 on success, 1 when a baseline comparison found a
 /// regression, 2 on usage or I/O errors or when a bench exited non-zero
@@ -45,7 +43,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -198,19 +195,11 @@ Tolerances parseTolerances(const json::Value &Baseline) {
   return T;
 }
 
-bool isWallClockMetric(const std::string &Name) {
-  const char *Suffix = "_seconds";
-  return Name.size() >= std::strlen(Suffix) &&
-         Name.compare(Name.size() - std::strlen(Suffix),
-                      std::string::npos, Suffix) == 0;
-}
-
 /// One row of the comparison: a metric's baseline/current pair + verdict.
 struct Delta {
   std::string Bench, Metric;
   double Base = 0.0, Cur = 0.0, Allowed = 0.0;
-  enum Status { Pass, Regressed, MissingInCurrent, NewInCurrent,
-                Skipped } St = Pass;
+  enum Status { Pass, Regressed, MissingInCurrent, NewInCurrent } St = Pass;
 };
 
 /// Compares the current run against the baseline's section for \p Profile.
@@ -239,13 +228,6 @@ std::vector<Delta> compare(const std::vector<BenchResult> &Current,
       D.Cur = Cur;
       const json::Value *Base =
           BaseMetrics ? BaseMetrics->find(Name) : nullptr;
-      if (isWallClockMetric(Name)) {
-        if (Base && Base->K == json::Value::Number)
-          D.Base = Base->Num;
-        D.St = Delta::Skipped;
-        Rows.push_back(D);
-        continue;
-      }
       if (!Base || Base->K != json::Value::Number) {
         D.St = Delta::NewInCurrent;
         Rows.push_back(D);
@@ -263,7 +245,7 @@ std::vector<Delta> compare(const std::vector<BenchResult> &Current,
     // too: a silently vanished metric must not pass the gate.
     if (BaseMetrics)
       for (const auto &[Name, Val] : BaseMetrics->Obj) {
-        if (Val.K != json::Value::Number || isWallClockMetric(Name))
+        if (Val.K != json::Value::Number)
           continue;
         bool Present = false;
         for (const auto &[CurName, CurVal] : B.Metrics)
@@ -292,16 +274,13 @@ std::string statusLabel(Delta::Status St) {
     return "**MISSING**";
   case Delta::NewInCurrent:
     return "new";
-  case Delta::Skipped:
-    return "skipped (wall clock)";
   }
   return "?";
 }
 
 /// The "top movers" digest: the metrics with the largest percent change
 /// against the baseline, so a reviewer does not have to eyeball the full
-/// per-bench tables. Wall-clock rows are included (labelled) — a big
-/// swing there is worth a look even though it is never gated.
+/// per-bench tables.
 std::string renderTopMovers(const std::vector<Delta> &Rows, size_t Limit) {
   struct Mover {
     const Delta *D;
