@@ -17,6 +17,7 @@
 
 #include "regalloc/LiveIntervals.h"
 #include "regalloc/UccIlpModel.h"
+#include "regalloc/Validator.h"
 
 #include "support/Arena.h"
 #include "support/Format.h"
@@ -381,44 +382,12 @@ bool tryIlpSingleBlock(MachineFunction &MF, const FlatList &NewLin,
   return true;
 }
 
-} // namespace
-
-UccAllocStats ucc::allocateUcc(MachineFunction &MF, const UccContext &Ctx,
-                               const UccAllocOptions &Opts,
-                               const std::vector<double> &Freq) {
-  UccAllocStats Stats;
-
-  // Mirrors the final Stats into the `ra.*` telemetry counters on every
-  // exit path (no-op without an active registry).
-  struct StatsExporter {
-    const UccAllocStats &S;
-    ~StatsExporter() {
-      Telemetry *T = currentTelemetry();
-      if (!T)
-        return;
-      T->addCounter("ra.functions");
-      T->addCounter("ra.total_instrs", S.TotalInstrs);
-      T->addCounter("ra.matched_instrs", S.MatchedInstrs);
-      T->addCounter("ra.chunks_changed", S.ChangedChunks);
-      T->addCounter("ra.chunks_unchanged", S.UnchangedChunks);
-      T->addCounter("ra.anchor_occurrences", S.AnchorOccurrences);
-      T->addCounter("ra.pref_honored", S.PrefHonored);
-      T->addCounter("ra.pref_broken", S.PrefBroken);
-      T->addCounter("ra.inserted_movs", S.InsertedMovs);
-      T->addCounter("ra.spilled_vregs", S.SpilledVRegs);
-      if (S.UsedIlp)
-        T->addCounter("ra.ilp_windows");
-    }
-  } Exporter{Stats};
-
-  // No old code for this function: plain update-oblivious allocation.
-  if (!Ctx.OldFinal) {
-    RAStats LS = allocateLinearScan(MF);
-    Stats.SpilledVRegs = LS.SpilledVRegs;
-    Stats.TotalInstrs = MF.instrCount();
-    return Stats;
-  }
-
+/// The UCC-RA rounds on a function with old code: align, plan, and spill
+/// until every vreg has a register. Returns false when the rounds run out
+/// first, leaving \p MF with vregs that were never substituted.
+bool runUccRounds(MachineFunction &MF, const UccContext &Ctx,
+                  const UccAllocOptions &Opts, const std::vector<double> &Freq,
+                  UccAllocStats &Stats) {
   memoryHomeAcrossCalls(MF);
   Arena Scratch;
   FlatList OldLin = flatten(*Ctx.OldFinal, Scratch);
@@ -483,7 +452,7 @@ UccAllocStats ucc::allocateUcc(MachineFunction &MF, const UccContext &Ctx,
         tryIlpSingleBlock(MF, NewLin, OldLin, MatchedOld, InChangedChunk,
                           Opts, Freq, IA, Stats)) {
       Stats.TotalInstrs = MF.instrCount();
-      return Stats;
+      return true;
     }
 
     // --- Collect per-vreg occurrences, anchors and preferences.
@@ -717,10 +686,64 @@ UccAllocStats ucc::allocateUcc(MachineFunction &MF, const UccContext &Ctx,
         MF.Blocks[B].Instrs.insert(MF.Blocks[B].Instrs.begin() + Idx, Mov);
     }
     Stats.ArenaBytes = static_cast<int64_t>(Scratch.bytesAllocated());
+    return true;
+  }
+  return false;
+}
+
+} // namespace
+
+UccAllocStats ucc::allocateUcc(MachineFunction &MF, const UccContext &Ctx,
+                               const UccAllocOptions &Opts,
+                               const std::vector<double> &Freq) {
+  UccAllocStats Stats;
+
+  // Mirrors the final Stats into the `ra.*` telemetry counters on every
+  // exit path (no-op without an active registry).
+  struct StatsExporter {
+    const UccAllocStats &S;
+    ~StatsExporter() {
+      Telemetry *T = currentTelemetry();
+      if (!T)
+        return;
+      T->addCounter("ra.functions");
+      T->addCounter("ra.total_instrs", S.TotalInstrs);
+      T->addCounter("ra.matched_instrs", S.MatchedInstrs);
+      T->addCounter("ra.chunks_changed", S.ChangedChunks);
+      T->addCounter("ra.chunks_unchanged", S.UnchangedChunks);
+      T->addCounter("ra.anchor_occurrences", S.AnchorOccurrences);
+      T->addCounter("ra.pref_honored", S.PrefHonored);
+      T->addCounter("ra.pref_broken", S.PrefBroken);
+      T->addCounter("ra.inserted_movs", S.InsertedMovs);
+      T->addCounter("ra.spilled_vregs", S.SpilledVRegs);
+      if (S.UsedIlp)
+        T->addCounter("ra.ilp_windows");
+      if (S.FellBack)
+        T->addCounter("ra.ucc_fallbacks");
+    }
+  } Exporter{Stats};
+
+  // No old code for this function: plain update-oblivious allocation.
+  if (!Ctx.OldFinal) {
+    RAStats LS = allocateLinearScan(MF);
+    Stats.SpilledVRegs = LS.SpilledVRegs;
+    Stats.TotalInstrs = MF.instrCount();
     return Stats;
   }
 
-  assert(false && "UCC-RA failed to converge");
-  Stats.ArenaBytes = static_cast<int64_t>(Scratch.bytesAllocated());
+  // The safety net, in every build type: a function whose rounds run out
+  // or whose allocation fails validation is restored as it came in and
+  // allocated by linear scan. The image stays correct but ships the whole
+  // function, so the fallback is counted.
+  MachineFunction Entry = MF;
+  if (runUccRounds(MF, Ctx, Opts, Freq, Stats) &&
+      validateAllocation(MF).empty())
+    return Stats;
+  MF = std::move(Entry);
+  RAStats LS = allocateLinearScan(MF);
+  Stats = UccAllocStats();
+  Stats.SpilledVRegs = LS.SpilledVRegs;
+  Stats.TotalInstrs = MF.instrCount();
+  Stats.FellBack = true;
   return Stats;
 }

@@ -75,6 +75,9 @@ struct UccAllocStats {
   int InsertedMovs = 0;
   int SpilledVRegs = 0;
   bool UsedIlp = false;
+  /// The rounds did not converge or failed validation, so the function
+  /// was allocated by linear scan instead (`ra.ucc_fallbacks`).
+  bool FellBack = false;
   int64_t IlpPivots = 0;
   /// Scratch bytes drawn from the per-run bump arena (deterministic for a
   /// given input; surfaced as the `compile.arena_bytes` gauge).
@@ -97,7 +100,8 @@ struct UccContext {
 /// \p Freq holds per-linear-position execution-frequency estimates of the
 /// *pre-allocation* code (machineFrequencies); it is re-derived internally
 /// after rewrites. Falls back to plain linear scan when the context has no
-/// old code.
+/// old code, and when the rounds do not converge or their allocation fails
+/// validateAllocation (then \p MF is reallocated from its state on entry).
 UccAllocStats allocateUcc(MachineFunction &MF, const UccContext &Ctx,
                           const UccAllocOptions &Opts,
                           const std::vector<double> &Freq);

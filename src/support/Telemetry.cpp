@@ -154,7 +154,7 @@ void Telemetry::declareStandardCounters() {
       "ra.pref_honored", "ra.pref_broken", "ra.inserted_movs",
       "ra.spilled_vregs", "ra.ilp_windows", "ra.ilp_binaries",
       "ra.ilp_constraints", "ra.window_cache_hits",
-      "ra.window_cache_misses",
+      "ra.window_cache_misses", "ra.ucc_fallbacks",
       // compile: the incremental-recompilation cache (core/CompileCache).
       "compile.cache_hits", "compile.cache_misses",
       "compile.cache_evictions", "compile.front_hits",

@@ -3,6 +3,7 @@
 #include "core/Compiler.h"
 #include "regalloc/Validator.h"
 #include "sim/Simulator.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -245,6 +246,59 @@ TEST(UccCompiler, AllAllocationsValidate) {
     EXPECT_TRUE(Problems.empty())
         << (Problems.empty() ? "" : Problems[0]);
   }
+}
+
+// A function whose register file is full at one position: seven values
+// live across the whole loop plus five temporaries leave no register for
+// the two-position temporary defined there. UCC-RA's spill rounds never
+// converge on it; the allocator must hand the function to linear scan
+// instead of shipping an image with unassigned virtual registers.
+const char *FullRegisterFile = R"(
+int g0 = 8;
+int stage_0(int x) {
+  int a0 = 14;
+  int a1 = 97;
+  int a2 = 61;
+  int a3 = 41;
+  int a4 = 23;
+  int i = 0;
+  while (i < 5) {
+    a2 = ((a2 + 270) / 6);
+    a3 = ((747 >> 2) | (a4 >> 1));
+    a4 = ((a1 | a3) * 5);
+    if (((a2 >> 2) > 6)) {
+      a4 = ((a0 & x) & (x >> 4));
+    }
+    i = i + 1;
+  }
+  g0 = (g0 + a2);
+  return (((i | 706) | (i | a3)) & 32767);
+}
+void main() {
+  int t = 0;
+  t = stage_0(5);
+  __out(15, g0);
+  __halt();
+}
+)";
+
+TEST(UccCompiler, NonConvergingFunctionFallsBackToLinearScan) {
+  CompileOutput V1 = mustCompile(FullRegisterFile);
+  RunResult Fresh = runImage(V1.Image);
+  ASSERT_TRUE(Fresh.Halted) << Fresh.TrapReason;
+  EXPECT_EQ(Fresh.DebugTrace, std::vector<int16_t>{62});
+
+  Telemetry T;
+  CompileOutput V2 = [&] {
+    TelemetryScope Scope(T);
+    return mustRecompile(FullRegisterFile, V1.Record, uccOptions());
+  }();
+  EXPECT_EQ(T.counter("ra.ucc_fallbacks"), 1) << "stage_0 only";
+  for (const MachineFunction &MF : V2.MachineCode.Functions)
+    EXPECT_TRUE(validateAllocation(MF).empty()) << MF.Name;
+  RunResult Updated = runImage(V2.Image);
+  ASSERT_TRUE(Updated.Halted) << Updated.TrapReason;
+  EXPECT_EQ(Updated.DebugTrace, std::vector<int16_t>{62});
 }
 
 } // namespace
