@@ -43,7 +43,14 @@ void walkBlock(const MachineFunction &MF, const MBlock &BB, RegState &State,
     minstrUses(I, Uses);
     auto slotUsed = [&](int Reg) { return Uses.contains(Reg); };
     auto checkUse = [&](int Reg, int Vreg) {
-      if (!Problems || Vreg < 0 || Reg < 0 || !isPhysReg(Reg))
+      if (!Problems || Reg < 0)
+        return;
+      if (!isPhysReg(Reg)) {
+        Problems->push_back(format("@%s: v%d was never given a register",
+                                   MF.Name.c_str(), Reg - FirstVReg));
+        return;
+      }
+      if (Vreg < 0)
         return;
       int Holding = State[static_cast<size_t>(Reg)];
       if (Holding != Vreg)
@@ -68,6 +75,9 @@ void walkBlock(const MachineFunction &MF, const MBlock &BB, RegState &State,
     for (int D : Defs)
       if (isPhysReg(D)) // slot A is the only register-def slot
         State[static_cast<size_t>(D)] = I.VA >= 0 ? I.VA : Opaque;
+      else if (Problems)
+        Problems->push_back(format("@%s: v%d was never given a register",
+                                   MF.Name.c_str(), D - FirstVReg));
   }
 }
 

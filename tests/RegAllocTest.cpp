@@ -203,6 +203,30 @@ TEST(ValidatorTest, CatchesCallClobberViolations) {
   EXPECT_FALSE(validateAllocation(MF).empty());
 }
 
+TEST(Validator, RejectsAVirtualRegisterLeftInTheCode) {
+  // The shape a non-converging allocator leaves behind: operands that are
+  // still virtual registers.
+  MachineFunction MF;
+  MF.Name = "unallocated";
+  MF.Blocks.resize(1);
+  int V0 = MF.makeVReg();
+  MInstr Def;
+  Def.Op = MOp::LDI;
+  Def.A = V0;
+  Def.Imm = 1;
+  MInstr Use;
+  Use.Op = MOp::OUT;
+  Use.A = V0;
+  Use.Imm = PortDebug;
+  MInstr Halt;
+  Halt.Op = MOp::HALT;
+  MF.Blocks[0].Instrs = {Def, Use, Halt};
+
+  std::vector<std::string> Problems = validateAllocation(MF);
+  ASSERT_EQ(Problems.size(), 2u);
+  EXPECT_EQ(Problems[0], "@unallocated: v0 was never given a register");
+}
+
 TEST(Dominators, DiamondShape) {
   MachineFunction MF;
   MF.Blocks.resize(4);
