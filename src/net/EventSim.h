@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The fleet-scale dissemination engine: a discrete-event simulator over a
-/// calendar queue of slot-timestamped events (pooled per-slot buckets plus
-/// an overflow heap for far-off timers) with deterministic tie-breaking by
-/// (slot, node, kind, seq). Where net/Network's seed engine advanced an
+/// calendar queue of slot-timestamped events (pooled per-slot buckets with
+/// an occupancy bitmap, plus an overflow heap for far-off timers) with
+/// deterministic tie-breaking by (slot, node, kind, seq), packed into one
+/// integer key per event. Where net/Network's seed engine advanced an
 /// ideal radio one BFS level per round, this engine models the phenomena
 /// that make update size matter in the first place (paper sections 1 and
 /// 2.2, and the GCP dissemination regimes):
@@ -30,11 +31,11 @@
 /// re-broadcasting up to MacConfig::MaxBursts times (decorrelated by
 /// randomized forwarding delays) until all its neighbors have announced
 /// completion via (idealized, control-plane) done beacons. Receivers draw
-/// per-packet link loss — and, under duty cycling, decode only the
-/// packets whose air slots fall inside their wake window — so stragglers
-/// assemble the script cumulatively across bursts. The long tail is
-/// closed Deluge-style by receiver pull: an incomplete node that has
-/// heard a done beacon polls (with exponentially growing gaps, up to
+/// link loss for each packet they still miss — and, under duty cycling,
+/// decode only the packets whose air slots fall inside their wake window —
+/// so stragglers assemble the script cumulatively across bursts. The long
+/// tail is closed Deluge-style by receiver pull: an incomplete node that
+/// has heard a done beacon polls (with exponentially growing gaps, up to
 /// MacConfig::MaxRequests times) and requests one extra burst from a
 /// completed neighbor, so every connected node eventually completes.
 ///
@@ -153,7 +154,8 @@ struct FleetResult {
 
 /// Floods a script of \p ScriptBytes from the sink (node 0) across \p T
 /// under the full radio/MAC/duty-cycle model. Deterministic per
-/// (topology, config, seed).
+/// (topology, config, seed). The event key holds a node id in 29 bits, so
+/// a topology of more than 2^29 nodes throws std::length_error.
 FleetResult simulateFlood(const Topology &T, size_t ScriptBytes,
                           const FleetConfig &Cfg = FleetConfig());
 

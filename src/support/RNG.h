@@ -8,6 +8,9 @@
 /// A small deterministic xorshift128+ generator used by property tests,
 /// synthetic-chunk generators and the network simulator. Determinism
 /// matters: every experiment must be exactly reproducible from its seed.
+/// FixedDivisor gives the exact remainder by a divisor fixed ahead of
+/// time without a hardware divide, for loops that draw below the same
+/// bound many times.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,35 @@
 #include <vector>
 
 namespace ucc {
+
+/// A divisor fixed ahead of time, whose remainder needs four multiplies
+/// instead of a hardware divide (Lemire, Kaser & Kurz, "Faster Remainder
+/// by Direct Computation", 2019). With a 128-bit fraction the result is
+/// exact for every 64-bit dividend and every non-zero 64-bit divisor.
+class FixedDivisor {
+  __extension__ typedef unsigned __int128 U128;
+
+public:
+  explicit FixedDivisor(uint64_t D)
+      : M(D != 0 ? ~U128(0) / D + 1 : 0), D(D) {
+    assert(D != 0 && "FixedDivisor requires a non-zero divisor");
+  }
+
+  uint64_t divisor() const { return D; }
+
+  /// Returns exactly X % divisor(). M wraps to 0 for a divisor of 1, and
+  /// the product is then 0 as it should be.
+  uint64_t remainder(uint64_t X) const {
+    U128 Low = M * X; // the fractional part of X / D, in 128 bits
+    U128 Bottom = (static_cast<U128>(static_cast<uint64_t>(Low)) * D) >> 64;
+    U128 Top = (Low >> 64) * D;
+    return static_cast<uint64_t>((Bottom + Top) >> 64);
+  }
+
+private:
+  U128 M; ///< ceil(2^128 / D), modulo 2^128
+  uint64_t D;
+};
 
 /// Deterministic xorshift128+ PRNG.
 class RNG {
@@ -48,6 +80,9 @@ public:
     assert(Bound != 0 && "below() requires a non-zero bound");
     return next() % Bound;
   }
+
+  /// Returns next() % D.divisor(), the same value below() returns.
+  uint64_t below(const FixedDivisor &D) { return D.remainder(next()); }
 
   /// Returns a uniform value in [Lo, Hi] inclusive.
   int64_t range(int64_t Lo, int64_t Hi) {

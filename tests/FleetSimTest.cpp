@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
 
 using namespace ucc;
 
@@ -192,6 +193,14 @@ TEST(FleetSim, BurstBudgetAboveInt16Terminates) {
   EXPECT_EQ(R.NodesIncomplete, 1);
 }
 
+/// The event key packs a node id into 29 bits; a bigger topology is
+/// refused before anything is allocated for it.
+TEST(FleetSim, TopologyPastTheNodeKeyWidthThrows) {
+  Topology Huge;
+  Huge.NumNodes = (1 << 29) + 1;
+  EXPECT_THROW(simulateFlood(Huge, 100), std::length_error);
+}
+
 /// Every FleetResult counter, then one FNV-1a digest over the bit patterns
 /// of SimSeconds, the energy ledger and PerNodeJoules.
 std::string pinOf(const FleetResult &R) {
@@ -337,6 +346,32 @@ TEST(FleetSim, ResultsArePinned) {
             "failed=0 coll=12300 backoff=8289 defer=9539 miss=0 over=5325 "
             "beacon=3968 req=1294 ev=75284 batch=20903 nodes=1024 "
             "fp=f0f53a2faeb1f1f1");
+
+  // The two pins below were produced by the calendar-queue engine with
+  // modulo duty-cycle arithmetic and a loss draw per awake packet.
+  //
+  // 209 packets in four Have words, 1390 air slots over a 100-slot
+  // period: wake runs start and end inside a word.
+  FleetConfig WideScript;
+  WideScript.Link.LossRate = 0.1;
+  WideScript.Duty.PeriodSeconds = 0.1;
+  WideScript.Duty.OnFraction = 0.4;
+  WideScript.Seed = 23;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(8, 8), 5000, WideScript)),
+            "pk=209 bytes=6672 hops=20 tx=60 done=64 left=0 retx=39083 "
+            "failed=0 coll=213 backoff=174 defer=289 miss=0 over=349 "
+            "beacon=224 req=85 ev=2964 batch=1477 nodes=64 "
+            "fp=be5d5d81b5788c2b");
+
+  // Carrier sense off: every kick transmits at once, into whatever air.
+  FleetConfig NoCsma;
+  NoCsma.Link.LossRate = 0.1;
+  NoCsma.Mac.Csma = false;
+  NoCsma.Seed = 29;
+  EXPECT_EQ(pinOf(simulateFlood(Topology::grid(10, 10), 900, NoCsma)),
+            "pk=38 bytes=1204 hops=19 tx=85 done=100 left=0 retx=8208 "
+            "failed=0 coll=688 backoff=0 defer=0 miss=0 over=170 beacon=360 "
+            "req=70 ev=3139 batch=1244 nodes=100 fp=cf2acecb3a4944ba");
 }
 
 } // namespace

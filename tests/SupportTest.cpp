@@ -162,6 +162,42 @@ TEST(RNGTest, CoversTheRange) {
   EXPECT_EQ(Seen.size(), 8u);
 }
 
+/// FixedDivisor::remainder is exact: at the ends of the 64-bit range,
+/// around multiples of the divisor, and over a seeded sweep; and
+/// below(FixedDivisor) draws what below() draws.
+TEST(RNGTest, FixedDivisorRemainderIsExact) {
+  const uint64_t Max = std::numeric_limits<uint64_t>::max();
+  const uint64_t Divisors[] = {1,
+                               2,
+                               3,
+                               7,
+                               8,
+                               500,
+                               1008,
+                               (uint64_t(1) << 32) - 1,
+                               (uint64_t(1) << 32) + 15,
+                               (uint64_t(1) << 63) + 1,
+                               Max};
+  for (uint64_t D : Divisors) {
+    FixedDivisor F(D);
+    EXPECT_EQ(F.divisor(), D);
+    uint64_t Top = Max - Max % D; // the largest multiple of D
+    for (uint64_t X : {uint64_t(0), Max, D - 1, D, D + 1, Top - 1, Top})
+      EXPECT_EQ(F.remainder(X), X % D) << "D=" << D << " X=" << X;
+    RNG Sweep(D);
+    int Wrong = 0;
+    for (int K = 0; K < 20000; ++K) {
+      uint64_t X = Sweep.next();
+      Wrong += F.remainder(X) != X % D;
+      Wrong += F.remainder(X >> 32) != (X >> 32) % D; // small dividends
+    }
+    EXPECT_EQ(Wrong, 0) << "D=" << D;
+    RNG A(D ^ 0x5eed), B(D ^ 0x5eed);
+    for (int K = 0; K < 100; ++K)
+      ASSERT_EQ(A.below(F), B.below(D)) << "D=" << D;
+  }
+}
+
 TEST(ZipfSamplerTest, RankFrequenciesDecreaseMonotonically) {
   // With 50k draws the expected counts at s=1.1 are far enough apart that
   // observed counts over the head ranks order strictly.
