@@ -250,8 +250,10 @@ inline CaseResult evaluateCase(const ucc::UpdateCase &Case,
   ucc::CompileOutput VUcc =
       recompileOrDie(Case.NewSource, V1.Record, uccOptions(Cnt));
 
-  ucc::ImageDiff DBase = ucc::diffImages(V1.Image, VBase.Image);
-  ucc::ImageDiff DUcc = ucc::diffImages(V1.Image, VUcc.Image);
+  ucc::ImageUpdate UBase = ucc::makeImageUpdate(V1.Image, VBase.Image);
+  ucc::ImageUpdate UUcc = ucc::makeImageUpdate(V1.Image, VUcc.Image);
+  ucc::ImageDiff DBase = ucc::diffImages(V1.Image, VBase.Image, UBase);
+  ucc::ImageDiff DUcc = ucc::diffImages(V1.Image, VUcc.Image, UUcc);
   R.DiffInstBaseline = DBase.totalDiffInst();
   R.DiffInstUcc = DUcc.totalDiffInst();
   R.ReusedBaseline = DBase.totalMatched();
@@ -262,9 +264,8 @@ inline CaseResult evaluateCase(const ucc::UpdateCase &Case,
   R.DiffCycleUcc = static_cast<int64_t>(cyclesFor(VUcc.Image)) -
                    static_cast<int64_t>(OldCycles);
 
-  R.ScriptBytesBaseline =
-      ucc::makeImageUpdate(V1.Image, VBase.Image).scriptBytes();
-  R.ScriptBytesUcc = ucc::makeImageUpdate(V1.Image, VUcc.Image).scriptBytes();
+  R.ScriptBytesBaseline = UBase.scriptBytes();
+  R.ScriptBytesUcc = UUcc.scriptBytes();
   for (const ucc::UccAllocStats &S : VUcc.RegAllocStats)
     R.InsertedMovs += S.InsertedMovs;
   return R;

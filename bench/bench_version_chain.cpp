@@ -260,7 +260,7 @@ int main(int Argc, char **Argv) {
                 Ucc.find(V)->FromParent.scriptBytes(),
                 Gcc.find(V)->FromParent.scriptBytes(),
                 Ucc.find(V)->Image.Code.size(),
-                Ucc.find(V)->Layout.DataWords);
+                Ucc.find(V)->Record.GlobalLayout.Words);
 
   size_t CumUcc = cumulativeScriptBytes(Ucc);
   size_t CumGcc = cumulativeScriptBytes(Gcc);

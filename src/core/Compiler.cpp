@@ -38,17 +38,6 @@ using namespace ucc;
 
 namespace {
 
-/// Roots a trace for an externally-originated compilation when events are
-/// on and no context is active, so `compile.*`/phase spans in the export
-/// carry a trace id even outside the serving layer.
-struct CompileTrace {
-  std::optional<TraceContextScope> Scope;
-  CompileTrace() {
-    if (eventTelemetry() && !currentTraceContext())
-      Scope.emplace(TraceContext{nextTraceId(), 0});
-  }
-};
-
 /// Shifts every source line of \p F by \p Delta; a location that names
 /// no line stays unset.
 void shiftLines(Function &F, int64_t Delta) {
@@ -186,6 +175,9 @@ CompilationRecord buildRecord(const Module &M, const MachineModule &MM,
   Rec.GlobalNames.reserve(M.Globals.size());
   for (const GlobalVar &G : M.Globals)
     Rec.GlobalNames.push_back(G.Name);
+  // Copied, not moved: the copy's vectors are sized to fit, while the
+  // compiled ones keep their growth slack, and a stored version keeps its
+  // record for the life of the store.
   Rec.FinalCode = MM.Functions;
   Rec.FrameOffsets.reserve(Frames.size());
   for (const FrameLayout &FL : Frames)
@@ -235,8 +227,9 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
   }
 
   int NumFns = static_cast<int>(M.Functions.size());
-  Out.MachineCode.EntryFunc = M.EntryFunc;
-  Out.MachineCode.Functions.resize(static_cast<size_t>(NumFns));
+  MachineModule MM;
+  MM.EntryFunc = M.EntryFunc;
+  MM.Functions.resize(static_cast<size_t>(NumFns));
   Out.RegAllocStats.resize(static_cast<size_t>(NumFns));
   std::vector<FrameLayout> Frames(static_cast<size_t>(NumFns));
 
@@ -334,7 +327,7 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
       R = compute();
     }
 
-    Out.MachineCode.Functions[static_cast<size_t>(F)] = std::move(R.Final);
+    MM.Functions[static_cast<size_t>(F)] = std::move(R.Final);
     Frames[static_cast<size_t>(F)] = std::move(R.Frame);
     Out.RegAllocStats[static_cast<size_t>(F)] = R.Stats;
     if (currentTelemetry()) {
@@ -350,18 +343,18 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
   });
 
   // Module-level data layout (global regions).
+  DataLayoutMap Layout;
   telemetryBeginSpan("da");
   if (Opts.DA == DataAllocKind::UpdateConscious && OldRecord)
-    Out.Layout = layoutGlobalsUpdateConscious(
-        M, OldRecord->GlobalLayout, Opts.UccDa, &Out.DataAllocStats);
+    Layout = layoutGlobalsUpdateConscious(M, OldRecord->GlobalLayout,
+                                          Opts.UccDa, &Out.DataAllocStats);
   else
-    Out.Layout = layoutGlobalsBaseline(M);
+    Layout = layoutGlobalsBaseline(M);
   telemetryEndSpan(); // da
 
   {
     ScopedSpan Span("encode");
-    Out.Image = encodeModule(Out.MachineCode, M, Out.Layout, Frames,
-                             &Out.EncodedIRIndex);
+    Out.Image = encodeModule(MM, M, Layout, Frames, &Out.EncodedIRIndex);
   }
 
   // Cache accounting on the parent registry (hits/misses were counted in
@@ -374,7 +367,7 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
                    static_cast<double>(CS.Entries));
   }
 
-  Out.Record = buildRecord(M, Out.MachineCode, Out.Layout, Frames);
+  Out.Record = buildRecord(M, MM, Layout, Frames);
   Out.IR = std::move(M);
   return Out;
 }
@@ -384,7 +377,7 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
 std::optional<CompileOutput> Compiler::compile(const std::string &Source,
                                                const CompileOptions &Opts,
                                                DiagnosticEngine &Diag) {
-  CompileTrace Trace;
+  RootTraceScope Trace;
   ScopedSpan Span("compile");
   std::optional<Module> M = frontHalf(Source, Opts, Diag);
   if (!M)
@@ -396,7 +389,7 @@ std::optional<CompileOutput>
 Compiler::recompile(const std::string &Source,
                     const CompilationRecord &OldRecord,
                     const CompileOptions &Opts, DiagnosticEngine &Diag) {
-  CompileTrace Trace;
+  RootTraceScope Trace;
   ScopedSpan Span("recompile");
   std::optional<Module> M = frontHalf(Source, Opts, Diag);
   if (!M)
@@ -448,7 +441,7 @@ UpdatePackage ucc::makeUpdate(const CompileOutput &Old,
                               const CompileOutput &New, int Jobs) {
   UpdatePackage Pkg;
   Pkg.Update = makeImageUpdate(Old.Image, New.Image, Jobs);
-  Pkg.Diff = diffImages(Old.Image, New.Image, Jobs);
+  Pkg.Diff = diffImages(Old.Image, New.Image, Pkg.Update);
   Pkg.ScriptBytes = Pkg.Update.scriptBytes();
   return Pkg;
 }

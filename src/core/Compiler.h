@@ -77,11 +77,12 @@ struct CompileOptions {
 
 /// Everything a compilation produces.
 struct CompileOutput {
-  Module IR;                 ///< optimized IR
-  MachineModule MachineCode; ///< final, register-allocated
+  Module IR;                ///< optimized IR
   BinaryImage Image;
-  CompilationRecord Record;  ///< what the sink stores for next time
-  DataLayoutMap Layout;
+  /// What the sink stores for next time. Its FinalCode is the final,
+  /// register-allocated machine code and its GlobalLayout the data layout
+  /// the image was encoded with.
+  CompilationRecord Record;
   std::vector<UccAllocStats> RegAllocStats; ///< per function (UCC runs)
   RegionLayout DataAllocStats;              ///< UCC-DA region statistics
   /// Per function, the originating IR-statement index of every encoded
@@ -109,7 +110,7 @@ public:
 /// The dissemination-ready summary of one update.
 struct UpdatePackage {
   ImageUpdate Update;  ///< per-function edit scripts + data delta
-  ImageDiff Diff;      ///< Diff_inst metrics
+  ImageDiff Diff;      ///< Diff_inst metrics, read off Update
   size_t ScriptBytes = 0;
 };
 

@@ -8,9 +8,10 @@
 /// The version chain, its on-disk form, and the direct-vs-chained planner.
 /// Persistence is a `manifest.json` (schema_version 1) naming one `vN.img`
 /// and `vN.rec` per version, all in the store directory; the manifest also
-/// carries the data layout and the parent/script-bytes bookkeeping so
-/// `history` listings need no artifact decoding; `open` rebuilds each
-/// version's parent -> child update from the loaded images. Every file is
+/// carries the parent/script-bytes bookkeeping so `history` listings need
+/// no artifact decoding; `open` rebuilds each version's parent -> child
+/// update from the loaded images. The data layout lives in the record;
+/// `open` ignores the `layout` object older manifests carry. Every file is
 /// written to a sibling `.tmp` and renamed into place, the manifest last,
 /// so a commit that dies part-way leaves the previous store (the new
 /// version's files are unreferenced until the manifest names them).
@@ -155,18 +156,6 @@ std::optional<VersionStore> VersionStore::open(const std::string &Dir,
       V.FromParent = makeImageUpdate(
           S.Versions[static_cast<size_t>(V.Parent)]->Image, V.Image);
 
-    const json::Value *Layout = Entry.find("layout");
-    if (!Layout || Layout->K != json::Value::Object) {
-      Diag.error({}, format("version %d: missing layout", V.Id));
-      return std::nullopt;
-    }
-    V.Layout.DataWords =
-        static_cast<int>(Layout->numberOr("data_words", 0));
-    if (const json::Value *Offs = Layout->find("global_offsets");
-        Offs && Offs->K == json::Value::Array)
-      for (const json::Value &O : Offs->Arr)
-        V.Layout.GlobalOffsets.push_back(static_cast<int>(O.Num));
-
     S.Versions.push_back(std::make_shared<const StoredVersion>(std::move(V)));
   }
   if (Telemetry *T = currentTelemetry())
@@ -190,13 +179,6 @@ bool VersionStore::writeManifest(DiagnosticEngine &Diag) const {
           json::Value::number(static_cast<double>(ScriptBytes)));
     E.set("image", json::Value::string(format("v%d.img", V.Id)));
     E.set("record", json::Value::string(format("v%d.rec", V.Id)));
-    json::Value Layout = json::Value::object();
-    Layout.set("data_words", json::Value::number(V.Layout.DataWords));
-    json::Value Offs = json::Value::array();
-    for (int O : V.Layout.GlobalOffsets)
-      Offs.Arr.push_back(json::Value::number(O));
-    Layout.set("global_offsets", std::move(Offs));
-    E.set("layout", std::move(Layout));
     Vs.Arr.push_back(std::move(E));
   }
   Doc.set("versions", std::move(Vs));
@@ -250,7 +232,6 @@ int VersionStore::addInitial(const std::string &Source,
   V.SourceHash = sourceHash(Source);
   V.Image = std::move(Out->Image);
   V.Record = std::move(Out->Record);
-  V.Layout = std::move(Out->Layout);
   return commitVersion(std::move(V), Diag);
 }
 
@@ -276,7 +257,6 @@ int VersionStore::addUpdate(const std::string &Source,
   V.FromParent = makeImageUpdate(P->Image, Out->Image, Opts.Jobs);
   V.Image = std::move(Out->Image);
   V.Record = std::move(Out->Record);
-  V.Layout = std::move(Out->Layout);
   return commitVersion(std::move(V), Diag);
 }
 

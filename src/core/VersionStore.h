@@ -6,11 +6,12 @@
 ///
 /// \file
 /// The sink's long-lived state: every version it ever deployed, as a chain
-/// of compilation artifacts (image + compilation record + data layout +
-/// parent link). The paper's workflow is inherently stateful — the sink
-/// "keeps the record of previous compilation" across an open-ended stream
-/// of updates — and this store makes that state first class instead of
-/// leaving it implicit in caller-managed CompileOutput variables.
+/// of compilation artifacts (image + compilation record, which holds the
+/// machine code and data layout, + parent link). The paper's workflow is
+/// inherently stateful — the sink "keeps the record of previous
+/// compilation" across an open-ended stream of updates — and this store
+/// makes that state first class instead of leaving it implicit in
+/// caller-managed CompileOutput variables.
 ///
 /// On top of the store sits the planner: an update between ANY two stored
 /// versions is planned either as a fresh endpoint diff (Direct) or as the
@@ -54,7 +55,6 @@ struct StoredVersion {
   ImageUpdate FromParent;
   BinaryImage Image;
   CompilationRecord Record;
-  DataLayoutMap Layout;
 };
 
 /// A planned update between two stored versions.

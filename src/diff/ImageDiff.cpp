@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Function-granular image diffing, update-package construction (runs under
-/// the `diff` telemetry span; per-script byte accounting happens inside
-/// makeEditScript), the package wire format, the sensor-side applier, and
-/// the out-of-order group assembler.
+/// Update-package construction (runs under the `diff` telemetry span;
+/// per-script byte accounting happens inside makeEditScript), the Diff_inst
+/// metrics read off a package's scripts, the package wire format, the
+/// sensor-side applier, and the out-of-order group assembler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,26 +51,27 @@ const FunctionDiff *ImageDiff::find(const std::string &Name) const {
 }
 
 ImageDiff ucc::diffImages(const BinaryImage &Old, const BinaryImage &New,
-                          int Jobs) {
+                          const ImageUpdate &U) {
+  assert(U.Functions.size() == New.Functions.size() &&
+         "update does not describe the new image");
   ImageDiff Out;
-  // Each function is an independent alignment problem; fan out over the
-  // pool, writing results by index so the order (and the telemetry merge,
-  // see support/ThreadPool.h) is deterministic for every job count.
-  int NumFns = static_cast<int>(New.Functions.size());
-  Out.Functions.resize(static_cast<size_t>(NumFns));
-  parallelFor(NumFns, Jobs, [&](int F) {
-    FunctionDiff &FD = Out.Functions[static_cast<size_t>(F)];
-    FD.Name = New.Functions[static_cast<size_t>(F)].Name;
-    std::vector<uint32_t> NewCode = New.functionCode(F);
-    FD.NewCount = static_cast<int>(NewCode.size());
-
-    int OldIdx = Old.findFunction(FD.Name);
-    if (OldIdx >= 0) {
-      std::vector<uint32_t> OldCode = Old.functionCode(OldIdx);
-      FD.OldCount = static_cast<int>(OldCode.size());
-      FD.Matched = static_cast<int>(alignWords(OldCode, NewCode).size());
-    }
-  });
+  // The words a script copies are the words reused; everything it inserts
+  // or replaces ships. Every primitive but Insert consumes old words, and
+  // every one but Remove produces new ones.
+  for (const ImageUpdate::FunctionUpdate &FU : U.Functions) {
+    FunctionDiff FD;
+    FD.Name = FU.Name;
+    if (FU.IsNew)
+      FD.NewCount = static_cast<int>(FU.NewCode.size());
+    else
+      for (const EditPrim &P : FU.Script.Prims) {
+        int Count = static_cast<int>(P.Count);
+        FD.OldCount += P.Op == EditOp::Insert ? 0 : Count;
+        FD.NewCount += P.Op == EditOp::Remove ? 0 : Count;
+        FD.Matched += P.Op == EditOp::Copy ? Count : 0;
+      }
+    Out.Functions.push_back(std::move(FD));
+  }
   // Removed functions (present old, absent new) need no transmission, but
   // record them for completeness.
   for (size_t F = 0; F < Old.Functions.size(); ++F) {
@@ -90,6 +91,11 @@ ImageDiff ucc::diffImages(const BinaryImage &Old, const BinaryImage &New,
   Out.DataWordsChanged += static_cast<int>(
       std::max(Old.DataInit.size(), New.DataInit.size()) - Common);
   return Out;
+}
+
+ImageDiff ucc::diffImages(const BinaryImage &Old, const BinaryImage &New,
+                          int Jobs) {
+  return diffImages(Old, New, makeImageUpdate(Old, New, Jobs));
 }
 
 size_t ImageUpdate::scriptBytes() const {

@@ -32,7 +32,7 @@ struct FunctionDiff {
   std::string Name;
   int OldCount = 0; ///< instructions in the old version (0 = new function)
   int NewCount = 0; ///< instructions in the new version (0 = removed)
-  int Matched = 0;  ///< LCS-matched (reused) instructions
+  int Matched = 0;  ///< reused instructions (the script's copies)
 
   /// The paper's Diff_inst: instructions of the new version that must be
   /// transmitted.
@@ -49,12 +49,6 @@ struct ImageDiff {
   int totalNewCount() const;
   const FunctionDiff *find(const std::string &Name) const;
 };
-
-/// Computes per-function diff metrics between two images. Functions are
-/// aligned on up to \p Jobs threads (0 = ThreadPool::defaultJobs()); the
-/// result and all telemetry counters are independent of the job count.
-ImageDiff diffImages(const BinaryImage &Old, const BinaryImage &New,
-                     int Jobs = 0);
 
 /// The transmissible update package.
 struct ImageUpdate {
@@ -86,6 +80,18 @@ struct ImageUpdate {
 /// count.
 ImageUpdate makeImageUpdate(const BinaryImage &Old, const BinaryImage &New,
                             int Jobs = 0);
+
+/// The Diff_inst metrics of \p U, the package turning \p Old into \p New:
+/// per function, the words its script copies are Matched, and the words
+/// it inserts or replaces (or all of NewCode, for a new function) ship.
+/// Removed functions and DataWordsChanged come from the two images.
+ImageDiff diffImages(const BinaryImage &Old, const BinaryImage &New,
+                     const ImageUpdate &U);
+
+/// diffImages over makeImageUpdate(Old, New, Jobs): for a caller that does
+/// not keep the package.
+ImageDiff diffImages(const BinaryImage &Old, const BinaryImage &New,
+                     int Jobs = 0);
 
 /// Composes two update packages: \p Out turns \p Base directly into the
 /// image that applying \p First and then \p Second yields. Per-function

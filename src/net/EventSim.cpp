@@ -37,6 +37,12 @@ using namespace ucc;
 
 namespace {
 
+/// CSMA: a node that senses busy air defers by a random slot count below
+/// a window that doubles per defer, capped at 2^BackoffCapExp slots, and
+/// after MaxBackoffs defers in a row it sends anyway.
+constexpr int BackoffCapExp = 5;
+constexpr int MaxBackoffs = 16;
+
 //===----------------------------------------------------------------------===//
 // Deterministic hashing (per-link qualities, per-node phases)
 //===----------------------------------------------------------------------===//
@@ -549,11 +555,11 @@ void FleetSim::kick(const Event &E) {
   }
 
   if (Cfg.Mac.Csma && E.Slot <= S.BusyUntil &&
-      S.PendingBackoffs < Cfg.Mac.MaxBackoffs) {
+      S.PendingBackoffs < MaxBackoffs) {
     ++Res.Backoffs;
     ++S.PendingBackoffs;
     uint64_t Window =
-        uint64_t(1) << std::min<int>(S.PendingBackoffs, Cfg.Mac.BackoffCapExp);
+        uint64_t(1) << std::min<int>(S.PendingBackoffs, BackoffCapExp);
     int64_t At = std::max(S.BusyUntil + 1, E.Slot + 1) +
                  static_cast<int64_t>(S.Rng.next() & (Window - 1));
     Queue.push(EvKick, V, At);
@@ -670,8 +676,7 @@ void FleetSim::arriveEnd(const Event &E) {
 
   if (complete(V)) {
     ++Res.Overheard;
-    if (Cfg.ChargeOverhear)
-      chargeRx(V, AwakeP);
+    chargeRx(V, AwakeP); // a complete node's radio still decodes the burst
     return;
   }
 

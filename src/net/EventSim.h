@@ -78,8 +78,6 @@ struct LinkModel {
 struct MacConfig {
   bool Csma = true;      ///< carrier-sense (and collide) instead of ideal air
   int MaxBursts = 3;     ///< unsolicited script broadcasts per forwarder
-  int BackoffCapExp = 5; ///< backoff window caps at 2^BackoffCapExp slots
-  int MaxBackoffs = 16;  ///< carrier-sense defers before sending anyway
   int MaxRequests = 16;  ///< straggler pull requests per node (0 disables)
 };
 
@@ -99,7 +97,6 @@ struct FleetConfig {
   DutyCycleConfig Duty;
   uint64_t Seed = 1;
   double SlotSeconds = 1e-3; ///< event-time quantum
-  bool ChargeOverhear = true; ///< complete nodes still pay Rx for decodes
   /// Ignored: the simulator runs on the calling thread. Kept only until
   /// the end-to-end benchmark stops assigning it.
   int Jobs = 0;

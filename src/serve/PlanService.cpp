@@ -56,18 +56,6 @@ uint64_t pairKey(uint64_t FromHash, uint64_t ToHash) {
 /// to a different service that reused the same address.
 std::atomic<uint64_t> GlobalSnapId{0};
 
-/// Installs a fresh TraceContext when events are being recorded and no
-/// context is active — the request is externally originated and becomes
-/// the root of its own trace. Requests arriving inside an active context
-/// (planBatch items, campaign cohorts) keep the caller's trace id.
-struct RequestTrace {
-  std::optional<TraceContextScope> Scope;
-  RequestTrace() {
-    if (eventTelemetry() && !currentTraceContext())
-      Scope.emplace(TraceContext{nextTraceId(), 0});
-  }
-};
-
 /// The exact identity of a cached plan.
 struct PairIds {
   int From = -1;
@@ -148,7 +136,7 @@ PlanService::planOnSnapshot(const Snapshot &S, int FromId, int ToId) const {
 
 std::shared_ptr<const UpdatePlan> PlanService::plan(int FromId,
                                                     int ToId) const {
-  RequestTrace Trace;
+  RootTraceScope Trace;
   ScopedSpan Span("serve.plan");
   std::shared_ptr<const Snapshot> S = snapshot();
   telemetryCount("serve.plans");
@@ -180,7 +168,7 @@ PlanService::planBatch(const std::vector<std::pair<int, int>> &Pairs,
   // The whole batch is one trace: the context minted here rides through
   // parallelFor into every item's worker thread, so the fan-out reads as
   // one request lifeline in the exported trace.
-  RequestTrace Trace;
+  RootTraceScope Trace;
   ScopedSpan Span("serve.batch");
   NBatches.fetch_add(1, std::memory_order_relaxed);
   telemetryCount("serve.batches");
@@ -255,7 +243,7 @@ int PlanService::warm(const std::vector<int> &NodeVersions,
 int PlanService::commit(const std::string &Source,
                         const CompileOptions &CompileOpts,
                         DiagnosticEngine &Diag, int ParentId) {
-  RequestTrace Trace;
+  RootTraceScope Trace;
   ScopedSpan Span("serve.commit");
   std::lock_guard<std::mutex> Guard(CommitLock);
   CompileOptions Effective = CompileOpts;

@@ -57,14 +57,15 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace ucc {
 
 /// A log-bucketed duration distribution with bounded memory: the one
-/// latency histogram of the library, behind span durations and the
-/// serving load driver's per-request latencies. Values map to log-linear
+/// latency histogram of the library, behind span durations and
+/// bench_plan_service's per-request latencies. Values map to log-linear
 /// buckets (16 linear sub-buckets per power-of-two octave, so a bucket's
 /// representative value is within ~3% of anything that landed in it)
 /// stored sparsely: a span that only ever sees a handful of distinct
@@ -377,6 +378,22 @@ inline Telemetry *eventTelemetry() {
   Telemetry *T = currentTelemetry();
   return T && T->eventsEnabled() ? T : nullptr;
 }
+
+/// Roots a trace for externally originated work (a compilation, a service
+/// request): installs a fresh TraceContext when events are being recorded
+/// and no context is active, so its spans carry a trace id. Work arriving
+/// inside an active context (planBatch items, campaign cohorts) keeps the
+/// caller's trace id.
+class RootTraceScope {
+public:
+  RootTraceScope() {
+    if (eventTelemetry() && !currentTraceContext())
+      Scope.emplace(TraceContext{nextTraceId(), 0});
+  }
+
+private:
+  std::optional<TraceContextScope> Scope;
+};
 
 /// Records an argument-free instant event; no-op without an event-enabled
 /// registry.

@@ -44,6 +44,73 @@ std::vector<uint32_t> mutate(RNG &Rng, std::vector<uint32_t> Words,
   return Words;
 }
 
+/// An image of \p Fns (name, code) laid out in order, with \p Data.
+BinaryImage imageOf(
+    const std::vector<std::pair<std::string, std::vector<uint32_t>>> &Fns,
+    std::vector<int16_t> Data = {}) {
+  BinaryImage Img;
+  for (const auto &[Name, Code] : Fns) {
+    Img.Functions.push_back({Name, static_cast<uint32_t>(Img.Code.size()),
+                             static_cast<uint32_t>(Code.size())});
+    Img.Code.insert(Img.Code.end(), Code.begin(), Code.end());
+  }
+  Img.DataInit = std::move(Data);
+  Img.EntryFunc = Img.Functions.empty() ? -1 : 0;
+  return Img;
+}
+
+/// Diff_inst by aligning every surviving function with alignWords, the
+/// reference the script-derived diffImages must reproduce.
+ImageDiff alignedDiff(const BinaryImage &Old, const BinaryImage &New) {
+  ImageDiff Out;
+  for (size_t F = 0; F < New.Functions.size(); ++F) {
+    FunctionDiff FD;
+    FD.Name = New.Functions[F].Name;
+    std::vector<uint32_t> NewCode = New.functionCode(static_cast<int>(F));
+    FD.NewCount = static_cast<int>(NewCode.size());
+    int OldIdx = Old.findFunction(FD.Name);
+    if (OldIdx >= 0) {
+      std::vector<uint32_t> OldCode = Old.functionCode(OldIdx);
+      FD.OldCount = static_cast<int>(OldCode.size());
+      FD.Matched = static_cast<int>(alignWords(OldCode, NewCode).size());
+    }
+    Out.Functions.push_back(std::move(FD));
+  }
+  for (const FunctionSpan &F : Old.Functions)
+    if (New.findFunction(F.Name) < 0) {
+      FunctionDiff FD;
+      FD.Name = F.Name;
+      FD.OldCount = static_cast<int>(F.Count);
+      Out.Functions.push_back(std::move(FD));
+    }
+  size_t Common = std::min(Old.DataInit.size(), New.DataInit.size());
+  for (size_t K = 0; K < Common; ++K)
+    Out.DataWordsChanged += Old.DataInit[K] != New.DataInit[K];
+  Out.DataWordsChanged += static_cast<int>(
+      std::max(Old.DataInit.size(), New.DataInit.size()) - Common);
+  return Out;
+}
+
+/// diffImages, from a package and from the two images alone, equals the
+/// per-function alignment reference, function by function.
+void expectDiffMatchesAlignment(const BinaryImage &Old, const BinaryImage &New,
+                                const std::string &What) {
+  ImageDiff Want = alignedDiff(Old, New);
+  for (const ImageDiff &Got :
+       {diffImages(Old, New, makeImageUpdate(Old, New)),
+        diffImages(Old, New)}) {
+    ASSERT_EQ(Got.Functions.size(), Want.Functions.size()) << What;
+    for (size_t F = 0; F < Want.Functions.size(); ++F) {
+      const FunctionDiff &G = Got.Functions[F], &W = Want.Functions[F];
+      EXPECT_EQ(G.Name, W.Name) << What;
+      EXPECT_EQ(G.OldCount, W.OldCount) << What << ": " << W.Name;
+      EXPECT_EQ(G.NewCount, W.NewCount) << What << ": " << W.Name;
+      EXPECT_EQ(G.Matched, W.Matched) << What << ": " << W.Name;
+    }
+    EXPECT_EQ(Got.DataWordsChanged, Want.DataWordsChanged) << What;
+  }
+}
+
 TEST(EditScript, IdenticalSequencesAreOneCopy) {
   std::vector<uint32_t> Words = {1, 2, 3, 4, 5};
   EditScript S = makeEditScript(Words, Words);
@@ -332,6 +399,11 @@ TEST_P(DiffEngineFuzz, PatchesExactlyAndStaysNearTheOracle) {
   EXPECT_EQ(Out, New);
 
   EXPECT_EQ(alignWords(Old, New).size(), lcsLength(Old, New));
+
+  // The same pair as a function of an image: Diff_inst read off the
+  // package's script equals the alignment's.
+  expectDiffMatchesAlignment(imageOf({{"f", Old}}), imageOf({{"f", New}}),
+                             "seed " + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffEngineFuzz, ::testing::Range(0, 40));
@@ -462,6 +534,71 @@ TEST(Diff, UpdatePackagesArePinned) {
   }
   EXPECT_EQ(static_cast<size_t>(CorpusSeeds), std::size(PinnedCorpus));
   EXPECT_FALSE(Mismatch) << "current digests:\n" << Table;
+}
+
+TEST(ImageDiffs, ScriptCountsEqualTheAlignmentOnHandBuiltImages) {
+  // A kept function with one edit, a removed one, a new one, and a kept
+  // one over MaxAlignWords (no matches: it ships whole), plus
+  // a data segment that changes one word and grows by one.
+  std::vector<uint32_t> Big(MaxAlignWords + 1);
+  for (size_t K = 0; K < Big.size(); ++K)
+    Big[K] = static_cast<uint32_t>(K);
+  std::vector<uint32_t> BigEdited = Big;
+  BigEdited[100] = 99999;
+  BigEdited.push_back(7);
+  BinaryImage Old = imageOf(
+      {{"main", {10, 11, 12, 13}}, {"gone", {20, 21, 22}}, {"big", Big}},
+      {1, 2, 3});
+  BinaryImage New = imageOf({{"main", {10, 99, 12, 13, 14}},
+                             {"big", BigEdited},
+                             {"fresh", {30, 31}}},
+                            {1, 5, 3, 4});
+  expectDiffMatchesAlignment(Old, New, "hand-built");
+
+  ImageDiff D = diffImages(Old, New);
+  ASSERT_EQ(D.Functions.size(), 4u);
+  EXPECT_EQ(D.find("main")->Matched, 3);
+  EXPECT_EQ(D.find("main")->diffInst(), 2);
+  EXPECT_EQ(D.find("big")->Matched, 0);
+  EXPECT_EQ(D.find("big")->OldCount, static_cast<int>(MaxAlignWords + 1));
+  EXPECT_EQ(D.find("big")->diffInst(), static_cast<int>(MaxAlignWords + 2));
+  EXPECT_EQ(D.find("fresh")->OldCount, 0);
+  EXPECT_EQ(D.find("fresh")->diffInst(), 2);
+  EXPECT_EQ(D.find("gone")->OldCount, 3);
+  EXPECT_EQ(D.find("gone")->NewCount, 0);
+  EXPECT_EQ(D.DataWordsChanged, 2);
+  EXPECT_EQ(D.totalDiffInst(), 2 + static_cast<int>(MaxAlignWords + 2) + 2);
+}
+
+TEST(ImageDiffs, ScriptCountsEqualTheAlignmentOnThePinnedCorpora) {
+  // The inputs of Diff.UpdatePackagesArePinned: the Fig. 9 cases under
+  // both allocators, and generator programs with one mutation.
+  CompileOptions Ucc;
+  Ucc.RA = RegAllocKind::UpdateConscious;
+  Ucc.DA = DataAllocKind::UpdateConscious;
+  for (const UpdateCase &Case : updateCases()) {
+    CompileOutput Old = compileOrDie(Case.OldSource);
+    CompileOutput Fresh = compileOrDie(Case.NewSource);
+    CompileOutput Updated = compileOrDie(Case.NewSource, Ucc, &Old.Record);
+    std::string What = "update case " + std::to_string(Case.Id);
+    expectDiffMatchesAlignment(Old.Image, Fresh.Image, What + " (GCC-RA)");
+    expectDiffMatchesAlignment(Old.Image, Updated.Image, What + " (UCC-RA)");
+    UpdatePackage Pkg = makeUpdate(Old, Updated);
+    EXPECT_EQ(Pkg.Diff.totalDiffInst(),
+              alignedDiff(Old.Image, Updated.Image).totalDiffInst())
+        << What;
+  }
+
+  CompileOptions Da;
+  Da.DA = DataAllocKind::UpdateConscious;
+  for (int Seed = 0; Seed < 128; ++Seed) {
+    ProgramGen Gen(static_cast<uint64_t>(Seed));
+    CompileOutput Old = compileOrDie(Gen.render());
+    Gen.mutate();
+    CompileOutput New = compileOrDie(Gen.render(), Da, &Old.Record);
+    expectDiffMatchesAlignment(Old.Image, New.Image,
+                               "generator seed " + std::to_string(Seed));
+  }
 }
 
 TEST(ImageDiffs, UpdatePackageRoundTrip) {

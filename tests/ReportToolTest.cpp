@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestJson.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -90,17 +90,17 @@ TEST_F(ReportFixture, AggregatesReportsIntoBenchJson) {
                       " --out " + path("BENCH.json")),
             0)
       << readFile("err.txt");
-  auto Doc = testjson::parse(readFile("BENCH.json"));
+  auto Doc = ucc::json::parse(readFile("BENCH.json"));
   ASSERT_TRUE(Doc.has_value()) << readFile("BENCH.json");
-  EXPECT_EQ(Doc->get("schema_version")->Num, 1.0);
-  EXPECT_EQ(Doc->get("tool")->Str, "ucc-report");
-  EXPECT_EQ(Doc->get("profile")->Str, "full");
-  const testjson::Value *Benches = Doc->get("benches");
+  EXPECT_EQ(Doc->find("schema_version")->Num, 1.0);
+  EXPECT_EQ(Doc->find("tool")->Str, "ucc-report");
+  EXPECT_EQ(Doc->find("profile")->Str, "full");
+  const ucc::json::Value *Benches = Doc->find("benches");
   ASSERT_NE(Benches, nullptr);
-  const testjson::Value *Fig10 = Benches->get("fig10_dissemination");
+  const ucc::json::Value *Fig10 = Benches->find("fig10_dissemination");
   ASSERT_NE(Fig10, nullptr);
-  EXPECT_EQ(Fig10->get("metrics")->get("diff_inst_ucc_total")->Num, 79.0);
-  ASSERT_NE(Benches->get("fig15_solve_time"), nullptr);
+  EXPECT_EQ(Fig10->find("metrics")->find("diff_inst_ucc_total")->Num, 79.0);
+  ASSERT_NE(Benches->find("fig15_solve_time"), nullptr);
 }
 
 TEST_F(ReportFixture, RoundTripThroughBaselinePasses) {
@@ -308,13 +308,13 @@ TEST_F(ReportFixture, RealBenchBinaryProducesIngestibleReport) {
   ASSERT_EQ(uccReport(path("fig03.json") + " --out " + path("BENCH.json")),
             0)
       << readFile("err.txt");
-  auto Doc = testjson::parse(readFile("BENCH.json"));
+  auto Doc = ucc::json::parse(readFile("BENCH.json"));
   ASSERT_TRUE(Doc.has_value());
-  const testjson::Value *Fig03 =
-      Doc->get("benches")->get("fig03_power_model");
+  const ucc::json::Value *Fig03 =
+      Doc->find("benches")->find("fig03_power_model");
   ASSERT_NE(Fig03, nullptr);
   // The Mica2 constant the whole energy model hangs off.
-  EXPECT_NEAR(Fig03->get("metrics")->get("energy_per_cycle_j")->Num,
+  EXPECT_NEAR(Fig03->find("metrics")->find("energy_per_cycle_j")->Num,
               8.0e-3 * 3.0 / 7.3728e6, 1e-15);
 }
 

@@ -6,9 +6,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Json.h"
 #include "support/Telemetry.h"
-
-#include "TestJson.h"
 
 #include <gtest/gtest.h>
 
@@ -136,35 +135,35 @@ TEST(Telemetry, JsonRoundTrip) {
   T.beginSpan("diff");
   T.endSpan();
 
-  auto Doc = testjson::parse(T.toJson());
+  auto Doc = json::parse(T.toJson());
   ASSERT_TRUE(Doc.has_value()) << T.toJson();
 
-  const testjson::Value *Version = Doc->get("version");
+  const json::Value *Version = Doc->find("version");
   ASSERT_NE(Version, nullptr);
   EXPECT_EQ(Version->Num, 1.0);
 
-  const testjson::Value *Counters = Doc->get("counters");
+  const json::Value *Counters = Doc->find("counters");
   ASSERT_NE(Counters, nullptr);
-  ASSERT_NE(Counters->get("diff.script_bytes"), nullptr);
-  EXPECT_EQ(Counters->get("diff.script_bytes")->Num, 23.0);
-  EXPECT_EQ(Counters->get("lp.pivots")->Num, 143.0);
+  ASSERT_NE(Counters->find("diff.script_bytes"), nullptr);
+  EXPECT_EQ(Counters->find("diff.script_bytes")->Num, 23.0);
+  EXPECT_EQ(Counters->find("lp.pivots")->Num, 143.0);
 
-  const testjson::Value *Gauges = Doc->get("gauges");
+  const json::Value *Gauges = Doc->find("gauges");
   ASSERT_NE(Gauges, nullptr);
-  ASSERT_NE(Gauges->get("lp.ilp_seconds"), nullptr);
-  EXPECT_DOUBLE_EQ(Gauges->get("lp.ilp_seconds")->Num, 0.25);
+  ASSERT_NE(Gauges->find("lp.ilp_seconds"), nullptr);
+  EXPECT_DOUBLE_EQ(Gauges->find("lp.ilp_seconds")->Num, 0.25);
 
-  const testjson::Value *Spans = Doc->get("spans");
+  const json::Value *Spans = Doc->find("spans");
   ASSERT_NE(Spans, nullptr);
-  ASSERT_EQ(Spans->K, testjson::Value::Array);
+  ASSERT_EQ(Spans->K, json::Value::Array);
   ASSERT_EQ(Spans->Arr.size(), 2u); // recompile, diff — in entry order
-  const testjson::Value &Recompile = *Spans->Arr[0];
-  EXPECT_EQ(Recompile.get("name")->Str, "recompile");
-  EXPECT_EQ(Recompile.get("count")->Num, 1.0);
-  EXPECT_GE(Recompile.get("seconds")->Num, 0.0);
-  ASSERT_EQ(Recompile.get("children")->Arr.size(), 1u);
-  EXPECT_EQ(Recompile.get("children")->Arr[0]->get("name")->Str, "ra");
-  EXPECT_EQ(Spans->Arr[1]->get("name")->Str, "diff");
+  const json::Value &Recompile = Spans->Arr[0];
+  EXPECT_EQ(Recompile.find("name")->Str, "recompile");
+  EXPECT_EQ(Recompile.find("count")->Num, 1.0);
+  EXPECT_GE(Recompile.find("seconds")->Num, 0.0);
+  ASSERT_EQ(Recompile.find("children")->Arr.size(), 1u);
+  EXPECT_EQ(Recompile.find("children")->Arr[0].find("name")->Str, "ra");
+  EXPECT_EQ(Spans->Arr[1].find("name")->Str, "diff");
 }
 
 TEST(Telemetry, SpanDurationDistribution) {
@@ -191,17 +190,17 @@ TEST(Telemetry, SpanDistributionSerializedInJson) {
   Telemetry T;
   T.beginSpan("diff");
   T.endSpan();
-  auto Doc = testjson::parse(T.toJson());
+  auto Doc = json::parse(T.toJson());
   ASSERT_TRUE(Doc.has_value()) << T.toJson();
-  const testjson::Value *Spans = Doc->get("spans");
+  const json::Value *Spans = Doc->find("spans");
   ASSERT_NE(Spans, nullptr);
   ASSERT_EQ(Spans->Arr.size(), 1u);
-  const testjson::Value *Dist = Spans->Arr[0]->get("dist");
+  const json::Value *Dist = Spans->Arr[0].find("dist");
   ASSERT_NE(Dist, nullptr) << "span JSON should carry the duration "
                               "distribution";
   for (const char *Key : {"min", "p50", "p95", "max"})
-    ASSERT_NE(Dist->get(Key), nullptr) << Key;
-  EXPECT_LE(Dist->get("min")->Num, Dist->get("max")->Num);
+    ASSERT_NE(Dist->find(Key), nullptr) << Key;
+  EXPECT_LE(Dist->find("min")->Num, Dist->find("max")->Num);
 }
 
 TEST(Telemetry, DurationStorageStaysBounded) {
@@ -310,11 +309,11 @@ TEST(DurationDist, MergeCombinesEnvelopes) {
 TEST(Telemetry, JsonEscapesAwkwardNames) {
   Telemetry T;
   T.addCounter("weird\"name\\with\nstuff", 1);
-  auto Doc = testjson::parse(T.toJson());
+  auto Doc = json::parse(T.toJson());
   ASSERT_TRUE(Doc.has_value()) << T.toJson();
-  const testjson::Value *Counters = Doc->get("counters");
+  const json::Value *Counters = Doc->find("counters");
   ASSERT_NE(Counters, nullptr);
-  EXPECT_NE(Counters->get("weird\"name\\with\nstuff"), nullptr);
+  EXPECT_NE(Counters->find("weird\"name\\with\nstuff"), nullptr);
 }
 
 } // namespace

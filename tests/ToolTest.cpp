@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestJson.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -173,45 +173,62 @@ TEST_F(ToolFixture, TraceJsonEmitsTheDocumentedSchema) {
       << capturedOutput();
 
   // The compile trace: a "compile" span with the per-phase children.
-  auto CompileDoc = testjson::parse(readFile("compile.json"));
+  auto CompileDoc = ucc::json::parse(readFile("compile.json"));
   ASSERT_TRUE(CompileDoc.has_value()) << readFile("compile.json");
-  ASSERT_EQ(CompileDoc->get("version")->Num, 1.0);
-  const testjson::Value *Spans = CompileDoc->get("spans");
+  ASSERT_EQ(CompileDoc->find("version")->Num, 1.0);
+  const ucc::json::Value *Spans = CompileDoc->find("spans");
   ASSERT_NE(Spans, nullptr);
   ASSERT_EQ(Spans->Arr.size(), 1u);
-  const testjson::Value &Compile = *Spans->Arr[0];
-  EXPECT_EQ(Compile.get("name")->Str, "compile");
-  const testjson::Value *Children = Compile.get("children");
+  const ucc::json::Value &Compile = Spans->Arr[0];
+  EXPECT_EQ(Compile.find("name")->Str, "compile");
+  const ucc::json::Value *Children = Compile.find("children");
   ASSERT_NE(Children, nullptr);
   for (const char *Phase : {"parse", "opt", "isel", "ra", "da", "encode"}) {
     bool Found = false;
     for (const auto &C : Children->Arr)
-      Found |= C->get("name")->Str == Phase;
+      Found |= C.find("name")->Str == Phase;
     EXPECT_TRUE(Found) << "missing phase span: " << Phase;
   }
 
   // The update trace: "recompile" + "diff" spans, the declared solver
   // counters (zero here — greedy strategy), and edit-script byte counts.
-  auto UpdateDoc = testjson::parse(readFile("update.json"));
+  auto UpdateDoc = ucc::json::parse(readFile("update.json"));
   ASSERT_TRUE(UpdateDoc.has_value()) << readFile("update.json");
-  const testjson::Value *USpans = UpdateDoc->get("spans");
+  const ucc::json::Value *USpans = UpdateDoc->find("spans");
   ASSERT_NE(USpans, nullptr);
   bool SawRecompile = false, SawDiff = false;
   for (const auto &S : USpans->Arr) {
-    SawRecompile |= S->get("name")->Str == "recompile";
-    SawDiff |= S->get("name")->Str == "diff";
+    SawRecompile |= S.find("name")->Str == "recompile";
+    SawDiff |= S.find("name")->Str == "diff";
   }
   EXPECT_TRUE(SawRecompile);
   EXPECT_TRUE(SawDiff);
 
-  const testjson::Value *Counters = UpdateDoc->get("counters");
+  const ucc::json::Value *Counters = UpdateDoc->find("counters");
   ASSERT_NE(Counters, nullptr);
   for (const char *Key :
        {"lp.pivots", "lp.bb_nodes", "ra.pref_honored", "ra.pref_broken",
         "diff.script_bytes", "diff.bytes.insert", "diff.bytes.replace"})
-    EXPECT_NE(Counters->get(Key), nullptr) << "missing counter: " << Key;
-  EXPECT_GT(Counters->get("diff.script_bytes")->Num, 0.0);
-  EXPECT_GT(Counters->get("ra.pref_honored")->Num, 0.0);
+    EXPECT_NE(Counters->find(Key), nullptr) << "missing counter: " << Key;
+  EXPECT_GT(Counters->find("diff.script_bytes")->Num, 0.0);
+  EXPECT_GT(Counters->find("ra.pref_honored")->Num, 0.0);
+
+  // The diff trace: the images are diffed by building the update package,
+  // so its "diff" span and edit-script bytes are recorded.
+  ASSERT_EQ(uccc("diff " + path("v1.img") + " " + path("v2.img") +
+                 " --trace-json " + path("diff.json")),
+            0)
+      << capturedOutput();
+  auto DiffDoc = ucc::json::parse(readFile("diff.json"));
+  ASSERT_TRUE(DiffDoc.has_value()) << readFile("diff.json");
+  const ucc::json::Value *DSpans = DiffDoc->find("spans");
+  ASSERT_NE(DSpans, nullptr);
+  ASSERT_EQ(DSpans->Arr.size(), 1u);
+  EXPECT_EQ(DSpans->Arr[0].find("name")->Str, "diff");
+  const ucc::json::Value *DCounters = DiffDoc->find("counters");
+  ASSERT_NE(DCounters, nullptr);
+  ASSERT_NE(DCounters->find("diff.script_bytes"), nullptr);
+  EXPECT_GT(DCounters->find("diff.script_bytes")->Num, 0.0);
 
   // --stats prints the human-readable summary without disturbing output.
   ASSERT_EQ(uccc("diff " + path("v1.img") + " " + path("v2.img") +
@@ -252,17 +269,17 @@ void main() {
             0)
       << capturedOutput();
 
-  auto Doc = testjson::parse(readFile("ilp.json"));
+  auto Doc = ucc::json::parse(readFile("ilp.json"));
   ASSERT_TRUE(Doc.has_value()) << readFile("ilp.json");
-  const testjson::Value *Counters = Doc->get("counters");
+  const ucc::json::Value *Counters = Doc->find("counters");
   ASSERT_NE(Counters, nullptr);
-  EXPECT_GT(Counters->get("ra.ilp_windows")->Num, 0.0);
-  EXPECT_GT(Counters->get("lp.ilp_solves")->Num, 0.0);
-  EXPECT_GT(Counters->get("lp.bb_nodes")->Num, 0.0);
-  EXPECT_GT(Counters->get("lp.pivots")->Num, 0.0);
-  const testjson::Value *Gauges = Doc->get("gauges");
+  EXPECT_GT(Counters->find("ra.ilp_windows")->Num, 0.0);
+  EXPECT_GT(Counters->find("lp.ilp_solves")->Num, 0.0);
+  EXPECT_GT(Counters->find("lp.bb_nodes")->Num, 0.0);
+  EXPECT_GT(Counters->find("lp.pivots")->Num, 0.0);
+  const ucc::json::Value *Gauges = Doc->find("gauges");
   ASSERT_NE(Gauges, nullptr);
-  EXPECT_NE(Gauges->get("lp.ilp_seconds"), nullptr);
+  EXPECT_NE(Gauges->find("lp.ilp_seconds"), nullptr);
 }
 
 TEST_F(ToolFixture, RejectsBrokenInputs) {
@@ -565,31 +582,31 @@ TEST_F(ToolFixture, BatchPlanTracedCrossesWorkerTracks) {
               0)
         << capturedOutput();
     Text = readFile("events.json");
-    auto Doc = testjson::parse(Text);
+    auto Doc = ucc::json::parse(Text);
     ASSERT_TRUE(Doc.has_value());
-    const testjson::Value *Events = Doc->get("traceEvents");
+    const ucc::json::Value *Events = Doc->find("traceEvents");
     ASSERT_NE(Events, nullptr);
     for (const auto &E : Events->Arr) {
-      const std::string &Ph = E->get("ph")->Str;
-      const std::string &Name = E->get("name")->Str;
+      const std::string &Ph = E.find("ph")->Str;
+      const std::string &Name = E.find("name")->Str;
       if (Ph == "s")
-        FlowStartIds.insert(E->get("id")->Num);
+        FlowStartIds.insert(E.find("id")->Num);
       if (Ph == "f") {
-        FlowEndIds.insert(E->get("id")->Num);
-        EndTids.insert(E->get("tid")->Num);
+        FlowEndIds.insert(E.find("id")->Num);
+        EndTids.insert(E.find("tid")->Num);
       }
       if (Name == "serve.batch" && Ph == "B")
         SawBatchSpan = true;
       if (Name == "serve.plan" && Ph == "B") {
-        const testjson::Value *Args = E->get("args");
-        if (Args && Args->get("trace"))
+        const ucc::json::Value *Args = E.find("args");
+        if (Args && Args->find("trace"))
           SawPlanTraceArg = true;
       }
       if (Name == "thread_name" && Ph == "M") {
-        const testjson::Value *Args = E->get("args");
-        const testjson::Value *Tid = E->get("tid");
-        if (Tid && Args && Args->get("name") &&
-            Args->get("name")->Str.rfind("worker ", 0) == 0)
+        const ucc::json::Value *Args = E.find("args");
+        const ucc::json::Value *Tid = E.find("tid");
+        if (Tid && Args && Args->find("name") &&
+            Args->find("name")->Str.rfind("worker ", 0) == 0)
           WorkerLabelTids.insert(Tid->Num);
       }
     }

@@ -7,10 +7,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "TestJson.h"
 #include "codegen/SAVR.h"
 #include "net/Network.h"
 #include "sim/Simulator.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -112,27 +112,27 @@ TEST(TraceEvent, SpansMirrorAsBeginEndEvents) {
 /// event carrying name/ph/ts/pid/tid, timestamps monotone non-decreasing
 /// in array order, and B/E events well-nested per track.
 void checkChromeTrace(const std::string &Trace) {
-  auto Doc = testjson::parse(Trace);
+  auto Doc = json::parse(Trace);
   ASSERT_TRUE(Doc.has_value()) << Trace;
-  const testjson::Value *Events = Doc->get("traceEvents");
+  const json::Value *Events = Doc->find("traceEvents");
   ASSERT_NE(Events, nullptr);
-  ASSERT_EQ(Events->K, testjson::Value::Array);
+  ASSERT_EQ(Events->K, json::Value::Array);
 
   double LastTs = -1.0;
   std::map<double, int> OpenPerTrack;
   for (const auto &E : Events->Arr) {
-    ASSERT_NE(E->get("name"), nullptr);
-    ASSERT_NE(E->get("ph"), nullptr);
-    ASSERT_NE(E->get("pid"), nullptr);
-    const std::string &Ph = E->get("ph")->Str;
+    ASSERT_NE(E.find("name"), nullptr);
+    ASSERT_NE(E.find("ph"), nullptr);
+    ASSERT_NE(E.find("pid"), nullptr);
+    const std::string &Ph = E.find("ph")->Str;
     if (Ph == "M")
       continue; // metadata records carry no timestamp/track contract
-    ASSERT_NE(E->get("tid"), nullptr);
-    ASSERT_NE(E->get("ts"), nullptr);
-    double Ts = E->get("ts")->Num;
+    ASSERT_NE(E.find("tid"), nullptr);
+    ASSERT_NE(E.find("ts"), nullptr);
+    double Ts = E.find("ts")->Num;
     EXPECT_GE(Ts, LastTs) << "timestamps must be monotone";
     LastTs = Ts;
-    double Tid = E->get("tid")->Num;
+    double Tid = E.find("tid")->Num;
     if (Ph == "B")
       ++OpenPerTrack[Tid];
     else if (Ph == "E") {
@@ -202,25 +202,25 @@ TEST(TraceEvent, FlowEventsPairAcrossTracksById) {
   T.recordEvent(TelemetryEvent::Phase::End, "task", "task", Worker);
 
   std::string Trace = T.toChromeTrace();
-  auto Doc = testjson::parse(Trace);
+  auto Doc = json::parse(Trace);
   ASSERT_TRUE(Doc.has_value()) << Trace;
-  const testjson::Value *Events = Doc->get("traceEvents");
+  const json::Value *Events = Doc->find("traceEvents");
   ASSERT_NE(Events, nullptr);
 
   double StartId = -1.0, EndId = -2.0;
   double StartTid = -1.0, EndTid = -1.0;
   bool SawBindingPoint = false;
   for (const auto &E : Events->Arr) {
-    const std::string &Ph = E->get("ph")->Str;
+    const std::string &Ph = E.find("ph")->Str;
     if (Ph == "s") {
-      ASSERT_NE(E->get("id"), nullptr);
-      StartId = E->get("id")->Num;
-      StartTid = E->get("tid")->Num;
+      ASSERT_NE(E.find("id"), nullptr);
+      StartId = E.find("id")->Num;
+      StartTid = E.find("tid")->Num;
     } else if (Ph == "f") {
-      ASSERT_NE(E->get("id"), nullptr);
-      EndId = E->get("id")->Num;
-      EndTid = E->get("tid")->Num;
-      SawBindingPoint = E->get("bp") != nullptr && E->get("bp")->Str == "e";
+      ASSERT_NE(E.find("id"), nullptr);
+      EndId = E.find("id")->Num;
+      EndTid = E.find("tid")->Num;
+      SawBindingPoint = E.find("bp") != nullptr && E.find("bp")->Str == "e";
     }
   }
   EXPECT_EQ(StartId, 77.0);

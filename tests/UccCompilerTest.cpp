@@ -241,7 +241,7 @@ TEST(UccCompiler, HighCntDisablesMovInsertion) {
 TEST(UccCompiler, AllAllocationsValidate) {
   CompileOutput V1 = mustCompile(CounterV1);
   CompileOutput V2 = mustRecompile(CounterV3Medium, V1.Record, uccOptions());
-  for (const MachineFunction &MF : V2.MachineCode.Functions) {
+  for (const MachineFunction &MF : V2.Record.FinalCode) {
     auto Problems = validateAllocation(MF);
     EXPECT_TRUE(Problems.empty())
         << (Problems.empty() ? "" : Problems[0]);
@@ -294,7 +294,7 @@ TEST(UccCompiler, NonConvergingFunctionFallsBackToLinearScan) {
     return mustRecompile(FullRegisterFile, V1.Record, uccOptions());
   }();
   EXPECT_EQ(T.counter("ra.ucc_fallbacks"), 1) << "stage_0 only";
-  for (const MachineFunction &MF : V2.MachineCode.Functions)
+  for (const MachineFunction &MF : V2.Record.FinalCode)
     EXPECT_TRUE(validateAllocation(MF).empty()) << MF.Name;
   RunResult Updated = runImage(V2.Image);
   ASSERT_TRUE(Updated.Halted) << Updated.TrapReason;

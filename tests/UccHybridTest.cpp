@@ -39,7 +39,7 @@ TEST(UccHybrid, IlpStrategySolvesStraightLineFunctions) {
   EXPECT_TRUE(AnyIlp);
 
   // Allocations validate and behavior matches a fresh baseline build.
-  for (const MachineFunction &MF : V2->MachineCode.Functions) {
+  for (const MachineFunction &MF : V2->Record.FinalCode) {
     auto Problems = validateAllocation(MF);
     EXPECT_TRUE(Problems.empty()) << (Problems.empty() ? "" : Problems[0]);
   }

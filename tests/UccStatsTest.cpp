@@ -87,10 +87,10 @@ TEST(UccStats, StatsArePerFunctionAndCoverAllFunctions) {
   const std::string &Src = workloadSource("Blink");
   CompileOutput V1 = mustCompile(Src);
   CompileOutput V2 = recompileUcc(Src, V1.Record);
-  EXPECT_EQ(V2.RegAllocStats.size(), V2.MachineCode.Functions.size());
+  EXPECT_EQ(V2.RegAllocStats.size(), V2.Record.FinalCode.size());
   for (size_t F = 0; F < V2.RegAllocStats.size(); ++F)
     EXPECT_EQ(V2.RegAllocStats[F].TotalInstrs,
-              V2.MachineCode.Functions[F].instrCount());
+              V2.Record.FinalCode[F].instrCount());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VersionStore.h"
+#include "support/Json.h"
 #include "support/Telemetry.h"
 #include "workloads/Workloads.h"
 
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 using namespace ucc;
@@ -284,7 +286,8 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
 
   // Compare against a fresh in-memory chain: artifacts must round-trip
   // bit for bit, and the reloaded record must still steer recompilation
-  // (the planner exercises images; this checks records and layouts too).
+  // (the planner exercises images; this checks records, and with them the
+  // data layouts, too).
   VersionStore Fresh;
   buildChain(Fresh);
   for (int Id = 0; Id < 3; ++Id) {
@@ -292,8 +295,6 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
     const StoredVersion *B = Fresh.find(Id);
     EXPECT_EQ(A->Image.serialize(), B->Image.serialize()) << "v" << Id;
     EXPECT_EQ(A->Record.serialize(), B->Record.serialize()) << "v" << Id;
-    EXPECT_EQ(A->Layout.GlobalOffsets, B->Layout.GlobalOffsets);
-    EXPECT_EQ(A->Layout.DataWords, B->Layout.DataWords);
     EXPECT_EQ(A->Parent, B->Parent);
     EXPECT_EQ(A->SourceHash, B->SourceHash);
     EXPECT_EQ(A->FromParent.scriptBytes(), B->FromParent.scriptBytes());
@@ -316,6 +317,60 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
   auto P = Reopened->plan(0, 3);
   ASSERT_TRUE(P.has_value());
   EXPECT_EQ(P->ChainSteps, 3);
+}
+
+TEST_F(ScratchDir, ManifestsWithAndWithoutALayoutOpenAlike) {
+  {
+    DiagnosticEngine Diag;
+    auto Store = VersionStore::open(Dir, Diag);
+    ASSERT_TRUE(Store.has_value()) << Diag.str();
+    buildChain(*Store);
+  }
+  std::string Path = Dir + "/manifest.json";
+  std::ifstream In(Path);
+  std::string Written((std::istreambuf_iterator<char>(In)),
+                      std::istreambuf_iterator<char>());
+  In.close();
+  EXPECT_EQ(Written.find("layout"), std::string::npos)
+      << "the data layout lives in each version's record";
+  DiagnosticEngine Diag;
+  auto Without = VersionStore::open(Dir, Diag);
+  ASSERT_TRUE(Without.has_value()) << Diag.str();
+
+  // Manifests used to repeat every version's data layout beside its
+  // artifacts; one written that way opens to the same versions.
+  auto Doc = json::parse(Written);
+  ASSERT_TRUE(Doc.has_value());
+  json::Value *Vs = Doc->find("versions");
+  ASSERT_NE(Vs, nullptr);
+  for (json::Value &E : Vs->Arr) {
+    const StoredVersion *V =
+        Without->find(static_cast<int>(E.numberOr("id", -1)));
+    ASSERT_NE(V, nullptr);
+    json::Value Layout = json::Value::object();
+    Layout.set("data_words",
+               json::Value::number(V->Record.GlobalLayout.Words));
+    json::Value Offs = json::Value::array();
+    for (const OldRegionLayout::Entry &G : V->Record.GlobalLayout.Entries)
+      Offs.Arr.push_back(json::Value::number(G.Offset));
+    Layout.set("global_offsets", std::move(Offs));
+    E.set("layout", std::move(Layout));
+  }
+  std::ofstream(Path) << Doc->serialize(2) << "\n";
+  auto With = VersionStore::open(Dir, Diag);
+  ASSERT_TRUE(With.has_value()) << Diag.str();
+
+  ASSERT_EQ(With->size(), Without->size());
+  for (int Id = 0; Id < static_cast<int>(With->size()); ++Id) {
+    const StoredVersion *A = With->find(Id);
+    const StoredVersion *B = Without->find(Id);
+    EXPECT_EQ(A->Parent, B->Parent) << "v" << Id;
+    EXPECT_EQ(A->SourceHash, B->SourceHash) << "v" << Id;
+    EXPECT_EQ(A->Image.serialize(), B->Image.serialize()) << "v" << Id;
+    EXPECT_EQ(A->Record.serialize(), B->Record.serialize()) << "v" << Id;
+    EXPECT_EQ(A->FromParent.serialize(), B->FromParent.serialize())
+        << "v" << Id;
+  }
 }
 
 TEST_F(ScratchDir, CorruptManifestIsRejected) {

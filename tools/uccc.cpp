@@ -366,7 +366,7 @@ int cmdUpdate(Args &A) {
     writeBinaryFile(NewRecPath, Out->Record.serialize());
 
   ImageUpdate Update = makeImageUpdate(OldImg, Out->Image);
-  ImageDiff Diff = diffImages(OldImg, Out->Image);
+  ImageDiff Diff = diffImages(OldImg, Out->Image, Update);
   if (!ScriptPath.empty())
     writeBinaryFile(ScriptPath, Update.serialize());
 
