@@ -163,8 +163,10 @@ std::string MachineFunction::print() const {
     for (const MInstr &I : BB.Instrs) {
       std::string Line = format("  %-6s", mopName(I.Op));
       auto addReg = [&](int R) {
-        if (R >= 0)
-          Line += " " + regStr(R);
+        if (R >= 0) {
+          Line += ' ';
+          Line += regStr(R);
+        }
       };
       addReg(I.A);
       addReg(I.B);

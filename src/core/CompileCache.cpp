@@ -6,16 +6,43 @@
 
 #include "core/CompileCache.h"
 
-#include "frontend/AST.h"
 #include "support/Hash.h"
+
+#include <algorithm>
+#include <cassert>
 
 using namespace ucc;
 
 namespace {
 
+/// \p Index's position in \p Seen, appending it when it is new.
+uint32_t ordinal(std::vector<int> &Seen, int Index) {
+  auto It = std::find(Seen.begin(), Seen.end(), Index);
+  if (It == Seen.end())
+    It = Seen.insert(It, Index);
+  return static_cast<uint32_t>(It - Seen.begin());
+}
+
+/// Writes a reference as its first-use ordinal (absent: -1).
+void writeRef(KeyWriter &W, std::vector<int> &Seen, int Index) {
+  W.i32(Index < 0 ? -1 : static_cast<int32_t>(ordinal(Seen, Index)));
+}
+
+/// Writes the interned names \p Refs resolve to under \p Names.
+void writeNames(KeyWriter &W, const std::vector<int> &Refs,
+                const SymbolTable &Names) {
+  W.u32(static_cast<uint32_t>(Refs.size()));
+  for (int R : Refs)
+    W.u32(Names[static_cast<size_t>(R)]);
+}
+
 /// Canonical encoding of a post-opt IR function. Source locations are
-/// deliberately excluded: they never influence generated code.
-void writeIRFunction(KeyWriter &W, const Function &F) {
+/// deliberately excluded: they never influence generated code. Globals
+/// and callees are written by first-use ordinal, then their names; \p Seen
+/// ends as collectRefs(F).
+void writeIRFunction(KeyWriter &W, const Function &F,
+                     const SymbolTable &GlobalNames,
+                     const SymbolTable &FunctionNames, SymbolRefs &Seen) {
   W.str(F.Name);
   W.ints(F.Params);
   W.i32(F.NumVRegs);
@@ -39,18 +66,23 @@ void writeIRFunction(KeyWriter &W, const Function &F) {
       for (VReg S : I.Srcs)
         W.i32(S);
       W.i64(I.Imm);
-      W.i32(I.Global);
+      writeRef(W, Seen.Globals, I.Global);
       W.i32(I.Slot);
-      W.i32(I.Callee);
+      writeRef(W, Seen.Callees, I.Callee);
       W.i32(I.TrueBB);
       W.i32(I.FalseBB);
     }
   }
+  writeNames(W, Seen.Globals, GlobalNames);
+  writeNames(W, Seen.Callees, FunctionNames);
 }
 
 /// Canonical encoding of the previous version's final machine code for
-/// one function (the old-record slice UCC-RA aligns against).
-void writeOldFunction(KeyWriter &W, const MachineFunction &MF) {
+/// one function (the old-record slice UCC-RA aligns against), with its
+/// references written as writeIRFunction writes them.
+void writeOldFunction(KeyWriter &W, const MachineFunction &MF,
+                      const SymbolTable &GlobalNames,
+                      const SymbolTable &FunctionNames) {
   W.str(MF.Name);
   W.i32(MF.NextVReg);
   W.strs(MF.VRegNames);
@@ -60,6 +92,7 @@ void writeOldFunction(KeyWriter &W, const MachineFunction &MF) {
     W.i32(FO.SizeWords);
     W.u8(FO.IsSpill ? 1 : 0);
   }
+  SymbolRefs Seen;
   W.u32(static_cast<uint32_t>(MF.Blocks.size()));
   for (const MBlock &BB : MF.Blocks) {
     W.str(BB.Name);
@@ -75,77 +108,68 @@ void writeOldFunction(KeyWriter &W, const MachineFunction &MF) {
       W.i32(I.VC);
       W.i32(I.Imm);
       W.i32(I.Target);
-      W.i32(I.Callee);
-      W.i32(I.GlobalIdx);
+      writeRef(W, Seen.Callees, I.Callee);
+      writeRef(W, Seen.Globals, I.GlobalIdx);
       W.i32(I.FrameIdx);
       W.i32(I.IRIndex);
     }
   }
+  writeNames(W, Seen.Globals, GlobalNames);
+  writeNames(W, Seen.Callees, FunctionNames);
+}
+
+/// The index at \p Index's position of \p From in \p To.
+void remap(int &Index, const std::vector<int> &From,
+           const std::vector<int> &To) {
+  if (Index < 0)
+    return;
+  auto It = std::find(From.begin(), From.end(), Index);
+  assert(It != From.end() && "reference outside the function's refs");
+  Index = To[static_cast<size_t>(It - From.begin())];
 }
 
 } // namespace
 
-uint64_t ucc::digestNameTables(const std::vector<std::string> &GlobalNames,
-                               const std::vector<std::string> &FunctionNames) {
-  std::vector<uint8_t> Bytes;
-  KeyWriter W(Bytes);
-  W.strs(GlobalNames);
-  W.strs(FunctionNames);
-  return fnv1a(Bytes);
+SymbolRefs ucc::collectRefs(const Function &F) {
+  SymbolRefs Refs;
+  for (const BasicBlock &BB : F.Blocks)
+    for (const Instr &I : BB.Instrs) {
+      if (I.Global >= 0)
+        ordinal(Refs.Globals, I.Global);
+      if (I.Callee >= 0)
+        ordinal(Refs.Callees, I.Callee);
+    }
+  return Refs;
 }
 
-uint64_t ucc::digestModuleNames(const Module &M) {
-  std::vector<uint8_t> Bytes;
-  KeyWriter W(Bytes);
-  W.u32(static_cast<uint32_t>(M.Globals.size()));
-  for (const GlobalVar &G : M.Globals)
-    W.str(G.Name);
-  W.u32(static_cast<uint32_t>(M.Functions.size()));
-  for (const Function &F : M.Functions)
-    W.str(F.Name);
-  return fnv1a(Bytes);
+void ucc::rebind(Function &F, const SymbolRefs &From, const SymbolRefs &To) {
+  if (From == To)
+    return;
+  for (BasicBlock &BB : F.Blocks)
+    for (Instr &I : BB.Instrs) {
+      remap(I.Global, From.Globals, To.Globals);
+      remap(I.Callee, From.Callees, To.Callees);
+    }
 }
 
-uint64_t ucc::digestSignatures(const ProgramAST &Program) {
-  std::vector<uint8_t> Bytes;
-  KeyWriter W(Bytes);
-  W.u32(static_cast<uint32_t>(Program.Globals.size()));
-  for (const GlobalDecl &G : Program.Globals) {
-    W.str(G.Name);
-    W.i32(G.ArraySize);
-  }
-  W.u32(static_cast<uint32_t>(Program.Functions.size()));
-  for (const FuncDecl &F : Program.Functions) {
-    W.str(F.Name);
-    W.u32(static_cast<uint32_t>(F.Params.size()));
-    W.u8(F.ReturnsInt ? 1 : 0);
-  }
-  return fnv1a(Bytes);
+void ucc::rebind(MachineFunction &MF, const SymbolRefs &From,
+                 const SymbolRefs &To) {
+  if (From == To)
+    return;
+  for (MBlock &BB : MF.Blocks)
+    for (MInstr &I : BB.Instrs) {
+      remap(I.GlobalIdx, From.Globals, To.Globals);
+      remap(I.Callee, From.Callees, To.Callees);
+    }
 }
 
-CompileCache::Key CompileCache::buildFrontKey(std::string_view Text,
-                                              unsigned StartCol, int BlockBase,
-                                              uint64_t SignatureDigest,
-                                              size_t Index) {
-  Key K;
-  K.reserve(Text.size() + 32);
-  KeyWriter W(K);
-  W.u8('F');
-  W.u8(1); // schema version
-  W.u64(SignatureDigest);
-  W.u32(static_cast<uint32_t>(Index));
-  W.i32(BlockBase);
-  W.u32(StartCol);
-  W.str(Text);
-  return K;
-}
-
-CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
+CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In,
+                                         SymbolRefs *Refs) {
   Key K;
   K.reserve(256);
   KeyWriter W(K);
   W.u8('C');
-  W.u8(1); // schema version
+  W.u8(2); // schema version
   W.u8(In.RAKind);
   W.u8(In.DAKind);
   W.u8(In.UseUcc ? 1 : 0);
@@ -163,12 +187,14 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In) {
     W.f64(U.IlpTimeLimitSec);
     W.doubles(*In.Freq);
   }
-  W.u64(In.NewNamesDigest);
-  writeIRFunction(W, *In.F);
+  SymbolRefs Seen;
+  writeIRFunction(W, *In.F, *In.GlobalNames, *In.FunctionNames, Seen);
+  if (Refs)
+    *Refs = std::move(Seen);
   if (In.OldFinal) {
     W.u8(1);
-    writeOldFunction(W, *In.OldFinal);
-    W.u64(In.OldNamesDigest);
+    writeOldFunction(W, *In.OldFinal, *In.OldGlobalNames,
+                     *In.OldFunctionNames);
     if (In.UccFrames && In.OldFrameOffsets) {
       W.u8(1);
       W.ints(*In.OldFrameOffsets);

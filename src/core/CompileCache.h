@@ -6,16 +6,20 @@
 ///
 /// \file
 /// A function-level compilation cache for incremental recompilation, in
-/// two parts.
+/// two parts. Both are position-independent: a function's entry depends
+/// on its own text and on the declarations it references, not on where
+/// it or they sit in the module.
 ///
 /// The front half's table holds the optimized IR of every function of the
-/// most recent compile that went through the cache (one module). The next
-/// compile still lexes the file and parses its top level; a function
-/// whose key (buildFrontKey: its source text, start column, IRGen's block
-/// counter before it, the module's signature digest and its index)
-/// matches the table's entry at its index is copied from the table with
-/// its source lines shifted, and skips parsing, lowering, verification
-/// and optimization. Every other function runs them and enters the table.
+/// most recent compile that went through the cache (one module), by
+/// function name. The next compile still lexes the file and parses its
+/// top level. A function whose text (return type through closing brace)
+/// and start column equal its entry's, and whose referenced declarations
+/// are declared alike (a global's name and array size; a callee's name,
+/// parameter count and return kind), is copied from the table. The copy
+/// is re-bound to the new global and callee indices and its source lines
+/// are shifted; it skips parsing, lowering, verification and
+/// optimization. Every other function runs them and enters the table.
 ///
 /// The back half's LRU memoizes the whole per-function back-half pipeline
 /// result — instruction selection, register allocation, and frame layout —
@@ -23,21 +27,28 @@
 /// everything that can influence that result:
 ///
 ///   * the function's post-opt IR (name, params, vregs, frame objects,
-///     blocks, every instruction field except source locations),
+///     blocks, every instruction field except source locations), with
+///     each global and callee written as its position in the function's
+///     first-use order (SymbolRefs) instead of its module index,
+///   * the names those references resolve to (interned symbols; CALL and
+///     global accesses compare names across versions),
 ///   * the back-half compile options (RA/DA kinds, every UccAllocOptions
 ///     field including the energy-model-derived costs, UccDaOptions),
 ///   * the per-statement frequency vector fed to UCC-RA,
-///   * a digest of the new module's global/function name tables (CALL and
-///     global accesses compare names across versions via these tables),
 ///   * and the relevant slice of the old CompilationRecord: the previous
-///     final machine code for this function, its old frame offsets, and
-///     the old name-table digest — or an explicit "absent" marker.
+///     final machine code for this function, written the same way with
+///     the old record's names, and its old frame offsets — or an explicit
+///     "absent" marker.
+///
+/// A hit re-binds the result's MInstr::GlobalIdx and MInstr::Callee from
+/// the module that computed it to this one; when both modules number the
+/// references alike, it is used as it is.
 ///
 /// The cache itself is a support/MemoCache: the full canonical key bytes
 /// confirm every hit under an FNV-1a bucket hash, an in-flight latch makes
 /// two threads that want the same function compile it once, and an LRU
 /// bounds the resident entries. This file keeps the back half's key
-/// encoding and name digests, and the front half's key and table.
+/// encoding, the front half's table, and the re-binding both share.
 ///
 /// Because the key captures every input, a hit returns a result that is
 /// byte-identical to what a fresh compile would produce — the determinism
@@ -45,16 +56,18 @@
 /// construction and is enforced by JobsDeterminismTest and
 /// CompileCacheTest.
 ///
-/// What misses. The name digest is in every back-half key and the
-/// signature digest in every front-half key, so inserting, removing or
-/// renaming any global or function misses every function, and so does a
-/// parameter-count or return-kind edit in the front half. Block names are
-/// numbered module-wide, so a control-flow edit renames the blocks of
-/// every later function, which then miss in both halves. A function
-/// compiled against a different old version of itself misses the back
-/// half once more at the next commit. Measured on perfbench
-/// `release-train`'s seed-1 chain, 2130 of 3417 back-half lookups hit
-/// (0.62); docs/PERFORMANCE.md has the front half's numbers.
+/// What misses. The front half misses a function whose text or start
+/// column changed, or one of whose referenced declarations was removed,
+/// renamed or redeclared differently (a global between scalar and array
+/// or to another size, a callee's parameter count or return kind); the
+/// callers of a changed callee miss with it. Inserting, removing or
+/// reordering declarations misses nothing else, and neither does a
+/// control-flow edit, because blocks are numbered per function. The back
+/// half misses a function whose optimized IR or referenced names changed.
+/// Under UCC-RA, a function compiled against a different old version of
+/// itself misses once more at the next commit. Measured on perfbench
+/// `release-train`'s seed-1 chain, docs/PERFORMANCE.md has both halves'
+/// hit ratios.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,34 +78,58 @@
 #include "codegen/MachineIR.h"
 #include "ir/IR.h"
 #include "regalloc/UccAlloc.h"
+#include "support/Interner.h"
 #include "support/MemoCache.h"
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string_view>
+#include <string>
 #include <vector>
 
 namespace ucc {
 
-struct ProgramAST;
-
 /// Exact cache accounting, mirrored into `compile.*` telemetry counters by
 /// the compiler back half.
 using CompileCacheStats = MemoCounts;
+
+/// The module indices a function references, in first-use order (block
+/// order, then instruction order; globals and callees apart).
+struct SymbolRefs {
+  std::vector<int> Globals; ///< Instr::Global / MInstr::GlobalIdx values
+  std::vector<int> Callees; ///< Instr::Callee / MInstr::Callee values
+  bool operator==(const SymbolRefs &O) const {
+    return Globals == O.Globals && Callees == O.Callees;
+  }
+};
+
+/// The references of \p F's instructions.
+SymbolRefs collectRefs(const Function &F);
+
+/// Rewrites every global and callee index of \p F that \p From lists to
+/// the index at the same position of \p To (same lengths).
+void rebind(Function &F, const SymbolRefs &From, const SymbolRefs &To);
+/// The same for machine code.
+void rebind(MachineFunction &MF, const SymbolRefs &From,
+            const SymbolRefs &To);
 
 /// The memoized per-function pipeline result.
 struct CompiledFunction {
   MachineFunction Final; ///< post-RA machine code (incl. spill slots)
   FrameLayout Frame;     ///< frame layout for Final
   UccAllocStats Stats;   ///< deterministic allocator statistics
+  /// The module indices Final names, in the key's first-use order.
+  SymbolRefs Refs;
 };
 
 /// Inputs to the canonical key encoding for one function. Pointers refer
-/// to the caller's data and must stay valid for the buildCompileKey call.
+/// to the caller's data and must stay valid for the buildKey call.
 struct CompileKeyInputs {
   const Function *F = nullptr; ///< post-opt IR for this function
+  /// The new module's interned global and function names.
+  const SymbolTable *GlobalNames = nullptr;
+  const SymbolTable *FunctionNames = nullptr;
   uint8_t RAKind = 0;          ///< RegAllocKind as integer
   uint8_t DAKind = 0;          ///< DataAllocKind as integer
   bool UseUcc = false;         ///< UCC-RA active (UC RA + old record)
@@ -103,41 +140,41 @@ struct CompileKeyInputs {
   int SpaceT = 0; ///< UccDaOptions::SpaceT
   /// Per-statement frequency estimates fed to UCC-RA; null when !UseUcc.
   const std::vector<double> *Freq = nullptr;
-  uint64_t NewNamesDigest = 0; ///< digest of the new module name tables
   /// Old-record slice: previous final code for this function (null when
-  /// the function is new or there is no old record).
+  /// the function is new or there is no old record), and the old record's
+  /// interned names, read only with it.
   const MachineFunction *OldFinal = nullptr;
+  const SymbolTable *OldGlobalNames = nullptr;
+  const SymbolTable *OldFunctionNames = nullptr;
   /// Previous frame offsets row; read only when UccFrames.
   const std::vector<int> *OldFrameOffsets = nullptr;
-  uint64_t OldNamesDigest = 0; ///< digest of the old name tables (0 = none)
 };
 
-/// Digest of a module's global + function name tables (order-sensitive,
-/// length-prefixed FNV-1a). Computed once per compile and folded into
-/// every function's key.
-uint64_t digestNameTables(const std::vector<std::string> &GlobalNames,
-                          const std::vector<std::string> &FunctionNames);
-
-/// Same digest computed straight from a module's globals and functions
-/// (no intermediate string-table copies).
-uint64_t digestModuleNames(const Module &M);
-
-/// Digest of the signature table that lowering a function body reads:
-/// the globals in order (name, array size) and the functions in order
-/// (name, parameter count, return kind).
-uint64_t digestSignatures(const ProgramAST &Program);
+/// A declaration a front-half entry's lowering read, as it was declared.
+struct DeclRef {
+  std::string Name;
+  /// A global's array size (0 for a scalar); a callee's parameter count.
+  int Size = 0;
+  bool ReturnsInt = false; ///< a callee's return kind
+};
 
 /// One function of the front half's table: the optimized IR a compile
-/// built for it and the key it was built under.
+/// built for it, what it was built from, and the declarations its
+/// lowering read.
 struct FrontFunction {
-  std::vector<uint8_t> Key; ///< CompileCache::buildFrontKey
-  Function IR;              ///< post-opt IR, source lines as of StartLine
-  unsigned StartLine = 0;   ///< the line the function's source began on
-  int BlockCount = 0;       ///< blocks its lowering numbered
+  std::string Text;       ///< source, return type through closing brace
+  unsigned StartCol = 0;  ///< the column Text began on
+  unsigned StartLine = 0; ///< the line Text began on
+  Function IR;            ///< post-opt IR, source lines as of StartLine
+  /// The module indices the lowered (pre-opt) IR referenced, in the
+  /// module it was lowered in; IR's Global and Callee fields name these.
+  SymbolRefs Refs;
+  std::vector<DeclRef> Globals; ///< one per Refs.Globals entry
+  std::vector<DeclRef> Callees; ///< one per Refs.Callees entry
 };
 
 /// The front half's table: the functions of the most recent compile that
-/// stored one, by function index.
+/// stored one, in its order. A compile finds an entry by name.
 using FrontTable = std::vector<std::shared_ptr<const FrontFunction>>;
 
 /// Thread-safe LRU cache of per-function pipeline results, plus the front
@@ -154,8 +191,9 @@ public:
 
   /// Builds the canonical key for \p In (serialize + FNV-1a happens in
   /// lookupOrCompute; the key carries the full bytes so hash collisions
-  /// can never alias two functions).
-  static Key buildKey(const CompileKeyInputs &In);
+  /// can never alias two functions). \p Refs, when given, receives
+  /// collectRefs(*In.F), the order the key numbers references in.
+  static Key buildKey(const CompileKeyInputs &In, SymbolRefs *Refs = nullptr);
 
   /// Returns the cached result for \p K, computing it with \p Compute on
   /// a miss. Concurrent callers with the same key are latched: one
@@ -165,15 +203,6 @@ public:
   lookupOrCompute(const Key &K,
                   const std::function<CompiledFunction()> &Compute,
                   bool *WasHit = nullptr);
-
-  /// The front half's key for function \p Index: its source \p Text (return
-  /// type through closing brace), its start column, IRGen's block counter
-  /// before lowering it, the module's signature digest and \p Index. Equal
-  /// keys lower and optimize to equal IR up to a shift of every source
-  /// line. The index makes the table's slot \p Index the only candidate.
-  static Key buildFrontKey(std::string_view Text, unsigned StartCol,
-                           int BlockBase, uint64_t SignatureDigest,
-                           size_t Index);
 
   /// Snapshot of the front half's table; null before the first store.
   std::shared_ptr<const FrontTable> frontTable() const;

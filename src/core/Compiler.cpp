@@ -33,6 +33,7 @@
 #include <cassert>
 #include <chrono>
 #include <optional>
+#include <string_view>
 
 using namespace ucc;
 
@@ -49,10 +50,61 @@ void shiftLines(Function &F, int64_t Delta) {
         I.Loc.Line = static_cast<unsigned>(I.Loc.Line + Delta);
 }
 
+const std::string &nameOf(const GlobalDecl &D) { return D.Name; }
+const std::string &nameOf(const FuncDecl &D) { return D.Name; }
+const std::string &nameOf(const std::shared_ptr<const FrontFunction> &E) {
+  return E->IR.Name;
+}
+
+/// The position of the element of \p Items named \p Name, tried at \p Hint
+/// first (a declaration that did not move keeps its position); -1 when
+/// there is none.
+template <typename T>
+int findByName(const std::vector<T> &Items, std::string_view Name,
+               size_t Hint) {
+  if (Hint < Items.size() && nameOf(Items[Hint]) == Name)
+    return static_cast<int>(Hint);
+  for (size_t I = 0; I < Items.size(); ++I)
+    if (nameOf(Items[I]) == Name)
+      return static_cast<int>(I);
+  return -1;
+}
+
+/// Fills \p To with the indices \p E's declarations have in \p Program,
+/// in E.Refs' order; false when one of them is gone or declared
+/// differently.
+bool resolve(const FrontFunction &E, const ProgramAST &Program,
+             SymbolRefs &To) {
+  To.Globals.clear();
+  for (size_t K = 0; K < E.Globals.size(); ++K) {
+    const DeclRef &R = E.Globals[K];
+    int G = findByName(Program.Globals, R.Name,
+                       static_cast<size_t>(E.Refs.Globals[K]));
+    if (G < 0 || Program.Globals[static_cast<size_t>(G)].ArraySize != R.Size)
+      return false;
+    To.Globals.push_back(G);
+  }
+  To.Callees.clear();
+  for (size_t K = 0; K < E.Callees.size(); ++K) {
+    const DeclRef &R = E.Callees[K];
+    int C = findByName(Program.Functions, R.Name,
+                       static_cast<size_t>(E.Refs.Callees[K]));
+    if (C < 0)
+      return false;
+    const FuncDecl &F = Program.Functions[static_cast<size_t>(C)];
+    if (static_cast<int>(F.Params.size()) != R.Size ||
+        F.ReturnsInt != R.ReturnsInt)
+      return false;
+    To.Callees.push_back(C);
+  }
+  return true;
+}
+
 /// The front half with per-function reuse. The file is lexed and its top
-/// level parsed; each function whose key (CompileCache::buildFrontKey)
-/// matches the table's entry at its index is copied from the table with
-/// its lines shifted, and every other function is parsed, lowered,
+/// level parsed. A function whose entry in the table (found by name) has
+/// its text and start column, and whose referenced declarations resolve
+/// alike, is copied from the table, re-bound to this module's indices
+/// and shifted to its lines. Every other function is parsed, lowered,
 /// verified and optimized. The table then holds this compile's functions.
 /// Returns nullopt, or leaves a diagnostic in \p Diag, when the plain
 /// front half must decide instead.
@@ -61,8 +113,7 @@ std::optional<Module> reusingFrontHalf(const std::string &Source,
                                        DiagnosticEngine &Diag) {
   std::shared_ptr<const FrontTable> Old = Cache.frontTable();
   auto Next = std::make_shared<FrontTable>();
-  /// The misses by index, with their keys; the IR is filled in once
-  /// optimized.
+  /// The misses by index; the IR is filled in once optimized.
   std::vector<std::pair<size_t, FrontFunction>> Missed;
   Module M;
   {
@@ -74,34 +125,52 @@ std::optional<Module> reusingFrontHalf(const std::string &Source,
     IRGen Gen(Program, Diag);
     if (!Gen.declare())
       return std::nullopt;
-    uint64_t Signatures = digestSignatures(Program);
     size_t NumFns = Program.Functions.size();
     Next->resize(NumFns);
+    SymbolRefs To;
     for (size_t I = 0; I < NumFns; ++I) {
       SourceLoc Start = Outline.start(I);
-      int BlockBase = Gen.blockCounter();
-      CompileCache::Key K = CompileCache::buildFrontKey(
-          Outline.text(I), Start.Col, BlockBase, Signatures, I);
-      if (Old && I < Old->size() && (*Old)[I]->Key == K) {
-        const FrontFunction &Hit = *(*Old)[I];
-        Function F = Hit.IR;
-        shiftLines(F, static_cast<int64_t>(Start.Line) - Hit.StartLine);
-        Gen.adoptFunction(I, std::move(F), Hit.BlockCount);
-        (*Next)[I] = (*Old)[I];
-        continue;
+      std::string_view Text = Outline.text(I);
+      int Found = Old ? findByName(*Old, Program.Functions[I].Name, I) : -1;
+      if (Found >= 0) {
+        const std::shared_ptr<const FrontFunction> &Hit =
+            (*Old)[static_cast<size_t>(Found)];
+        if (Hit->StartCol == Start.Col && Hit->Text == Text &&
+            resolve(*Hit, Program, To)) {
+          Function F = Hit->IR;
+          rebind(F, Hit->Refs, To);
+          shiftLines(F, static_cast<int64_t>(Start.Line) - Hit->StartLine);
+          Gen.adoptFunction(I, std::move(F));
+          (*Next)[I] = Hit;
+          continue;
+        }
       }
       Outline.parseBody(I);
       if (Diag.hasErrors())
         return std::nullopt;
       Gen.lowerFunction(I);
       FrontFunction &E = Missed.emplace_back(I, FrontFunction()).second;
-      E.Key = std::move(K);
+      E.Text = Text;
+      E.StartCol = Start.Col;
       E.StartLine = Start.Line;
-      E.BlockCount = Gen.blockCounter() - BlockBase;
     }
     M = Gen.finish();
     if (Diag.hasErrors() || M.EntryFunc < 0)
       return std::nullopt;
+    // The declarations lowering read, taken before optimization can drop
+    // a reference to one of them.
+    for (auto &[I, E] : Missed) {
+      E.Refs = collectRefs(M.Functions[I]);
+      for (int G : E.Refs.Globals) {
+        const GlobalDecl &D = Program.Globals[static_cast<size_t>(G)];
+        E.Globals.push_back({D.Name, D.ArraySize, false});
+      }
+      for (int C : E.Refs.Callees) {
+        const FuncDecl &D = Program.Functions[static_cast<size_t>(C)];
+        E.Callees.push_back(
+            {D.Name, static_cast<int>(D.Params.size()), D.ReturnsInt});
+      }
+    }
   }
   {
     ScopedSpan Span("verify");
@@ -215,16 +284,7 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
     OldFunctionSyms = internNames(SI, OldRecord->FunctionNames);
   }
 
-  // Name-table digests folded into every function's cache key.
-  uint64_t NewNamesDigest = 0, OldNamesDigest = 0;
-  uint64_t EvictionsBefore = 0;
-  if (Opts.Cache) {
-    NewNamesDigest = digestModuleNames(M);
-    if (OldRecord)
-      OldNamesDigest =
-          digestNameTables(OldRecord->GlobalNames, OldRecord->FunctionNames);
-    EvictionsBefore = Opts.Cache->stats().Evictions;
-  }
+  uint64_t EvictionsBefore = Opts.Cache ? Opts.Cache->stats().Evictions : 0;
 
   int NumFns = static_cast<int>(M.Functions.size());
   MachineModule MM;
@@ -308,6 +368,8 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
     if (Opts.Cache) {
       CompileKeyInputs In;
       In.F = &IRF;
+      In.GlobalNames = &NewGlobalSyms;
+      In.FunctionNames = &NewFunctionSyms;
       In.RAKind = static_cast<uint8_t>(Opts.RA);
       In.DAKind = static_cast<uint8_t>(Opts.DA);
       In.UseUcc = UseUcc;
@@ -315,13 +377,22 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
       In.Ucc = &UccOpts;
       In.SpaceT = Opts.UccDa.SpaceT;
       In.Freq = &Freq;
-      In.NewNamesDigest = NewNamesDigest;
       In.OldFinal = OldFinal;
+      In.OldGlobalNames = &OldGlobalSyms;
+      In.OldFunctionNames = &OldFunctionSyms;
       In.OldFrameOffsets = OldOffsets;
-      In.OldNamesDigest = OldNamesDigest;
+      // A hit may come from a module that numbers the declarations this
+      // function references differently.
+      SymbolRefs Refs;
+      CompileCache::Key Key = CompileCache::buildKey(In, &Refs);
+      auto computeWithRefs = [&] {
+        CompiledFunction C = compute();
+        C.Refs = Refs;
+        return C;
+      };
       bool Hit = false;
-      R = Opts.Cache->lookupOrCompute(CompileCache::buildKey(In), compute,
-                                      &Hit);
+      R = Opts.Cache->lookupOrCompute(Key, computeWithRefs, &Hit);
+      rebind(R.Final, R.Refs, Refs);
       telemetryCount(Hit ? "compile.cache_hits" : "compile.cache_misses");
     } else {
       R = compute();

@@ -38,18 +38,13 @@ public:
     lowerFunction(Program.Functions[I], static_cast<int>(I));
   }
 
-  void adopt(size_t I, Function F, int BlockCount) {
-    M.Functions[I] = std::move(F);
-    BlockCounter += BlockCount;
-  }
+  void adopt(size_t I, Function F) { M.Functions[I] = std::move(F); }
 
   Module finish() {
     if (Declared)
       M.EntryFunc = M.findFunction("main");
     return std::move(M);
   }
-
-  int BlockCounter = 0;
 
 private:
   //===--- module-level declarations --------------------------------------===//
@@ -101,6 +96,7 @@ private:
     Function &Fn = M.Functions[static_cast<size_t>(FnIndex)];
     CurFn = &Fn;
     CurFnIndex = FnIndex;
+    BlockCounter = 0;
     Locals.clear();
     ScopeStarts.assign(1, 0);
     BreakTargets.clear();
@@ -200,7 +196,7 @@ private:
     append(std::move(I));
   }
 
-  /// A new block named \p Prefix plus the module-wide block counter.
+  /// A new block named \p Prefix plus the function's block counter.
   int newBlock(const char *Prefix) {
     std::string Name = Prefix;
     Name += std::to_string(BlockCounter++);
@@ -667,6 +663,7 @@ private:
   Function *CurFn = nullptr;
   int CurFnIndex = -1;
   int CurBB = 0;
+  int BlockCounter = 0; ///< numbers the current function's blocks
   /// The function's visible locals, innermost last; ScopeStarts.back() is
   /// where the innermost scope's bindings begin.
   std::vector<std::pair<std::string_view, Binding>> Locals;
@@ -684,12 +681,10 @@ IRGen::~IRGen() = default;
 
 bool IRGen::declare() { return Impl->declare(); }
 
-int IRGen::blockCounter() const { return Impl->BlockCounter; }
-
 void IRGen::lowerFunction(size_t I) { Impl->lower(I); }
 
-void IRGen::adoptFunction(size_t I, Function F, int BlockCount) {
-  Impl->adopt(I, std::move(F), BlockCount);
+void IRGen::adoptFunction(size_t I, Function F) {
+  Impl->adopt(I, std::move(F));
 }
 
 Module IRGen::finish() { return Impl->finish(); }

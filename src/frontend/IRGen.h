@@ -32,9 +32,10 @@ class IRGenImpl;
 /// Lowers a program one function at a time, so a caller can put IR it
 /// already holds in place of some functions. lowerToIR() is declare(),
 /// then lowerFunction() for every function, then finish(). A function's
-/// lowering depends on its own AST, the declared signatures, its index and
-/// blockCounter() (block names are numbered module-wide), and on nothing
-/// else.
+/// lowering depends on its own AST and on the declarations it references:
+/// each global's array size, and each callee's parameter count and return
+/// kind. Its Global and Callee fields hold those declarations' module
+/// indices. Block names are numbered per function.
 class IRGen {
 public:
   /// \p Program must outlive the IRGen.
@@ -44,13 +45,10 @@ public:
   /// Declares every global and function signature; false on an error
   /// (then only finish() may follow).
   bool declare();
-  /// The number that names the next block.
-  int blockCounter() const;
   /// Lowers function \p I, whose body must be parsed.
   void lowerFunction(size_t I);
-  /// Takes \p F as function \p I instead of lowering it; lowering it would
-  /// have numbered \p BlockCount blocks.
-  void adoptFunction(size_t I, Function F, int BlockCount);
+  /// Takes \p F as function \p I instead of lowering it.
+  void adoptFunction(size_t I, Function F);
   /// The module, with its entry function set when declare() succeeded.
   Module finish();
 

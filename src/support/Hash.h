@@ -102,9 +102,11 @@ public:
   }
 
 private:
+  /// Every caller writes a fixed-width field, so N > 0.
   void raw(const void *P, size_t N) {
-    const uint8_t *B = static_cast<const uint8_t *>(P);
-    Out.insert(Out.end(), B, B + N);
+    size_t At = Out.size();
+    Out.resize(At + N);
+    std::memcpy(Out.data() + At, P, N);
   }
 
   std::vector<uint8_t> &Out;

@@ -148,7 +148,9 @@ void serializeInto(const Value &V, std::string &Out, int Indent,
     Out += numberToString(V.Num);
     break;
   case Value::String:
-    Out += "\"" + escape(V.Str) + "\"";
+    Out += '"';
+    Out += escape(V.Str);
+    Out += '"';
     break;
   case Value::Array:
     Out += "[";
@@ -168,7 +170,9 @@ void serializeInto(const Value &V, std::string &Out, int Indent,
       if (K != 0)
         Out += ",";
       newline(Depth + 1);
-      Out += "\"" + escape(V.Obj[K].first) + "\":";
+      Out += '"';
+      Out += escape(V.Obj[K].first);
+      Out += "\":";
       if (Indent >= 0)
         Out += " ";
       serializeInto(V.Obj[K].second, Out, Indent, Depth + 1);

@@ -253,11 +253,14 @@ TEST(IRGen, PrintsReadableIR) {
 }
 
 /// Continues FNV-1a hash \p H over the lowered, unoptimized text of
-/// \p Source and over every diagnostic the frontend reported for it.
-uint64_t loweredDigest(const std::string &Source, uint64_t H = Fnv1aBasis) {
+/// \p Source and over every diagnostic the frontend reported for it. With
+/// \p IndexedBlocks the text is printWithIndexedBlocks'.
+uint64_t loweredDigest(const std::string &Source, uint64_t H = Fnv1aBasis,
+                       bool IndexedBlocks = false) {
   DiagnosticEngine Diag;
   Module M = compileToIR(Source, Diag);
-  std::string Text = M.print();
+  std::string Text = IndexedBlocks ? printWithIndexedBlocks(std::move(M))
+                                   : M.print();
   for (const Diagnostic &D : Diag.diagnostics())
     Text += format("%u:%u: %s\n", D.Loc.Line, D.Loc.Col, D.Message.c_str());
   return fnv1a(Text.data(), Text.size(), H);
@@ -318,71 +321,71 @@ const char *const MalformedPrograms[] = {
 /// message carries the full table of current digests.
 TEST(Frontend, LoweredModulesArePinned) {
   static const std::pair<const char *, uint64_t> PinnedPrograms[] = {
-      {"Blink", 0x1a53a6924c8603e4ULL},
-      {"CntToLeds", 0x5cffd10479056fb0ULL},
-      {"CntToRfm", 0x9cc0990c3ca108c4ULL},
-      {"CntToLedsAndRfm", 0xd61d92089422d925ULL},
-      {"AES", 0x268880e31df0c024ULL},
-      {"case1.new", 0x092c2549f661f544ULL},
-      {"case2.new", 0x57011c66becff89fULL},
-      {"case3.new", 0x2a1fce2c4adbe158ULL},
-      {"case4.new", 0xde8a650f464a7909ULL},
-      {"case5.new", 0xa6e80c7f3420251dULL},
-      {"case6.new", 0x5d15f827142f6224ULL},
-      {"case7.new", 0x1119f022ff9c3abbULL},
-      {"case8.new", 0xa8d858770710d624ULL},
-      {"case9.new", 0x991414e69c64062aULL},
-      {"case10.new", 0xe3f3cc0844e83110ULL},
-      {"case11.new", 0x7e499e9d3a3572bcULL},
-      {"case101.new", 0xbc270e58e8576eebULL},
-      {"case102.new", 0xda1e5f5c6d8046baULL},
+      {"Blink", 0x3cb797687a7b2ed0ULL},
+      {"CntToLeds", 0x66618138055c2281ULL},
+      {"CntToRfm", 0x3cd4d2c7e4812f8cULL},
+      {"CntToLedsAndRfm", 0x9ce5d9723c06de70ULL},
+      {"AES", 0x876f634aea0b30afULL},
+      {"case1.new", 0x0a6b1fb8f12ccd1dULL},
+      {"case2.new", 0x85e900968eb73db0ULL},
+      {"case3.new", 0x474b5cbc688322b4ULL},
+      {"case4.new", 0x0021b7308fc39441ULL},
+      {"case5.new", 0xf11323fe1c51ac72ULL},
+      {"case6.new", 0xee1d522a7bf5ffd8ULL},
+      {"case7.new", 0xca1d6491e3334647ULL},
+      {"case8.new", 0x278602a2240b15d0ULL},
+      {"case9.new", 0x149c7556c02ca336ULL},
+      {"case10.new", 0x2223d3d7c58a2278ULL},
+      {"case11.new", 0x8acb7d2cfad0e10fULL},
+      {"case101.new", 0xe54f40b285b14827ULL},
+      {"case102.new", 0x0c34ad5ce9f825d3ULL},
       {"liverange.old", 0x65802631c579d955ULL},
       {"liverange.new", 0xa26040d94ecdfea9ULL},
   };
   static const uint64_t PinnedCorpus[] = {
-      0x3d48e44b277ebb5dULL, 0x1215dacba38eb046ULL, 0x08591ceb5e6a4ca5ULL,
-      0xf71db25c9136a6bbULL, 0xe342a6ae1d9c8854ULL, 0xe929961c22e03cc3ULL,
-      0x07624cca7f2006b8ULL, 0xf325f3f68c939196ULL, 0x53ab4e1555c901adULL,
-      0x0b87394de2de8278ULL, 0xdeaa598bb6d181b9ULL, 0x8e329c6b91a66494ULL,
-      0x763cf1ca3722dc0bULL, 0x1ac7302ff4a4b6fdULL, 0xdcb98d2cc78ce40eULL,
-      0xf2ba9bb187c560adULL, 0x678b9f510eb434e4ULL, 0xd0dcd302c48e78d9ULL,
-      0xdd3bd39d958a335dULL, 0x4a4ef83f7dfdaf9cULL, 0xd9de7b831508ded5ULL,
-      0x15348486a1c0d238ULL, 0x8577be3ae59c6566ULL, 0xf01cf4db250ecfa1ULL,
-      0x76966f94368d07c2ULL, 0xdeb5d168c06e0888ULL, 0x9bc8606b85b50778ULL,
-      0xdef9062603cf914aULL, 0x74501898e606337aULL, 0x1e5b1721cb6f3eedULL,
-      0x3905cf9f1a6f0bd4ULL, 0xa3879ee74af2193dULL, 0x0fd39de23e88c24bULL,
-      0x609cf484a0938c29ULL, 0xd3799f0df4bc5fc8ULL, 0xb99697aebb1f8bd2ULL,
-      0xfdf4877bc724dea4ULL, 0x0b69bb1ac33da734ULL, 0x98ca7e11a64ddc84ULL,
-      0xde0d38fff6571fc9ULL, 0x375b5ce5f67417bcULL, 0x37fe2b71558f6e6cULL,
-      0xb318f713426bd659ULL, 0x9a5327364e66dad6ULL, 0xa4309cde8d9ca627ULL,
-      0xf9a47185bea7f76cULL, 0x8fb32b74695081d5ULL, 0x756f796966286bbfULL,
-      0x6914f90d34da9741ULL, 0xe7058833bfd6dd11ULL, 0x09fc4d1da4b06495ULL,
-      0x5a3154e47f5b3fbbULL, 0x24caa8c65d7ecb6dULL, 0xb520599cd749e3f7ULL,
-      0x868a824b72456587ULL, 0x6992364375549c1aULL, 0x182bcdb0a427b3e4ULL,
-      0xf635dc5c1f9d6b14ULL, 0xb67a01f213f72610ULL, 0x744ebc1c56295dd5ULL,
-      0x97bf7714dc989749ULL, 0xbf563b3e60f89f51ULL, 0x4a11efc4ccfa5304ULL,
-      0x41781578bc4459b6ULL, 0x80daf8c23c318149ULL, 0xdb06014d7a648866ULL,
-      0x5d03430f7f424499ULL, 0x1a3df5a7aac82598ULL, 0xb0dfd5cbd6552805ULL,
-      0x41fe68fde1d357fdULL, 0x9b27dc8f7af94030ULL, 0xbee6dddbe77dd51eULL,
-      0x2b2067f3d5116923ULL, 0x28b09dce43f8d176ULL, 0x0dc85937701376eaULL,
-      0xaf2bb1f455dc846dULL, 0xd7c820d0fc525de6ULL, 0x17de3d01d3593b82ULL,
-      0x438f9eb833c86221ULL, 0x8d9c24c75bfbccf5ULL, 0xbd313b759de1f1e8ULL,
-      0xb524c9d0e06690faULL, 0xfeff0cf51f1c16ccULL, 0xdf9fd56f1c8a2301ULL,
-      0xe8aad2b3dd2198f7ULL, 0xc04674504ff50e84ULL, 0xeea317b50bdb271cULL,
-      0x2b0d18d7e3d5d477ULL, 0x3ec1246efee519a8ULL, 0x79379dc1d88e8211ULL,
-      0x650e394419c4c672ULL, 0xb4081bb612e8a596ULL, 0xb8452f60f2c2a88eULL,
-      0xbdfed289d9a51eeeULL, 0x73bae192647613b1ULL, 0x690af4b54f869d87ULL,
-      0xa040da6aacd703f4ULL, 0xbb51fff43edfdb54ULL, 0xecefb246b87faaccULL,
-      0x4dafad858bab8500ULL, 0xbc7a9d183c85ab66ULL, 0x2511c009a8abb7d2ULL,
-      0x57d403ca0bf8f737ULL, 0x146f8658105b004fULL, 0xfa3e41d9b476076bULL,
-      0xe0ddefb1d8bb53c0ULL, 0x5bac234bf4e1ce6bULL, 0x6b8c29d45b0c5646ULL,
-      0xe2143c74d5533a8eULL, 0xbb9c4ed5aaeb522bULL, 0x7142bc87dfb59da7ULL,
-      0x761478bad1a41bffULL, 0xdc5e389cd331e4c8ULL, 0xf9bad812c3cae3dbULL,
-      0x657f5a9c3c116197ULL, 0x4fb7b13730dda3deULL, 0x3c27ec8c19d2ffdaULL,
-      0x6853d58e08378606ULL, 0xb6f74c7ef899f3c7ULL, 0x4692643b7aa99f94ULL,
-      0x103927fb0e2d5eedULL, 0xae66ed093f234324ULL, 0xc3cafd2b54d35879ULL,
-      0xfb06b7c700c91756ULL, 0x65c95de5a8d441eeULL, 0xcb860a86f8cf1b02ULL,
-      0xa42a9eabbf1c825dULL, 0xc0c05b3c7f6835deULL,
+      0x1394f1737d8590a7ULL, 0xa845315b5999f8e9ULL, 0x5d1f7d96f269ebfdULL,
+      0x90000bbce8b28485ULL, 0x23ffd608dc277cfeULL, 0xe690e0c0edbc108eULL,
+      0x1c17d972eff4429cULL, 0x1a128764d40ea96aULL, 0xab793a9df52af562ULL,
+      0x469aee70c7fd0852ULL, 0xf6a4a31b680d6ebdULL, 0x4bdd727908f33933ULL,
+      0x50a186015af424afULL, 0x44768ec848406e19ULL, 0x4f4c328fd0c9c1deULL,
+      0x5930c80c49cef6c9ULL, 0x483f628c4bf5f02eULL, 0x9522c06db680fcbdULL,
+      0xfc6b99ee787e6387ULL, 0xb79bbe7418905376ULL, 0xd14faffc20ad2afdULL,
+      0xe0e45669593ce8aaULL, 0xfe42abf1731c1c84ULL, 0xcde7f838f612bb46ULL,
+      0x3f69045457b2e6d1ULL, 0xc6c367f04176f826ULL, 0x0f92cf7810ff8377ULL,
+      0x435929e84129b92cULL, 0x8ce871c953dc172eULL, 0x486c722613facbffULL,
+      0x28e313dd05576e9fULL, 0x11e226f79eb9e016ULL, 0x7fe363c4fb5112f7ULL,
+      0x184d81b2f12b33daULL, 0x4e530d30836272faULL, 0xc0e6771ec8ffab72ULL,
+      0x81a694d26373574bULL, 0x4c51d6af535b05d2ULL, 0x037cf6e1c51b4824ULL,
+      0xba9e4ff5bf4d6beaULL, 0x1a0882777e1b4902ULL, 0x469f071893527586ULL,
+      0x00fa4647af4b27faULL, 0xd5a40557b0be5964ULL, 0xa2d1b81fd338be75ULL,
+      0x517a6c5f212af588ULL, 0x6f473b8d71c6e57aULL, 0x0c62c73bd0f1fb3fULL,
+      0x5275be0c3c7ccdf0ULL, 0xad8537da1e2c0759ULL, 0xdb9ac48cc00c8549ULL,
+      0xfcab312cce23196bULL, 0x012844834a35299bULL, 0xb6f42d0f3933bbd1ULL,
+      0xdc2181027326559fULL, 0xa885782323bbb9a7ULL, 0xc08c8a025cb4bb88ULL,
+      0x9ae8a35abf24a60cULL, 0xe0990c1108ec1813ULL, 0x14d52bf3f13b5bf4ULL,
+      0x79d1a758bae56dc4ULL, 0xf0dfc17814ad944bULL, 0x39514847d414028aULL,
+      0xa10369b639ffc53aULL, 0x6bc921bcbd276c54ULL, 0xa52ca05680e59e51ULL,
+      0x2dda92720c009d32ULL, 0x5848512f601cb356ULL, 0x47f3b5894d9c588aULL,
+      0x0ed65a4c38165b45ULL, 0x434ee24521099802ULL, 0x16bb34ebabd4aa8fULL,
+      0xf7e821be5314ecf9ULL, 0xf0d59e10293c8b57ULL, 0x447328ac5912f42eULL,
+      0xd1b8648bf35cbbd7ULL, 0x504f484de5675222ULL, 0x2a680f6e0767f3aeULL,
+      0x481b2d5c9d234f86ULL, 0x77e264b48d35aed9ULL, 0x229e8ac8c66bcf98ULL,
+      0x54c89fad37798622ULL, 0xfa40f246642a8ec0ULL, 0xe548d280ad51e42dULL,
+      0x5f57efaaac682300ULL, 0xc14e2b80b2ac5a16ULL, 0x35ab66b5f567f028ULL,
+      0xb2b273b14a74b622ULL, 0x75c3a18060c255d6ULL, 0x55451a55fda7918fULL,
+      0x09372e79a1ba8fa6ULL, 0x915308ead81c3726ULL, 0x8cdf962083a603beULL,
+      0xf1353f44704f6343ULL, 0xfbc716d993615481ULL, 0x7d67fa77181d8968ULL,
+      0xa04a31bc997049d6ULL, 0x76659d9eb54e1766ULL, 0x46d059dd11e13e44ULL,
+      0x49e81489a756eddeULL, 0x455b8ef0020036e2ULL, 0xcd0298fd96be7095ULL,
+      0x5ebf661101834ddaULL, 0x20607cdc7ffe0a3bULL, 0x3160f99134b8869dULL,
+      0x782919be01c213beULL, 0x0c7733a2e0f42a09ULL, 0xe6dee4d98184c3a2ULL,
+      0xb286e0c3ae4de8d8ULL, 0x8eb4a1e268ef1a0fULL, 0x0b3acb0287aee771ULL,
+      0xea9f15d27439e8afULL, 0xcc582cc13e8ed0fdULL, 0x0868da0cf4742893ULL,
+      0x684629ba75aeaa45ULL, 0xc6a8c897a299dfd5ULL, 0xe2eaacf732a17c82ULL,
+      0x7bf0bbcb5f06aa07ULL, 0x1e82bf4810aafb4bULL, 0x7689b27a8b37cbacULL,
+      0x76334408370b609aULL, 0xae66ed093f234324ULL, 0x281fb19e87c8858dULL,
+      0x335b25b563d169e7ULL, 0x123f256e7c0c0342ULL, 0xfc9b0ad17dba27b8ULL,
+      0x41f777d0fff0f873ULL, 0x13330ef800d1b8a2ULL,
   };
   static const uint64_t PinnedMalformed[] = {
       0x97a7227f0fb320e2ULL, 0x5369db1b84c6e55cULL, 0xeac4e5be073eaa67ULL,
@@ -400,13 +403,83 @@ TEST(Frontend, LoweredModulesArePinned) {
       0xd431a5785f41bc01ULL, 0x7bf0458c4f3c370bULL, 0x5941b24a254a514dULL,
       0xcbf29ce484222325ULL,
   };
+  // The same inputs in the same order (programs, corpus, malformed),
+  // hashed over printWithIndexedBlocks: a change to how blocks are named
+  // leaves these as they are.
+  static const uint64_t PinnedIndexedBlocks[] = {
+      0x58251b40d27bb9e4ULL, 0xe3be086caa85bc7cULL, 0xff6affab0d488ffcULL,
+      0x0f829a0cb4ebe0b1ULL, 0xd1215f30c6fcf1a8ULL, 0x514727c7a319b378ULL,
+      0x5fb2ce394497ddfdULL, 0xc24d1b2b2c4f87b8ULL, 0x92340451a2ae04ebULL,
+      0x1d7ad70913da0351ULL, 0x8577f3942aaa7810ULL, 0x5e53f0b52a3c0e48ULL,
+      0x1d487d33e02985ceULL, 0xd0ddd8aea7310202ULL, 0x519e3163af8488a2ULL,
+      0xfe224b791be8dcc7ULL, 0x70ce5873b19894bdULL, 0x1d437db2524cb498ULL,
+      0xd45a6c784f72fb5fULL, 0x0d7726ca4627159bULL, 0x823e9830e0caaf93ULL,
+      0x796f3fc93578822eULL, 0x0b9a9091fc45bc09ULL, 0xe5c630567e68edf7ULL,
+      0x0a7ec102e3972b79ULL, 0x63ca3e0b5aabf323ULL, 0x1b29cf31ddb5698fULL,
+      0xef0e5d05b3343012ULL, 0x902d2e112ba04fa9ULL, 0xceae996489b631efULL,
+      0x338b3e11e6df2e75ULL, 0x05db634674e0d7e9ULL, 0xfb31b66df1f73b0fULL,
+      0x0d167d7532c97303ULL, 0xd862700585e6c86cULL, 0x8173666409084629ULL,
+      0x87c8674747d79cecULL, 0x52f6fc2ab9127ae9ULL, 0x85dbdfd037ca5f97ULL,
+      0x578de1f753fd9f85ULL, 0x4ba82be15cb7a84eULL, 0x700730970ed5e0b5ULL,
+      0xd8a61a31550e4ac6ULL, 0x1031ce2c1b315bbbULL, 0x4adb7683d1bcb486ULL,
+      0xa8a98bc6baa683c9ULL, 0xa2cf56dbb31c8fb1ULL, 0xb0b2e7b2a085eaccULL,
+      0x8cfc9d42b5e28070ULL, 0x3c1cff73b5282b1dULL, 0x64eb741c6a4e4f81ULL,
+      0x6f7c3481146aaa84ULL, 0x1784ab7f0b63bc14ULL, 0xa7228d4df513e280ULL,
+      0x893850d9b927eeccULL, 0x65cef21e4736c603ULL, 0x3eea201b3c16fdefULL,
+      0x7090491929e6ca03ULL, 0x0e2d48990b5289b5ULL, 0x3efa642e5e6576a3ULL,
+      0x1c19f23152ea0bd8ULL, 0x710e9c5191a335a6ULL, 0xb3300417434475ceULL,
+      0xe1c5c2efd9fd88f7ULL, 0xc757c1faf4985a35ULL, 0x3e2a889459bb3ed2ULL,
+      0x5715aba4d2b47d7aULL, 0x3e0d50205e421621ULL, 0xbfeff92041658577ULL,
+      0x06f97ca3287e9d6dULL, 0x084e5f07117305eeULL, 0x07791063dd2088a0ULL,
+      0x62f6e2387b051e89ULL, 0xce929c42242db279ULL, 0xf1129bb9dc22ebbaULL,
+      0x7d685eef42ca7942ULL, 0xf74ae758a73ed98dULL, 0x0a7669ce00545e2cULL,
+      0x6306850e232fe323ULL, 0x9c35d0baf749c417ULL, 0xd9fc26f7e8903a96ULL,
+      0xc7d4d5898c99deffULL, 0x81d65c37a9f3177aULL, 0x60eb1e9afd5a21fbULL,
+      0x4bde6a9c8fd6ef01ULL, 0xd0ea9ae223b1cd00ULL, 0xb73e1a1f23898b77ULL,
+      0x13924c5b1fe14d74ULL, 0xb8056262293facabULL, 0xdd0bbfeaeaf3ebfeULL,
+      0xe0d2e81bad231c37ULL, 0x0029b0c5ed56d752ULL, 0x171a76cc1575ed74ULL,
+      0xd7d1458df781f7a3ULL, 0x67e966559b31f8b7ULL, 0xf72c57bf8622a1bbULL,
+      0x6949969825d2f23cULL, 0x631ce04e0212ee43ULL, 0x5719a1624d113e6fULL,
+      0xb8093c9854943f07ULL, 0xf8cdf7c786610a30ULL, 0x13a33e26c6c33a8fULL,
+      0xaa4382c4f97cdfe8ULL, 0x22d66bce3fb170cfULL, 0xb8154afbc739201cULL,
+      0x00988f63b7d32d8fULL, 0x31953cf907fa7068ULL, 0xc82e76753cfc7bb7ULL,
+      0x2197fd1f58a4237fULL, 0xf921c5e4ae58cb11ULL, 0xb481b741134c1909ULL,
+      0x45caafb6e7859a42ULL, 0x6397d35230bf4578ULL, 0x7038105518f99bfaULL,
+      0x48e5a3b6d5e453a9ULL, 0x17dde8073d782cc3ULL, 0xb10eae387cff2bdcULL,
+      0x569742185c657f33ULL, 0x2da57c98c5f91e28ULL, 0xef2b2328b29e75bdULL,
+      0xe2e598ce41ce460aULL, 0x2c16fff6d2ec62d0ULL, 0x481516217c1d3ec8ULL,
+      0xd9b672fe6fde140bULL, 0x2ed74f9e05f08103ULL, 0x29f220c6b61dc18bULL,
+      0x553291e184c7d36dULL, 0x6caa5fdc6a03b5d4ULL, 0xe7914d6c590f4e24ULL,
+      0x33cc6887b4f4330dULL, 0xa03a99cb47c64bb0ULL, 0xcc338105af1b4ab9ULL,
+      0x8100bbd75012081fULL, 0xd81fb5c411260bdaULL, 0xc49e40566e564f73ULL,
+      0xbf8e037bbe31e93dULL, 0xb6e2eecc8fcaf247ULL, 0x5d2d315d48b7b1f2ULL,
+      0xe3ad3540c99d86f5ULL, 0xde5914fa28429ae2ULL, 0xb578ffffe91d566aULL,
+      0x6231f972e9f8e12cULL, 0xf3c9f0423ba2e780ULL, 0x1d89975ecb482b29ULL,
+      0x3363bd70e2537484ULL, 0x84b31702c4210e6cULL, 0xe25f36d55d15ee19ULL,
+      0x43063abf6f2d6484ULL, 0x97a7227f0fb320e2ULL, 0x5369db1b84c6e55cULL,
+      0x51870ed38b2b608dULL, 0x51870ed38b2b608dULL, 0x77db027a326a5caeULL,
+      0x57255c690ab7b85cULL, 0xe10da3dd9a70df6cULL, 0x940193757e8a6898ULL,
+      0x64eb2635dd634203ULL, 0x637827d1713e03a0ULL, 0x61c95513c165024eULL,
+      0x6a71a54e34c438adULL, 0xf4b884ce3760e3a7ULL, 0x0f23e2d10a9e931dULL,
+      0xf83b6ace9112b480ULL, 0x4bd16e9ac850858bULL, 0x955898b5ebc84192ULL,
+      0x84bab662e825fac6ULL, 0x37f6752e8f418292ULL, 0xbcc398e60f363af2ULL,
+      0xfd0bcff65782c848ULL, 0x68d29b1acebefe68ULL, 0x3a0711acc0ab180cULL,
+      0x7e809252615ead0dULL, 0x1a3a9b9b60c73eb0ULL, 0xbf43d7cedb87b1d2ULL,
+      0x98c7c834b4777c4eULL, 0x3a5285d5cd660a69ULL, 0xb663b611dbf686e6ULL,
+      0x540d68b0d2c2d088ULL, 0x930bd33c649c1c76ULL, 0xeb4c3bdd5e8d5bc9ULL,
+      0x885255148856e809ULL, 0x401f03d1edf0ec4eULL, 0x441fc8fd95cd37cfULL,
+      0x2bf39eec02efc62fULL, 0xd431a5785f41bc01ULL, 0x7bf0458c4f3c370bULL,
+      0x5941b24a254a514dULL, 0xcbf29ce484222325ULL,
+  };
   constexpr int CorpusSeeds = 128;
 
   std::string Table;
   bool Mismatch = false;
+  std::vector<uint64_t> Indexed;
   std::vector<std::pair<std::string, std::string>> Programs =
       workloadPrograms();
   for (size_t K = 0; K < Programs.size(); ++K) {
+    Indexed.push_back(loweredDigest(Programs[K].second, Fnv1aBasis, true));
     uint64_t D = loweredDigest(Programs[K].second);
     Table += format("      {\"%s\", 0x%016" PRIx64 "ULL},\n",
                     Programs[K].first.c_str(), D);
@@ -420,8 +493,10 @@ TEST(Frontend, LoweredModulesArePinned) {
   for (int Seed = 0; Seed < CorpusSeeds; ++Seed) {
     ProgramGen Gen(static_cast<uint64_t>(Seed));
     uint64_t D = loweredDigest(Gen.render());
+    uint64_t DI = loweredDigest(Gen.render(), Fnv1aBasis, true);
     Gen.mutate();
     D = loweredDigest(Gen.render(), D);
+    Indexed.push_back(loweredDigest(Gen.render(), DI, true));
     Table += format("%s0x%016" PRIx64 "ULL,%s", Seed % 3 ? "" : "      ", D,
                     Seed % 3 == 2 ? "\n" : " ");
     bool Same = static_cast<size_t>(Seed) < std::size(PinnedCorpus) &&
@@ -432,6 +507,7 @@ TEST(Frontend, LoweredModulesArePinned) {
   EXPECT_EQ(static_cast<size_t>(CorpusSeeds), std::size(PinnedCorpus));
   Table += "\n";
   for (size_t K = 0; K < std::size(MalformedPrograms); ++K) {
+    Indexed.push_back(loweredDigest(MalformedPrograms[K], Fnv1aBasis, true));
     uint64_t D = loweredDigest(MalformedPrograms[K]);
     Table += format("%s0x%016" PRIx64 "ULL,%s", K % 3 ? "" : "      ", D,
                     K % 3 == 2 ? "\n" : " ");
@@ -441,6 +517,9 @@ TEST(Frontend, LoweredModulesArePinned) {
   }
   EXPECT_EQ(std::size(MalformedPrograms), std::size(PinnedMalformed));
   EXPECT_FALSE(Mismatch) << "current digests:\n" << Table;
+  std::vector<uint64_t> Pinned(std::begin(PinnedIndexedBlocks),
+                               std::end(PinnedIndexedBlocks));
+  EXPECT_EQ(Indexed, Pinned) << "indexed:\n" << digestTable(Indexed);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include "regalloc/LiveIntervals.h"
 #include "regalloc/UccAlloc.h"
 #include "regalloc/Validator.h"
+#include "support/Format.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -231,7 +232,7 @@ TEST(Dominators, DiamondShape) {
   MachineFunction MF;
   MF.Blocks.resize(4);
   for (int B = 0; B < 4; ++B)
-    MF.Blocks[static_cast<size_t>(B)].Name = "b";
+    MF.Blocks[static_cast<size_t>(B)].Name = format("b%d", B);
   MF.Blocks[0].Succs = {1, 2};
   MF.Blocks[1].Succs = {3};
   MF.Blocks[2].Succs = {3};

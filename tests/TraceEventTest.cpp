@@ -66,18 +66,21 @@ TEST(TraceEvent, RecordsInOrderWithArgs) {
 }
 
 TEST(TraceEvent, RingBufferBoundsAndCountsDrops) {
+  auto Name = [](int K) {
+    std::string N = "e";
+    N += std::to_string(K);
+    return N;
+  };
   Telemetry T;
   T.enableEvents(/*Capacity=*/8);
   for (int K = 0; K < 20; ++K)
-    T.recordEvent(TelemetryEvent::Phase::Instant, "t",
-                  "e" + std::to_string(K));
+    T.recordEvent(TelemetryEvent::Phase::Instant, "t", Name(K));
   auto Events = T.eventsInOrder();
   ASSERT_EQ(Events.size(), 8u);
   EXPECT_EQ(T.eventsDropped(), 12u);
   // Oldest-first order: the survivors are the last 8, in emission order.
   for (int K = 0; K < 8; ++K)
-    EXPECT_EQ(Events[static_cast<size_t>(K)]->Name,
-              "e" + std::to_string(12 + K));
+    EXPECT_EQ(Events[static_cast<size_t>(K)]->Name, Name(12 + K));
 }
 
 TEST(TraceEvent, ClearResetsEventState) {
