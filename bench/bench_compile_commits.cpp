@@ -3,20 +3,24 @@
 // Measures the function-level compile cache (core/CompileCache) on the
 // workload it was built for: a firmware with many substantial functions
 // committed through a version store as a long chain of small releases,
-// each touching only 1-3 functions. Cache-off, every commit pays
-// parse -> lower -> optimize -> isel -> RA -> frame layout for every
+// each touching only 1-3 functions; every third release also declares a
+// new global ahead of the others, so every global's index moves while
+// the functions that read them keep their text. Cache-off, every commit
+// pays parse -> lower -> optimize -> isel -> RA -> frame layout for every
 // function; cache-on, unchanged functions are served from the cache (the
 // front half from its table of the previous commit's optimized IR, the
 // back half from its LRU) and only the touched ones recompile.
 // The bench sweeps jobs {1, 8} x cache {off, on}, reports commits/sec per
 // configuration, and hard-fails unless (a) all four configurations produce
-// byte-identical images and parent scripts for every version and (b) the
-// warm-over-cold speedup at jobs=1 clears the 3x acceptance floor.
+// byte-identical images, parent scripts and serialized records for every
+// version and (b) the warm-over-cold speedup at jobs=1 clears the 3x
+// acceptance floor.
 //
 // The commits/sec table is printed for people to read; the reported
 // metrics (function/commit counts, cache hit/miss/eviction accounting,
-// front-half hits and misses, script bytes, byte identity) are
-// deterministic for a given profile and regression-gated.
+// front-half hits and misses, script bytes, byte identity, and the
+// distinct machine-code objects the store holds) are deterministic for a
+// given profile and regression-gated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +46,12 @@ namespace {
 /// UCC register allocation, frame layout) dominates a function's compile
 /// cost. \p Rev is the stage's revision: editing a stage bumps its
 /// revision, which perturbs constants in the body the way a threshold
-/// retune does.
-std::string stageSource(int F, int Rev) {
+/// retune does. \p Cal, when non-negative, names the calibration global
+/// `cal_<Cal>` the stage adds in before returning.
+std::string stageSource(int F, int Rev, int Cal) {
   int Salt = 17 + F * 13 + Rev * 101;
+  std::string Calibrate =
+      Cal < 0 ? std::string() : format("  acc = acc + cal_%d;\n", Cal);
   return format(R"(
 int stage_%d(int x) {
   int acc = x + %d;
@@ -74,26 +81,40 @@ int stage_%d(int x) {
   acc = acc + a0 + a1;
   acc = acc ^ (a2 + a3);
   acc = acc + (a4 ^ a5);
-  return acc & 0x7fff;
+%s  return acc & 0x7fff;
 }
 )",
                 F, Salt, Salt * 3 + 7, Salt & 0xff, 5 + (F % 9),
-                600 + Salt % 257);
+                600 + Salt % 257, Calibrate.c_str());
 }
 
-/// The firmware at a given set of per-stage revisions: every stage, plus a
-/// main loop that keeps them all live. Only the edited stages' text
+/// One release of the firmware: per stage, its revision and the
+/// calibration global it reads (-1: none), plus how many calibration
+/// globals the release declares.
+struct Firmware {
+  std::vector<int> Revs;
+  std::vector<int> Cals;
+  int NumCals = 0;
+};
+
+/// The firmware at one release: the calibration globals (newest first,
+/// so each new one is declared ahead of every other global), every stage,
+/// and a main loop that keeps them all live. Only the edited stages' text
 /// changes between releases — exactly the regime where a function-level
-/// cache should skip everything else.
-std::string firmwareSource(const std::vector<int> &Revs) {
-  std::string S = "int sys_ticks;\nint report_count;\n";
-  for (int F = 0; F < static_cast<int>(Revs.size()); ++F)
-    S += stageSource(F, Revs[static_cast<size_t>(F)]);
+/// cache should skip everything else, whatever index a declaration moves
+/// to.
+std::string firmwareSource(const Firmware &FW) {
+  std::string S;
+  for (int C = FW.NumCals - 1; C >= 0; --C)
+    S += format("int cal_%d;\n", C);
+  S += "int sys_ticks;\nint report_count;\n";
+  for (size_t F = 0; F < FW.Revs.size(); ++F)
+    S += stageSource(static_cast<int>(F), FW.Revs[F], FW.Cals[F]);
   S += "\nvoid main() {\n  int ticks = 0;\n  int acc = 0;\n"
        "  while (ticks < 50) {\n    sys_ticks = __in(3);\n"
        "    acc = acc + __in(4);\n";
-  for (int F = 0; F < static_cast<int>(Revs.size()); ++F)
-    S += format("    acc = acc + stage_%d(acc);\n", F);
+  for (size_t F = 0; F < FW.Revs.size(); ++F)
+    S += format("    acc = acc + stage_%zu(acc);\n", F);
   S += "    if (acc > 900) {\n      __out(1, acc & 0xff);\n"
        "      report_count = report_count + 1;\n    }\n"
        "    ticks = ticks + 1;\n  }\n"
@@ -109,19 +130,31 @@ std::string firmwareSource(const std::vector<int> &Revs) {
 /// starts at the second update, so the clock starts there too.
 constexpr int WarmupCommits = 2;
 
+/// Every StructuralEvery-th release is also structural: it declares a
+/// new calibration global ahead of all the others, which moves every
+/// global's index, and its last touched stage reads it from then on.
+constexpr int StructuralEvery = 3;
+
 /// The release chain: source 0 is the initial firmware; each later release
 /// bumps the revision of 1-3 stages (seeded, so every configuration
 /// commits the identical chain).
 std::vector<std::string> releaseChain(int Stages, int Commits) {
   std::vector<std::string> Sources;
-  std::vector<int> Revs(static_cast<size_t>(Stages), 0);
-  Sources.push_back(firmwareSource(Revs));
+  Firmware FW;
+  FW.Revs.assign(static_cast<size_t>(Stages), 0);
+  FW.Cals.assign(static_cast<size_t>(Stages), -1);
+  Sources.push_back(firmwareSource(FW));
   RNG Rng(0xc0117);
   for (int C = 0; C < Commits + WarmupCommits; ++C) {
     int Touched = 1 + static_cast<int>(Rng.below(3));
-    for (int T = 0; T < Touched; ++T)
-      ++Revs[static_cast<size_t>(Rng.below(static_cast<uint64_t>(Stages)))];
-    Sources.push_back(firmwareSource(Revs));
+    size_t Stage = 0;
+    for (int T = 0; T < Touched; ++T) {
+      Stage = static_cast<size_t>(Rng.below(static_cast<uint64_t>(Stages)));
+      ++FW.Revs[Stage];
+    }
+    if (C % StructuralEvery == StructuralEvery - 1)
+      FW.Cals[Stage] = FW.NumCals++;
+    Sources.push_back(firmwareSource(FW));
   }
   return Sources;
 }
@@ -132,7 +165,9 @@ std::vector<std::string> releaseChain(int Stages, int Commits) {
 struct ChainResult {
   double UpdateSeconds = 0.0;
   std::vector<std::vector<uint8_t>> Images; ///< image bytes per version
+  std::vector<std::vector<uint8_t>> Records; ///< record bytes per version
   std::vector<size_t> ScriptBytes; ///< script-from-parent per version
+  size_t StoredFunctions = 0;      ///< VersionStore::storedFunctions()
   CompileCacheStats Cache;         ///< zeros when the cache was off
   CompileCacheStats CacheBefore;   ///< snapshot when the clock started
   CompileCacheStats Front;         ///< the front half's reuse
@@ -176,8 +211,10 @@ ChainResult runChain(const std::vector<std::string> &Sources, int Jobs,
 
   for (const auto &V : Store.versions()) {
     R.Images.push_back(V->Image.serialize());
+    R.Records.push_back(V->Record.serialize());
     R.ScriptBytes.push_back(V->Parent < 0 ? 0 : V->FromParent.scriptBytes());
   }
+  R.StoredFunctions = Store.storedFunctions();
   return R;
 }
 
@@ -203,14 +240,15 @@ int main(int Argc, char **Argv) {
       Results[J][C] = runChain(Sources, JobsSweep[J], C == 1);
 
   // --- Byte identity across the whole sweep: every configuration must
-  // produce the identical image and parent script for every version. This
-  // is the acceptance anchor, so it hard-fails.
+  // produce the identical image, parent script and record for every
+  // version. This is the acceptance anchor, so it hard-fails.
   int Mismatches = 0;
   const ChainResult &Ref = Results[0][0];
   for (int J = 0; J < 2; ++J)
     for (int C = 0; C < 2; ++C) {
       const ChainResult &R = Results[J][C];
-      if (R.Images != Ref.Images || R.ScriptBytes != Ref.ScriptBytes) {
+      if (R.Images != Ref.Images || R.Records != Ref.Records ||
+          R.ScriptBytes != Ref.ScriptBytes) {
         std::fprintf(stderr,
                      "bench_compile_commits: jobs=%d cache=%s diverges "
                      "from jobs=1 cache=off\n",
@@ -219,8 +257,9 @@ int main(int Argc, char **Argv) {
       }
     }
 
-  // Cache accounting is scheduling-independent (every function has its
-  // own key; commits are sequential), so jobs=1 and jobs=8 must agree.
+  // Cache accounting and sharing are scheduling-independent (every
+  // function has its own key; commits are sequential), so jobs=1 and
+  // jobs=8 must agree.
   const CompileCacheStats &CS1 = Results[0][1].Cache;
   const CompileCacheStats &CS8 = Results[1][1].Cache;
   uint64_t TimedHits = CS1.Hits - Results[0][1].CacheBefore.Hits;
@@ -229,10 +268,11 @@ int main(int Argc, char **Argv) {
   const CompileCacheStats &Front8 = Results[1][1].Front;
   if (CS1.Hits != CS8.Hits || CS1.Misses != CS8.Misses ||
       CS1.Evictions != CS8.Evictions || Front.Hits != Front8.Hits ||
-      Front.Misses != Front8.Misses) {
+      Front.Misses != Front8.Misses ||
+      Results[0][1].StoredFunctions != Results[1][1].StoredFunctions) {
     std::fprintf(stderr,
-                 "bench_compile_commits: cache accounting differs "
-                 "between jobs=1 and jobs=8\n");
+                 "bench_compile_commits: cache accounting or sharing "
+                 "differs between jobs=1 and jobs=8\n");
     ++Mismatches;
   }
 
@@ -266,6 +306,9 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Front.Misses));
   std::printf("total script bytes:          %zu across %d commits\n",
               TotalScriptBytes, Commits);
+  std::printf("stored functions:            %zu distinct of %zu (cache on)\n",
+              Results[0][1].StoredFunctions,
+              Ref.Records.size() * static_cast<size_t>(Stages + 1));
   std::printf("byte-identical (4 configs):  %s\n",
               Mismatches == 0 ? "yes" : "NO");
 
@@ -281,6 +324,8 @@ int main(int Argc, char **Argv) {
   Bench.metric("total_script_bytes",
                static_cast<double>(TotalScriptBytes));
   Bench.metric("byte_identical", Mismatches == 0 ? 1.0 : 0.0);
+  Bench.metric("stored_functions",
+               static_cast<double>(Results[0][1].StoredFunctions));
 
   if (Mismatches != 0)
     return 1;

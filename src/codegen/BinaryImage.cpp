@@ -201,19 +201,31 @@ BinaryImage ucc::encodeModule(const MachineModule &MM, const Module &M,
                               const DataLayoutMap &DL,
                               const std::vector<FrameLayout> &Frames,
                               std::vector<std::vector<int>> *IRIndexOut) {
-  assert(Frames.size() == MM.Functions.size() &&
+  std::vector<const MachineFunction *> Functions;
+  Functions.reserve(MM.Functions.size());
+  for (const MachineFunction &MF : MM.Functions)
+    Functions.push_back(&MF);
+  return encodeModule(Functions, MM.EntryFunc, M, DL, Frames, IRIndexOut);
+}
+
+BinaryImage
+ucc::encodeModule(const std::vector<const MachineFunction *> &Functions,
+                  int EntryFunc, const Module &M, const DataLayoutMap &DL,
+                  const std::vector<FrameLayout> &Frames,
+                  std::vector<std::vector<int>> *IRIndexOut) {
+  assert(Frames.size() == Functions.size() &&
          "one frame layout per function");
   BinaryImage Img;
-  Img.EntryFunc = MM.EntryFunc;
+  Img.EntryFunc = EntryFunc;
 
   if (IRIndexOut)
-    IRIndexOut->resize(MM.Functions.size());
-  for (size_t F = 0; F < MM.Functions.size(); ++F) {
+    IRIndexOut->resize(Functions.size());
+  for (size_t F = 0; F < Functions.size(); ++F) {
     std::vector<uint32_t> Words = encodeFunction(
-        MM.Functions[F], DL, Frames[F],
+        *Functions[F], DL, Frames[F],
         IRIndexOut ? &(*IRIndexOut)[F] : nullptr);
     FunctionSpan Span;
-    Span.Name = MM.Functions[F].Name;
+    Span.Name = Functions[F]->Name;
     Span.Start = static_cast<uint32_t>(Img.Code.size());
     Span.Count = static_cast<uint32_t>(Words.size());
     Img.Functions.push_back(std::move(Span));

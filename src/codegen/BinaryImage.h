@@ -81,6 +81,13 @@ BinaryImage encodeModule(const MachineModule &MM, const Module &M,
                          const DataLayoutMap &DL,
                          const std::vector<FrameLayout> &Frames,
                          std::vector<std::vector<int>> *IRIndexOut = nullptr);
+/// The same for functions held elsewhere (a CompilationRecord's shared
+/// machine code), in module order, with entry function \p EntryFunc.
+BinaryImage encodeModule(const std::vector<const MachineFunction *> &Functions,
+                         int EntryFunc, const Module &M,
+                         const DataLayoutMap &DL,
+                         const std::vector<FrameLayout> &Frames,
+                         std::vector<std::vector<int>> *IRIndexOut = nullptr);
 
 /// Encodes a single function to instruction words (exposed for the differ
 /// and tests). See encodeModule for \p IRIndexOut.

@@ -115,6 +115,20 @@ int MachineFunction::instrCount() const {
   return N;
 }
 
+void MachineFunction::finish() {
+  Name.shrink_to_fit();
+  for (MBlock &BB : Blocks) {
+    BB.Name.shrink_to_fit();
+    BB.Instrs.shrink_to_fit();
+    BB.Succs.shrink_to_fit();
+  }
+  Blocks.shrink_to_fit();
+  for (MFrameObject &FO : FrameObjects)
+    FO.Name.shrink_to_fit();
+  FrameObjects.shrink_to_fit();
+  std::vector<std::string>().swap(VRegNames);
+}
+
 FlowGraph ucc::buildMachineFlowGraph(const MachineFunction &F) {
   FlowGraph G;
   G.NumValues = F.NextVReg;

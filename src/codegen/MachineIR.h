@@ -43,6 +43,8 @@ struct MInstr {
   int GlobalIdx = -1; ///< LDG/STG/LDGX/STGX: global index
   int FrameIdx = -1;  ///< LDF/STF/LDFX/STFX: frame object index
   int IRIndex = -1;   ///< originating IR statement (frequency lookup)
+
+  bool operator==(const MInstr &) const = default;
 };
 
 /// Fixed-capacity register-operand list for the allocation-lean hot path.
@@ -92,6 +94,8 @@ struct MBlock {
   std::string Name;
   std::vector<MInstr> Instrs;
   std::vector<int> Succs;
+
+  bool operator==(const MBlock &) const = default;
 };
 
 /// Sizes (in words) of everything addressed frame-relative.
@@ -99,6 +103,8 @@ struct MFrameObject {
   std::string Name;
   int SizeWords = 1;
   bool IsSpill = false;
+
+  bool operator==(const MFrameObject &) const = default;
 };
 
 /// A machine function.
@@ -109,8 +115,11 @@ struct MachineFunction {
   int NextVReg = FirstVReg;
   /// Source names per virtual register, indexed by (vreg - FirstVReg);
   /// empty for compiler temporaries. Used to give frame homes stable,
-  /// version-independent names.
+  /// version-independent names; register allocation is their last reader
+  /// and finish() drops them.
   std::vector<std::string> VRegNames;
+
+  bool operator==(const MachineFunction &) const = default;
 
   int makeVReg() {
     VRegNames.push_back("");
@@ -128,6 +137,11 @@ struct MachineFunction {
   int makeFrameObject(const std::string &Name, int SizeWords, bool IsSpill);
 
   int instrCount() const;
+
+  /// Readies a finished (allocated and laid out) function for storage:
+  /// drops VRegNames and shrinks every container to fit. A finished
+  /// function then equals its CompilationRecord round trip.
+  void finish();
 
   /// Renders the function as assembly-like text (virtual or physical regs).
   std::string print() const;

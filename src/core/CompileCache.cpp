@@ -85,7 +85,6 @@ void writeOldFunction(KeyWriter &W, const MachineFunction &MF,
                       const SymbolTable &FunctionNames) {
   W.str(MF.Name);
   W.i32(MF.NextVReg);
-  W.strs(MF.VRegNames);
   W.u32(static_cast<uint32_t>(MF.FrameObjects.size()));
   for (const MFrameObject &FO : MF.FrameObjects) {
     W.str(FO.Name);
@@ -152,15 +151,18 @@ void ucc::rebind(Function &F, const SymbolRefs &From, const SymbolRefs &To) {
     }
 }
 
-void ucc::rebind(MachineFunction &MF, const SymbolRefs &From,
-                 const SymbolRefs &To) {
+std::shared_ptr<const MachineFunction>
+ucc::rebind(std::shared_ptr<const MachineFunction> MF, const SymbolRefs &From,
+            const SymbolRefs &To) {
   if (From == To)
-    return;
-  for (MBlock &BB : MF.Blocks)
+    return MF;
+  auto Copy = std::make_shared<MachineFunction>(*MF);
+  for (MBlock &BB : Copy->Blocks)
     for (MInstr &I : BB.Instrs) {
       remap(I.GlobalIdx, From.Globals, To.Globals);
       remap(I.Callee, From.Callees, To.Callees);
     }
+  return Copy;
 }
 
 CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In,
@@ -169,7 +171,7 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In,
   K.reserve(256);
   KeyWriter W(K);
   W.u8('C');
-  W.u8(2); // schema version
+  W.u8(3); // schema version
   W.u8(In.RAKind);
   W.u8(In.DAKind);
   W.u8(In.UseUcc ? 1 : 0);
@@ -207,9 +209,10 @@ CompileCache::Key CompileCache::buildKey(const CompileKeyInputs &In,
   return K;
 }
 
-CompiledFunction CompileCache::lookupOrCompute(
-    const Key &K, const std::function<CompiledFunction()> &Compute,
-    bool *WasHit) {
+CompileCache::Result
+CompileCache::lookupOrCompute(const Key &K,
+                              const std::function<Result()> &Compute,
+                              bool *WasHit) {
   return Memo.getOrCompute(K, fnv1a(K), Compute, WasHit);
 }
 

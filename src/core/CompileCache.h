@@ -36,13 +36,20 @@
 ///     field including the energy-model-derived costs, UccDaOptions),
 ///   * the per-statement frequency vector fed to UCC-RA,
 ///   * and the relevant slice of the old CompilationRecord: the previous
-///     final machine code for this function, written the same way with
+///     final machine code for this function (every field a record
+///     serializes; VRegNames is never stored), written the same way with
 ///     the old record's names, and its old frame offsets — or an explicit
-///     "absent" marker.
+///     "absent" marker. A record loaded from disk therefore keys exactly
+///     as the in-memory record it was written from.
 ///
-/// A hit re-binds the result's MInstr::GlobalIdx and MInstr::Callee from
-/// the module that computed it to this one; when both modules number the
-/// references alike, it is used as it is.
+/// The cache holds each result behind a shared pointer to an immutable
+/// CompiledFunction whose machine code is itself shared: a hit is a
+/// pointer copy, and the records of the versions that used the result
+/// share its machine code with the cache (core/Record.h). When the module
+/// that computed a result numbers the function's references as this one
+/// does, a hit uses its machine code as it is; otherwise the hit re-binds
+/// a copy's MInstr::GlobalIdx and MInstr::Callee, and the cached object
+/// is never written.
 ///
 /// The cache itself is a support/MemoCache: the full canonical key bytes
 /// confirm every hit under an FNV-1a bucket hash, an in-flight latch makes
@@ -110,13 +117,17 @@ SymbolRefs collectRefs(const Function &F);
 /// Rewrites every global and callee index of \p F that \p From lists to
 /// the index at the same position of \p To (same lengths).
 void rebind(Function &F, const SymbolRefs &From, const SymbolRefs &To);
-/// The same for machine code.
-void rebind(MachineFunction &MF, const SymbolRefs &From,
-            const SymbolRefs &To);
+/// The same for machine code: \p MF itself when \p From equals \p To,
+/// else a re-bound copy; the shared object is never written.
+std::shared_ptr<const MachineFunction>
+rebind(std::shared_ptr<const MachineFunction> MF, const SymbolRefs &From,
+       const SymbolRefs &To);
 
 /// The memoized per-function pipeline result.
 struct CompiledFunction {
-  MachineFunction Final; ///< post-RA machine code (incl. spill slots)
+  /// Post-RA machine code (incl. spill slots), finished
+  /// (MachineFunction::finish) and shared with the records that use it.
+  std::shared_ptr<const MachineFunction> Final;
   FrameLayout Frame;     ///< frame layout for Final
   UccAllocStats Stats;   ///< deterministic allocator statistics
   /// The module indices Final names, in the key's first-use order.
@@ -199,10 +210,9 @@ public:
   /// a miss. Concurrent callers with the same key are latched: one
   /// computes, the rest wait and share the result. \p WasHit (optional)
   /// reports whether this lookup was answered from the cache.
-  CompiledFunction
-  lookupOrCompute(const Key &K,
-                  const std::function<CompiledFunction()> &Compute,
-                  bool *WasHit = nullptr);
+  using Result = std::shared_ptr<const CompiledFunction>;
+  Result lookupOrCompute(const Key &K, const std::function<Result()> &Compute,
+                         bool *WasHit = nullptr);
 
   /// Snapshot of the front half's table; null before the first store.
   std::shared_ptr<const FrontTable> frontTable() const;
@@ -224,7 +234,7 @@ public:
   void clear();
 
 private:
-  MemoCache<Key, CompiledFunction> Memo;
+  MemoCache<Key, Result> Memo;
   mutable std::mutex FrontLock; ///< guards the three fields below
   std::shared_ptr<const FrontTable> Front;
   uint64_t FrontHits = 0, FrontMisses = 0;

@@ -234,9 +234,10 @@ std::optional<Module> frontHalf(const std::string &Source,
 }
 
 /// Builds the record from a finished compilation.
-CompilationRecord buildRecord(const Module &M, const MachineModule &MM,
-                              const DataLayoutMap &DL,
-                              const std::vector<FrameLayout> &Frames) {
+CompilationRecord
+buildRecord(const Module &M,
+            std::vector<std::shared_ptr<const MachineFunction>> Code,
+            const DataLayoutMap &DL, const std::vector<FrameLayout> &Frames) {
   CompilationRecord Rec;
   Rec.FunctionNames.reserve(M.Functions.size());
   for (const Function &F : M.Functions)
@@ -244,10 +245,7 @@ CompilationRecord buildRecord(const Module &M, const MachineModule &MM,
   Rec.GlobalNames.reserve(M.Globals.size());
   for (const GlobalVar &G : M.Globals)
     Rec.GlobalNames.push_back(G.Name);
-  // Copied, not moved: the copy's vectors are sized to fit, while the
-  // compiled ones keep their growth slack, and a stored version keeps its
-  // record for the life of the store.
-  Rec.FinalCode = MM.Functions;
+  Rec.FinalCode = std::move(Code);
   Rec.FrameOffsets.reserve(Frames.size());
   for (const FrameLayout &FL : Frames)
     Rec.FrameOffsets.push_back(FL.Offsets);
@@ -287,9 +285,8 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
   uint64_t EvictionsBefore = Opts.Cache ? Opts.Cache->stats().Evictions : 0;
 
   int NumFns = static_cast<int>(M.Functions.size());
-  MachineModule MM;
-  MM.EntryFunc = M.EntryFunc;
-  MM.Functions.resize(static_cast<size_t>(NumFns));
+  std::vector<std::shared_ptr<const MachineFunction>> Code(
+      static_cast<size_t>(NumFns));
   Out.RegAllocStats.resize(static_cast<size_t>(NumFns));
   std::vector<FrameLayout> Frames(static_cast<size_t>(NumFns));
 
@@ -305,7 +302,7 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
 
     int OldIdx = UseUcc ? OldRecord->findFunction(IRF.Name) : -1;
     const MachineFunction *OldFinal =
-        OldIdx >= 0 ? &OldRecord->FinalCode[static_cast<size_t>(OldIdx)]
+        OldIdx >= 0 ? OldRecord->FinalCode[static_cast<size_t>(OldIdx)].get()
                     : nullptr;
     const std::vector<int> *OldOffsets =
         UccFrames && OldIdx >= 0 &&
@@ -332,9 +329,10 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
 
     auto compute = [&]() -> CompiledFunction {
       CompiledFunction R;
+      MachineFunction MF;
       {
         ScopedSpan Span("isel");
-        R.Final = selectFunction(M, IRF);
+        MF = selectFunction(M, IRF);
       }
       {
         ScopedSpan Span("ra");
@@ -345,22 +343,24 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
           Ctx.OldFunctionNames = &OldFunctionSyms;
           Ctx.NewGlobalNames = &NewGlobalSyms;
           Ctx.NewFunctionNames = &NewFunctionSyms;
-          R.Stats = allocateUcc(R.Final, Ctx, UccOpts, Freq);
+          R.Stats = allocateUcc(MF, Ctx, UccOpts, Freq);
         } else {
-          allocateLinearScan(R.Final);
+          allocateLinearScan(MF);
           R.Stats = UccAllocStats{};
         }
-        assert(validateAllocation(R.Final).empty() &&
+        assert(validateAllocation(MF).empty() &&
                "register allocation failed validation");
       }
       {
         ScopedSpan Span("da");
         if (OldOffsets)
           R.Frame = layoutFrameUpdateConscious(
-              R.Final, OldFinal->FrameObjects, *OldOffsets, Opts.UccDa);
+              MF, OldFinal->FrameObjects, *OldOffsets, Opts.UccDa);
         else
-          R.Frame = layoutFrame(R.Final);
+          R.Frame = layoutFrame(MF);
       }
+      MF.finish();
+      R.Final = std::make_shared<const MachineFunction>(std::move(MF));
       return R;
     };
 
@@ -385,20 +385,23 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
       // function references differently.
       SymbolRefs Refs;
       CompileCache::Key Key = CompileCache::buildKey(In, &Refs);
-      auto computeWithRefs = [&] {
-        CompiledFunction C = compute();
-        C.Refs = Refs;
+      auto computeWithRefs = [&]() -> CompileCache::Result {
+        auto C = std::make_shared<CompiledFunction>(compute());
+        C->Refs = Refs;
         return C;
       };
       bool Hit = false;
-      R = Opts.Cache->lookupOrCompute(Key, computeWithRefs, &Hit);
-      rebind(R.Final, R.Refs, Refs);
+      CompileCache::Result Cached =
+          Opts.Cache->lookupOrCompute(Key, computeWithRefs, &Hit);
+      R.Final = rebind(Cached->Final, Cached->Refs, Refs);
+      R.Frame = Cached->Frame;
+      R.Stats = Cached->Stats;
       telemetryCount(Hit ? "compile.cache_hits" : "compile.cache_misses");
     } else {
       R = compute();
     }
 
-    MM.Functions[static_cast<size_t>(F)] = std::move(R.Final);
+    Code[static_cast<size_t>(F)] = std::move(R.Final);
     Frames[static_cast<size_t>(F)] = std::move(R.Frame);
     Out.RegAllocStats[static_cast<size_t>(F)] = R.Stats;
     if (currentTelemetry()) {
@@ -425,7 +428,12 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
 
   {
     ScopedSpan Span("encode");
-    Out.Image = encodeModule(MM, M, Layout, Frames, &Out.EncodedIRIndex);
+    std::vector<const MachineFunction *> Functions;
+    Functions.reserve(Code.size());
+    for (const std::shared_ptr<const MachineFunction> &MF : Code)
+      Functions.push_back(MF.get());
+    Out.Image = encodeModule(Functions, M.EntryFunc, M, Layout, Frames,
+                             &Out.EncodedIRIndex);
   }
 
   // Cache accounting on the parent registry (hits/misses were counted in
@@ -438,7 +446,9 @@ CompileOutput backHalf(Module M, const CompileOptions &Opts,
                    static_cast<double>(CS.Entries));
   }
 
-  Out.Record = buildRecord(M, MM, Layout, Frames);
+  Out.Record = buildRecord(M, std::move(Code), Layout, Frames);
+  if (OldRecord)
+    Out.Record.shareUnchanged(*OldRecord);
   Out.IR = std::move(M);
   return Out;
 }

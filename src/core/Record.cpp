@@ -4,6 +4,8 @@
 
 #include "support/ByteStream.h"
 
+#include <algorithm>
+
 using namespace ucc;
 
 int CompilationRecord::findFunction(const std::string &Name) const {
@@ -11,6 +13,29 @@ int CompilationRecord::findFunction(const std::string &Name) const {
     if (FunctionNames[I] == Name)
       return static_cast<int>(I);
   return -1;
+}
+
+void CompilationRecord::shareUnchanged(const CompilationRecord &Old) {
+  for (size_t I = 0; I < FinalCode.size(); ++I) {
+    int J = Old.findFunction(FunctionNames[I]);
+    if (J < 0)
+      continue;
+    const std::shared_ptr<const MachineFunction> &Prev =
+        Old.FinalCode[static_cast<size_t>(J)];
+    if (Prev != FinalCode[I] && *Prev == *FinalCode[I])
+      FinalCode[I] = Prev;
+  }
+}
+
+bool CompilationRecord::operator==(const CompilationRecord &O) const {
+  auto SameCode = [](const std::shared_ptr<const MachineFunction> &A,
+                     const std::shared_ptr<const MachineFunction> &B) {
+    return A == B || *A == *B;
+  };
+  return FunctionNames == O.FunctionNames && GlobalNames == O.GlobalNames &&
+         std::equal(FinalCode.begin(), FinalCode.end(), O.FinalCode.begin(),
+                    O.FinalCode.end(), SameCode) &&
+         FrameOffsets == O.FrameOffsets && GlobalLayout == O.GlobalLayout;
 }
 
 namespace {
@@ -103,6 +128,7 @@ MachineFunction readMachineFunction(ByteReader &R) {
       BB.Instrs.push_back(readMInstr(R));
     MF.Blocks.push_back(std::move(BB));
   }
+  MF.finish();
   return MF;
 }
 
@@ -118,8 +144,8 @@ std::vector<uint8_t> CompilationRecord::serialize() const {
   for (const std::string &N : GlobalNames)
     W.writeString(N);
   W.writeU32(static_cast<uint32_t>(FinalCode.size()));
-  for (const MachineFunction &MF : FinalCode)
-    writeMachineFunction(W, MF);
+  for (const std::shared_ptr<const MachineFunction> &MF : FinalCode)
+    writeMachineFunction(W, *MF);
   W.writeU32(static_cast<uint32_t>(FrameOffsets.size()));
   for (const std::vector<int> &Offsets : FrameOffsets) {
     W.writeU32(static_cast<uint32_t>(Offsets.size()));
@@ -150,7 +176,8 @@ bool CompilationRecord::deserialize(const std::vector<uint8_t> &Bytes,
     Out.GlobalNames.push_back(R.readString());
   uint32_t NumCode = R.readU32();
   for (uint32_t K = 0; K < NumCode && !R.hadError(); ++K)
-    Out.FinalCode.push_back(readMachineFunction(R));
+    Out.FinalCode.push_back(
+        std::make_shared<const MachineFunction>(readMachineFunction(R)));
   uint32_t NumFrames = R.readU32();
   for (uint32_t K = 0; K < NumFrames && !R.hadError(); ++K) {
     std::vector<int> Offsets;

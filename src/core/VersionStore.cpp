@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <unordered_set>
 
 using namespace ucc;
 
@@ -152,9 +153,12 @@ std::optional<VersionStore> VersionStore::open(const std::string &Dir,
       return std::nullopt;
     }
 
-    if (V.Parent >= 0)
-      V.FromParent = makeImageUpdate(
-          S.Versions[static_cast<size_t>(V.Parent)]->Image, V.Image);
+    if (V.Parent >= 0) {
+      const StoredVersion &P = *S.Versions[static_cast<size_t>(V.Parent)];
+      V.FromParent = makeImageUpdate(P.Image, V.Image);
+      // Shares as the commit did: with the record it was compiled against.
+      V.Record.shareUnchanged(P.Record);
+    }
 
     S.Versions.push_back(std::make_shared<const StoredVersion>(std::move(V)));
   }
@@ -258,6 +262,14 @@ int VersionStore::addUpdate(const std::string &Source,
   V.Image = std::move(Out->Image);
   V.Record = std::move(Out->Record);
   return commitVersion(std::move(V), Diag);
+}
+
+size_t VersionStore::storedFunctions() const {
+  std::unordered_set<const MachineFunction *> Distinct;
+  for (const std::shared_ptr<const StoredVersion> &V : Versions)
+    for (const std::shared_ptr<const MachineFunction> &MF : V->Record.FinalCode)
+      Distinct.insert(MF.get());
+  return Distinct.size();
 }
 
 const StoredVersion *VersionStore::find(int Id) const {

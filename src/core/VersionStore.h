@@ -11,7 +11,10 @@
 /// inherently stateful — the sink "keeps the record of previous
 /// compilation" across an open-ended stream of updates — and this store
 /// makes that state first class instead of leaving it implicit in
-/// caller-managed CompileOutput variables.
+/// caller-managed CompileOutput variables. A version's record shares the
+/// machine code of every function its commit left unchanged with its
+/// parent's record (core/Record.h), in memory and again when `open`
+/// loads it, so the store grows with the functions edited.
 ///
 /// On top of the store sits the planner: an update between ANY two stored
 /// versions is planned either as a fresh endpoint diff (Direct) or as the
@@ -113,6 +116,11 @@ public:
     return Versions;
   }
   const std::string &directory() const { return Dir; }
+
+  /// The distinct machine-code objects the stored records hold. Records
+  /// share the functions a commit left unchanged (core/Record.h), so this
+  /// grows with the functions edited, not with versions x functions.
+  size_t storedFunctions() const;
 
   /// Plans the update taking \p FromId to \p ToId: builds the fresh
   /// endpoint diff, and — whenever the two versions are connected in the

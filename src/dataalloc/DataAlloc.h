@@ -49,11 +49,15 @@ struct OldRegionLayout {
     std::string Name;
     int Offset = 0;
     int SizeWords = 1;
+
+    bool operator==(const Entry &) const = default;
   };
   std::vector<Entry> Entries;
   int Words = 0;
 
   const Entry *find(const std::string &Name) const;
+
+  bool operator==(const OldRegionLayout &) const = default;
 };
 
 /// One region to lay out: the current variable set plus the old layout.

@@ -36,9 +36,11 @@ namespace {
 
 /// A recognizable result for direct lookupOrCompute tests (no real
 /// compilation involved; the cache stores whatever the functor returns).
-CompiledFunction marked(const std::string &Name) {
-  CompiledFunction R;
-  R.Final.Name = Name;
+CompileCache::Result marked(const std::string &Name) {
+  auto MF = std::make_shared<MachineFunction>();
+  MF->Name = Name;
+  auto R = std::make_shared<CompiledFunction>();
+  R->Final = std::move(MF);
   return R;
 }
 
@@ -95,11 +97,11 @@ TEST(CompileCache, HitMissAccountingIsExact) {
   bool Hit = true;
   Cache.lookupOrCompute(A, [] { return marked("a"); }, &Hit);
   EXPECT_FALSE(Hit);
-  CompiledFunction R = Cache.lookupOrCompute(
+  CompileCache::Result R = Cache.lookupOrCompute(
       A, [] { return marked("WRONG"); }, &Hit);
   EXPECT_TRUE(Hit);
-  EXPECT_EQ(R.Final.Name, "a") << "hit must return the cached result, "
-                                  "not recompute";
+  EXPECT_EQ(R->Final->Name, "a") << "hit must return the cached result, "
+                                    "not recompute";
   Cache.lookupOrCompute(B, [] { return marked("b"); }, &Hit);
   EXPECT_FALSE(Hit);
 
@@ -374,10 +376,8 @@ std::string backInputs(const CompileOutput &Out, const Function &F,
   int OldIdx = Old->findFunction(F.Name);
   if (OldIdx < 0)
     return S + "\nucc, new";
-  const MachineFunction &MF = Old->FinalCode[static_cast<size_t>(OldIdx)];
+  const MachineFunction &MF = *Old->FinalCode[static_cast<size_t>(OldIdx)];
   S += format("\nucc, old %d", MF.NextVReg);
-  for (const std::string &N : MF.VRegNames)
-    S += format(" '%s'", N.c_str());
   for (const MFrameObject &FO : MF.FrameObjects)
     S += format(" frame %s %d %d", FO.Name.c_str(), FO.SizeWords, FO.IsSpill);
   for (const MBlock &BB : MF.Blocks) {
@@ -404,8 +404,12 @@ std::string backInputs(const CompileOutput &Out, const Function &F,
 /// that each release recompiles against the previous release's record.
 /// Every release must agree field by field and byte for byte, and the
 /// back half must hit exactly on the functions whose backInputs an
-/// earlier release already compiled. Returns the front half's
-/// per-release (hits, misses) of the cached chain.
+/// earlier release already compiled. Records share machine code with the
+/// cache and with each other, so each cached record must still serialize
+/// as it did when its release was compiled once the chain is done; and a
+/// GCC-RA record's code must equal a fresh compile's, whatever it shares.
+/// Returns the front half's per-release (hits, misses) of the cached
+/// chain.
 std::vector<std::pair<uint64_t, uint64_t>>
 expectChainMatches(const std::vector<std::string> &Sources,
                    CompileCache &Cache, const std::string &What,
@@ -415,6 +419,8 @@ expectChainMatches(const std::vector<std::string> &Sources,
   Cached.Cache = &Cache;
   std::optional<CompileOutput> PrevPlain, PrevCached;
   std::set<std::string> Compiled; ///< backInputs of every release so far
+  /// Every cached release's record, and its bytes when it was compiled.
+  std::vector<std::pair<CompilationRecord, std::vector<uint8_t>>> Kept;
   for (size_t V = 0; V < Sources.size(); ++V) {
     SCOPED_TRACE(What + format(", release %zu", V));
     CompileCacheStats Before = Cache.frontStats();
@@ -433,6 +439,17 @@ expectChainMatches(const std::vector<std::string> &Sources,
     EXPECT_EQ(C.IR.print(), P.IR.print());
     EXPECT_EQ(C.Image.serialize(), P.Image.serialize());
     EXPECT_EQ(C.Record.serialize(), P.Record.serialize());
+    EXPECT_TRUE(C.Record == P.Record);
+    Kept.emplace_back(C.Record, C.Record.serialize());
+    if (Opts.RA == RegAllocKind::Baseline) {
+      CompileOutput Fresh = mustCompile(Sources[V], Opts);
+      EXPECT_EQ(C.Record.FinalCode.size(), Fresh.Record.FinalCode.size());
+      for (size_t F = 0; F < Fresh.Record.FinalCode.size() &&
+                         F < C.Record.FinalCode.size();
+           ++F)
+        EXPECT_TRUE(*C.Record.FinalCode[F] == *Fresh.Record.FinalCode[F])
+            << Fresh.Record.FunctionNames[F];
+    }
 
     bool Ucc = Opts.RA == RegAllocKind::UpdateConscious && V > 0;
     uint64_t BackHits = 0;
@@ -450,6 +467,10 @@ expectChainMatches(const std::vector<std::string> &Sources,
     PrevPlain = std::move(P);
     PrevCached = std::move(C);
   }
+  for (size_t V = 0; V < Kept.size(); ++V)
+    EXPECT_EQ(Kept[V].first.serialize(), Kept[V].second)
+        << What << ": release " << V << "'s record changed after it was "
+        << "compiled";
   return Front;
 }
 

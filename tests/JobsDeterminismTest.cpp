@@ -189,6 +189,44 @@ TEST(JobsDeterminism, ParallelDiffingBitIdenticalAcrossJobs) {
       << "diff.* counters must be identical across job counts";
 }
 
+TEST(JobsDeterminism, SharedRecordsIdenticalAcrossJobs) {
+  // Records share machine code with their parents and with the compile
+  // cache. A cached chain committed at 1 and at 8 jobs must store the
+  // same records and share them alike: the same number of distinct
+  // function objects, and the same sharing pattern version by version.
+  const UpdateCase &Case = updateCases()[2];
+  std::vector<std::string> Sources = {Case.OldSource, Case.NewSource,
+                                      Case.OldSource, Case.NewSource};
+  VersionStore Stores[2];
+  CompileCache Caches[2];
+  const int JobCounts[2] = {1, 8};
+  for (int K = 0; K < 2; ++K) {
+    CompileOptions Opts = uccOptions(JobCounts[K]);
+    Opts.Cache = &Caches[K];
+    DiagnosticEngine Diag;
+    for (size_t V = 0; V < Sources.size(); ++V) {
+      int Id = V == 0 ? Stores[K].addInitial(Sources[V], Opts, Diag)
+                      : Stores[K].addUpdate(Sources[V], Opts, Diag);
+      ASSERT_EQ(Id, static_cast<int>(V)) << Diag.str();
+    }
+  }
+  EXPECT_EQ(Stores[0].storedFunctions(), Stores[1].storedFunctions());
+  for (int Id = 0; Id < static_cast<int>(Sources.size()); ++Id) {
+    const CompilationRecord &A = Stores[0].find(Id)->Record;
+    const CompilationRecord &B = Stores[1].find(Id)->Record;
+    EXPECT_EQ(A.serialize(), B.serialize()) << "v" << Id;
+    EXPECT_TRUE(A == B) << "v" << Id;
+    if (Id == 0)
+      continue;
+    const CompilationRecord &PA = Stores[0].find(Id - 1)->Record;
+    const CompilationRecord &PB = Stores[1].find(Id - 1)->Record;
+    for (size_t F = 0; F < A.FinalCode.size(); ++F)
+      EXPECT_EQ(A.FinalCode[F] == PA.FinalCode[F],
+                B.FinalCode[F] == PB.FinalCode[F])
+          << "v" << Id << " " << A.FunctionNames[F];
+  }
+}
+
 TEST(JobsDeterminism, VersionStoreChainMatchesManualChainAcrossJobs) {
   // Driving v1 -> v2 -> v3 through the store must be byte-identical to
   // the hand-rolled compile/recompile chain, at every job count — the

@@ -354,6 +354,43 @@ TEST(PlanService, PlansAndVersionsOutliveTheService) {
   EXPECT_EQ(Patched.serialize(), New->Image.serialize());
 }
 
+TEST(PlanService, VersionRecordsOutliveTheServiceAndItsCompileCache) {
+  // Commits through the service's own compile cache: the versions'
+  // records share machine code with the cache. A version taken from the
+  // service stays whole after the service, and with it the cache, is
+  // gone.
+  const UpdateCase &Case = updateCases()[5];
+  std::vector<std::shared_ptr<const StoredVersion>> Kept;
+  std::vector<std::vector<uint8_t>> Bytes;
+  {
+    PlanService Service{VersionStore()};
+    DiagnosticEngine Diag;
+    for (int V = 0; V < 4; ++V)
+      ASSERT_EQ(Service.commit(V % 2 ? Case.NewSource : Case.OldSource,
+                               uccOptions(), Diag),
+                V)
+          << Diag.str();
+    EXPECT_GT(Service.compileCacheStats().Hits, 0u);
+    for (int V = 0; V < 4; ++V) {
+      Kept.push_back(Service.version(V));
+      Bytes.push_back(Kept.back()->Record.serialize());
+    }
+  }
+  for (size_t V = 0; V < Kept.size(); ++V)
+    EXPECT_EQ(Kept[V]->Record.serialize(), Bytes[V]) << "v" << V;
+  // The kept record still steers a recompile as its bytes do.
+  CompilationRecord Loaded;
+  ASSERT_TRUE(CompilationRecord::deserialize(Bytes[3], Loaded));
+  DiagnosticEngine Diag;
+  auto FromKept = Compiler::recompile(Case.OldSource, Kept[3]->Record,
+                                      uccOptions(), Diag);
+  auto FromBytes =
+      Compiler::recompile(Case.OldSource, Loaded, uccOptions(), Diag);
+  ASSERT_TRUE(FromKept && FromBytes) << Diag.str();
+  EXPECT_EQ(FromKept->Image.serialize(), FromBytes->Image.serialize());
+  EXPECT_TRUE(FromKept->Record == FromBytes->Record);
+}
+
 TEST(PlanService, BatchDedupesAndPreservesOrder) {
   PlanService Service(buildChain());
   std::vector<std::pair<int, int>> Pairs = {

@@ -154,13 +154,52 @@ TEST(Serialization, RecordBitFlipFuzzNeverCrashes) {
   EXPECT_GT(Rejected, 0);
 }
 
+TEST(Serialization, RecordRoundTripsFieldForField) {
+  // A record keeps no state its bytes lack: for an initial compile and a
+  // UCC-RA/UCC-DA recompile (frame offsets, spill slots, a non-empty old
+  // layout), deserialize(serialize(R)) equals R in every field, machine
+  // code included.
+  const UpdateCase &Case = updateCases()[7];
+  CompileOutput V1 = mustCompile(Case.OldSource);
+  CompileOptions Opts;
+  Opts.RA = RegAllocKind::UpdateConscious;
+  Opts.DA = DataAllocKind::UpdateConscious;
+  DiagnosticEngine Diag;
+  auto V2 = Compiler::recompile(Case.NewSource, V1.Record, Opts, Diag);
+  ASSERT_TRUE(V2.has_value()) << Diag.str();
+  for (const CompilationRecord *R : {&V1.Record, &V2->Record}) {
+    ASSERT_GT(R->FinalCode.size(), 1u);
+    ASSERT_FALSE(R->GlobalLayout.Entries.empty());
+    CompilationRecord Back;
+    ASSERT_TRUE(CompilationRecord::deserialize(R->serialize(), Back));
+    EXPECT_TRUE(Back == *R);
+    for (size_t F = 0; F < R->FinalCode.size(); ++F) {
+      EXPECT_TRUE(*Back.FinalCode[F] == *R->FinalCode[F])
+          << R->FunctionNames[F];
+      EXPECT_TRUE(R->FinalCode[F]->VRegNames.empty())
+          << "a stored function keeps no register-allocation scratch";
+    }
+  }
+
+  // Equality reads the machine code, not just the tables around it.
+  CompilationRecord Edited = V2->Record;
+  MachineFunction MF = *Edited.FinalCode.back();
+  ASSERT_FALSE(MF.Blocks.empty() || MF.Blocks[0].Instrs.empty());
+  ++MF.Blocks[0].Instrs[0].IRIndex;
+  Edited.FinalCode.back() =
+      std::make_shared<const MachineFunction>(std::move(MF));
+  EXPECT_FALSE(Edited == V2->Record);
+}
+
 TEST(Serialization, RecordRejectsCorruptOpcode) {
   CompileOutput Out = mustCompile(workloadSource("Blink"));
   CompilationRecord Rec = Out.Record;
   ASSERT_FALSE(Rec.FinalCode.empty());
-  ASSERT_FALSE(Rec.FinalCode[0].Blocks.empty());
-  ASSERT_FALSE(Rec.FinalCode[0].Blocks[0].Instrs.empty());
-  Rec.FinalCode[0].Blocks[0].Instrs[0].Op = static_cast<MOp>(0xee);
+  MachineFunction MF = *Rec.FinalCode[0];
+  ASSERT_FALSE(MF.Blocks.empty());
+  ASSERT_FALSE(MF.Blocks[0].Instrs.empty());
+  MF.Blocks[0].Instrs[0].Op = static_cast<MOp>(0xee);
+  Rec.FinalCode[0] = std::make_shared<const MachineFunction>(std::move(MF));
   CompilationRecord Back;
   EXPECT_FALSE(CompilationRecord::deserialize(Rec.serialize(), Back));
 }
@@ -169,8 +208,10 @@ TEST(Serialization, RecordRejectsOutOfRangeSuccessor) {
   CompileOutput Out = mustCompile(workloadSource("Blink"));
   CompilationRecord Rec = Out.Record;
   ASSERT_FALSE(Rec.FinalCode.empty());
-  ASSERT_FALSE(Rec.FinalCode[0].Blocks.empty());
-  Rec.FinalCode[0].Blocks[0].Succs.push_back(9999);
+  MachineFunction MF = *Rec.FinalCode[0];
+  ASSERT_FALSE(MF.Blocks.empty());
+  MF.Blocks[0].Succs.push_back(9999);
+  Rec.FinalCode[0] = std::make_shared<const MachineFunction>(std::move(MF));
   CompilationRecord Back;
   EXPECT_FALSE(CompilationRecord::deserialize(Rec.serialize(), Back));
 }

@@ -100,7 +100,7 @@ TEST(UccCompiler, RecordRoundTripsThroughSerialization) {
   EXPECT_EQ(Back.FunctionNames, Out.Record.FunctionNames);
   EXPECT_EQ(Back.GlobalNames, Out.Record.GlobalNames);
   ASSERT_EQ(Back.FinalCode.size(), Out.Record.FinalCode.size());
-  EXPECT_EQ(Back.FinalCode[0].print(), Out.Record.FinalCode[0].print());
+  EXPECT_EQ(Back.FinalCode[0]->print(), Out.Record.FinalCode[0]->print());
   EXPECT_EQ(Back.GlobalLayout.Words, Out.Record.GlobalLayout.Words);
 }
 
@@ -241,8 +241,8 @@ TEST(UccCompiler, HighCntDisablesMovInsertion) {
 TEST(UccCompiler, AllAllocationsValidate) {
   CompileOutput V1 = mustCompile(CounterV1);
   CompileOutput V2 = mustRecompile(CounterV3Medium, V1.Record, uccOptions());
-  for (const MachineFunction &MF : V2.Record.FinalCode) {
-    auto Problems = validateAllocation(MF);
+  for (const auto &MF : V2.Record.FinalCode) {
+    auto Problems = validateAllocation(*MF);
     EXPECT_TRUE(Problems.empty())
         << (Problems.empty() ? "" : Problems[0]);
   }
@@ -294,8 +294,8 @@ TEST(UccCompiler, NonConvergingFunctionFallsBackToLinearScan) {
     return mustRecompile(FullRegisterFile, V1.Record, uccOptions());
   }();
   EXPECT_EQ(T.counter("ra.ucc_fallbacks"), 1) << "stage_0 only";
-  for (const MachineFunction &MF : V2.Record.FinalCode)
-    EXPECT_TRUE(validateAllocation(MF).empty()) << MF.Name;
+  for (const auto &MF : V2.Record.FinalCode)
+    EXPECT_TRUE(validateAllocation(*MF).empty()) << MF->Name;
   RunResult Updated = runImage(V2.Image);
   ASSERT_TRUE(Updated.Halted) << Updated.TrapReason;
   EXPECT_EQ(Updated.DebugTrace, std::vector<int16_t>{62});

@@ -39,8 +39,8 @@ TEST(UccHybrid, IlpStrategySolvesStraightLineFunctions) {
   EXPECT_TRUE(AnyIlp);
 
   // Allocations validate and behavior matches a fresh baseline build.
-  for (const MachineFunction &MF : V2->Record.FinalCode) {
-    auto Problems = validateAllocation(MF);
+  for (const auto &MF : V2->Record.FinalCode) {
+    auto Problems = validateAllocation(*MF);
     EXPECT_TRUE(Problems.empty()) << (Problems.empty() ? "" : Problems[0]);
   }
   RunResult Fresh = runImage(mustCompile(Case.NewSource).Image);

@@ -90,7 +90,7 @@ TEST(UccStats, StatsArePerFunctionAndCoverAllFunctions) {
   EXPECT_EQ(V2.RegAllocStats.size(), V2.Record.FinalCode.size());
   for (size_t F = 0; F < V2.RegAllocStats.size(); ++F)
     EXPECT_EQ(V2.RegAllocStats[F].TotalInstrs,
-              V2.Record.FinalCode[F].instrCount());
+              V2.Record.FinalCode[F]->instrCount());
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VersionStore.h"
+#include "support/Format.h"
 #include "support/Json.h"
 #include "support/Telemetry.h"
 #include "workloads/Workloads.h"
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <vector>
 
 using namespace ucc;
 
@@ -59,6 +61,43 @@ void buildDag(VersionStore &Store) {
       << Diag.str();
   ASSERT_EQ(Store.addUpdate(Case.OldSource, uccOptions(), Diag, 3), 4)
       << Diag.str();
+}
+
+/// A forward release chain: `tune`'s constant grows every release, and
+/// release 2 declares `cal` ahead of every other global and edits `bias`
+/// to read it, so every later release renumbers `mix`'s and `main`'s
+/// globals while their text stays put. No function ever returns to an
+/// earlier content.
+std::vector<std::string> forwardChain() {
+  std::vector<std::string> Sources;
+  for (int Rev = 0; Rev < 5; ++Rev) {
+    bool Calibrated = Rev >= 2;
+    std::string S = Calibrated ? "int cal;\n" : "";
+    S += "int ticks;\nint total;\n";
+    S += format("int tune(int x) { return x * 3 + %d; }\n", 7 + Rev);
+    S += "int mix(int a, int b) {\n  total = total + a;\n"
+         "  return (a ^ b) + ticks;\n}\n";
+    S += Calibrated ? "int bias(int x) { return x + cal; }\n"
+                    : "int bias(int x) { return x + 1; }\n";
+    S += "void main() {\n  ticks = __in(2);\n"
+         "  __out(1, bias(mix(tune(4), 9)));\n  __out(2, total);\n"
+         "  __halt();\n}\n";
+    Sources.push_back(S);
+  }
+  return Sources;
+}
+
+/// Commits \p Sources into \p Store through \p Cache.
+void commitAll(VersionStore &Store, const std::vector<std::string> &Sources,
+               CompileCache &Cache) {
+  CompileOptions Opts = uccOptions();
+  Opts.Cache = &Cache;
+  DiagnosticEngine Diag;
+  for (size_t V = 0; V < Sources.size(); ++V) {
+    int Id = V == 0 ? Store.addInitial(Sources[V], Opts, Diag)
+                    : Store.addUpdate(Sources[V], Opts, Diag);
+    ASSERT_EQ(Id, static_cast<int>(V)) << Diag.str();
+  }
 }
 
 class ScratchDir : public ::testing::Test {
@@ -273,11 +312,13 @@ TEST(VersionStore, PlanRejectsUnknownVersions) {
 }
 
 TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
+  size_t Shared = 0;
   {
     DiagnosticEngine Diag;
     auto Store = VersionStore::open(Dir, Diag);
     ASSERT_TRUE(Store.has_value()) << Diag.str();
     buildChain(*Store);
+    Shared = Store->storedFunctions();
   }
   DiagnosticEngine Diag;
   auto Reopened = VersionStore::open(Dir, Diag);
@@ -295,11 +336,16 @@ TEST_F(ScratchDir, OnDiskStoreSurvivesReopen) {
     const StoredVersion *B = Fresh.find(Id);
     EXPECT_EQ(A->Image.serialize(), B->Image.serialize()) << "v" << Id;
     EXPECT_EQ(A->Record.serialize(), B->Record.serialize()) << "v" << Id;
+    EXPECT_TRUE(A->Record == B->Record) << "v" << Id;
     EXPECT_EQ(A->Parent, B->Parent);
     EXPECT_EQ(A->SourceHash, B->SourceHash);
     EXPECT_EQ(A->FromParent.scriptBytes(), B->FromParent.scriptBytes());
     EXPECT_EQ(A->FromParent.serialize(), B->FromParent.serialize());
   }
+  // The reopened records share machine code as the committed ones did.
+  EXPECT_EQ(Reopened->storedFunctions(), Shared);
+  EXPECT_EQ(Fresh.storedFunctions(), Shared);
+
   // The rebuilt parent -> child updates serve the same one-hop plans.
   for (auto [From, To] : {std::pair{0, 1}, {1, 2}, {2, 1}}) {
     auto A = Reopened->plan(From, To);
@@ -371,6 +417,71 @@ TEST_F(ScratchDir, ManifestsWithAndWithoutALayoutOpenAlike) {
     EXPECT_EQ(A->FromParent.serialize(), B->FromParent.serialize())
         << "v" << Id;
   }
+}
+
+TEST_F(ScratchDir, ReopenedRecordsShareAndKeyAsTheCommittedOnes) {
+  // A store committed through a compile cache shares each function a
+  // release left unchanged with its parent, and the cache's hits share
+  // its objects. Reopened, the records share with their parents again:
+  // the same count of distinct objects, every record equal field for
+  // field.
+  std::vector<std::string> Sources = forwardChain();
+  CompileCache Cache;
+  std::vector<CompilationRecord> Committed;
+  size_t Shared = 0;
+  {
+    DiagnosticEngine Diag;
+    auto Store = VersionStore::open(Dir, Diag);
+    ASSERT_TRUE(Store.has_value()) << Diag.str();
+    commitAll(*Store, Sources, Cache);
+    Shared = Store->storedFunctions();
+    for (const auto &V : Store->versions())
+      Committed.push_back(V->Record);
+  }
+  // v0's four functions; `tune` once per later release; at release 2
+  // also `bias`, and `mix` and `main`, whose globals moved.
+  EXPECT_EQ(Shared, 4u + 4u + 3u) << "20 functions, 11 of them distinct";
+
+  DiagnosticEngine Diag;
+  auto Reopened = VersionStore::open(Dir, Diag);
+  ASSERT_TRUE(Reopened.has_value()) << Diag.str();
+  EXPECT_EQ(Reopened->storedFunctions(), Shared);
+  ASSERT_EQ(Reopened->size(), Committed.size());
+  for (size_t Id = 0; Id < Committed.size(); ++Id)
+    EXPECT_TRUE(Reopened->find(static_cast<int>(Id))->Record ==
+                Committed[Id])
+        << "v" << Id;
+
+  // Under UCC-RA the old record is part of every back-half key, so the
+  // next release compiled against the reopened record must hit exactly
+  // as it does against the record the store committed. The committing
+  // cache is warm; a second cache warmed by the same chain serves the
+  // in-memory side.
+  std::string Next = Sources.back();
+  Next.replace(Next.find("x * 3"), 5, "x * 5");
+  CompileOptions Opts = uccOptions();
+  Opts.Cache = &Cache;
+  CompileCacheStats Before = Cache.stats();
+  auto FromDisk = Compiler::recompile(Next, Reopened->latest()->Record, Opts,
+                                      Diag);
+  ASSERT_TRUE(FromDisk.has_value()) << Diag.str();
+  uint64_t DiskHits = Cache.stats().Hits - Before.Hits;
+
+  VersionStore InMemory;
+  CompileCache Warm;
+  commitAll(InMemory, Sources, Warm);
+  Opts.Cache = &Warm;
+  Before = Warm.stats();
+  auto FromMemory =
+      Compiler::recompile(Next, InMemory.latest()->Record, Opts, Diag);
+  ASSERT_TRUE(FromMemory.has_value()) << Diag.str();
+  uint64_t MemoryHits = Warm.stats().Hits - Before.Hits;
+
+  EXPECT_EQ(DiskHits, MemoryHits);
+  EXPECT_EQ(MemoryHits, FromMemory->Record.FinalCode.size() - 1)
+      << "every function but the edited one hits";
+  EXPECT_EQ(FromDisk->Image.serialize(), FromMemory->Image.serialize());
+  EXPECT_TRUE(FromDisk->Record == FromMemory->Record);
 }
 
 TEST_F(ScratchDir, CorruptManifestIsRejected) {
