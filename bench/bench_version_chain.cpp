@@ -13,6 +13,7 @@
 #include "BenchUtil.h"
 
 #include "core/VersionStore.h"
+#include "net/EventSim.h"
 #include "net/Network.h"
 #include "serve/PlanService.h"
 
@@ -293,16 +294,15 @@ int main(int Argc, char **Argv) {
   for (int N = 1; N < FleetNodes; ++N)
     Deployed[static_cast<size_t>(N)] = N % (Head + 1);
 
-  RadioChannel Channel;
-  Channel.LossRate = 0.1;
-  Channel.Seed = 42;
+  FleetConfig Cfg;
+  Cfg.Link.LossRate = 0.1;
+  Cfg.Seed = 42;
   DiagnosticEngine Diag;
   // The campaign runs through the serving layer, like the uccc tool and
   // a real long-lived sink would; plans (and so every campaign metric)
   // are byte-identical to the store-backed path.
   PlanService Service(std::move(Ucc));
-  auto Campaign = planFleetCampaign(Service, T, Deployed, Head, Diag,
-                                    PacketFormat(), Mica2Power(), Channel);
+  auto Campaign = planFleetCampaign(Service, T, Deployed, Head, Diag, Cfg);
   if (!Campaign) {
     std::fprintf(stderr, "bench_version_chain: %s\n", Diag.str().c_str());
     return 1;
@@ -310,12 +310,23 @@ int main(int Argc, char **Argv) {
   std::printf("campaign to v%d: %zu cohorts, %d node(s) updated, "
               "%d already current\n", Head, Campaign->Cohorts.size(),
               Campaign->NodesUpdated, Campaign->NodesCurrent);
-  for (const UpdateCohort &C : Campaign->Cohorts)
-    std::printf("  from v%d: %zu node(s), %zu script bytes, %.4f J\n",
+  int IncompleteCohorts = 0;
+  for (const UpdateCohort &C : Campaign->Cohorts) {
+    std::printf("  from v%d: %zu node(s), %zu script bytes, %.4f J, "
+                "%d node(s) incomplete\n",
                 C.FromVersion, C.Nodes.size(), C.ScriptBytes,
-                C.Flood.totalJoules());
+                C.Flood.totalJoules(), C.Flood.NodesIncomplete);
+    IncompleteCohorts += C.Flood.NodesIncomplete > 0;
+  }
   std::printf("  total: %zu bytes on air, %.4f J\n",
               Campaign->totalBytesOnAir(), Campaign->totalJoules());
+  if (IncompleteCohorts > 0) {
+    std::fprintf(stderr,
+                 "bench_version_chain: %d cohort flood(s) left nodes "
+                 "incomplete\n",
+                 IncompleteCohorts);
+    return 1;
+  }
 
   Bench.metric("chain_steps", static_cast<double>(Head));
   Bench.metric("cum_script_bytes_ucc", static_cast<double>(CumUcc));

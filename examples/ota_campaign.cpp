@@ -10,14 +10,29 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
+#include "net/EventSim.h"
 #include "net/Network.h"
 #include "workloads/Workloads.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace ucc;
 
 namespace {
+
+/// Floods \p ScriptBytes across \p T; a flood that leaves a node without
+/// the whole script ends the example with an error.
+FleetResult flood(const Topology &T, size_t ScriptBytes,
+                  const FleetConfig &Cfg = FleetConfig()) {
+  FleetResult R = simulateFlood(T, ScriptBytes, Cfg);
+  if (R.NodesIncomplete > 0) {
+    std::fprintf(stderr, "ota_campaign: %d node(s) left incomplete\n",
+                 R.NodesIncomplete);
+    std::exit(1);
+  }
+  return R;
+}
 
 size_t scriptBytesFor(const UpdateCase &Case, bool UpdateConscious) {
   DiagnosticEngine Diag;
@@ -33,8 +48,8 @@ size_t scriptBytesFor(const UpdateCase &Case, bool UpdateConscious) {
 
 void report(const char *Name, const Topology &T, size_t BaseBytes,
             size_t UccBytes) {
-  DisseminationResult Base = disseminate(T, BaseBytes);
-  DisseminationResult Ucc = disseminate(T, UccBytes);
+  FleetResult Base = flood(T, BaseBytes);
+  FleetResult Ucc = flood(T, UccBytes);
   std::printf("%-22s %5d nodes, %3d hops deep\n", Name, T.NumNodes,
               Base.MaxHops);
   std::printf("  oblivious: %4d packets, %7zu bytes on air, %.3e J "
@@ -64,24 +79,24 @@ int main() {
   report("16x16 grid", Topology::grid(16, 16), BaseBytes, UccBytes);
   report("single-hop star(64)", Topology::star(64), BaseBytes, UccBytes);
 
-  // A noisy channel: every lost packet is a retransmission the sender
-  // pays for, so smaller scripts win twice.
-  RadioChannel Noisy;
-  Noisy.LossRate = 0.3;
-  DisseminationResult NoisyBase = disseminate(
-      Topology::line(71), BaseBytes, PacketFormat(), Mica2Power(), Noisy);
-  DisseminationResult NoisyUcc = disseminate(
-      Topology::line(71), UccBytes, PacketFormat(), Mica2Power(), Noisy);
+  // A noisy channel: every lost packet is resent in a repeat burst that
+  // every neighbor in range pays to hear, so smaller scripts win twice.
+  FleetConfig Noisy;
+  Noisy.Link.LossRate = 0.3;
+  FleetResult NoisyBase = flood(Topology::line(71), BaseBytes, Noisy);
+  FleetResult NoisyUcc = flood(Topology::line(71), UccBytes, Noisy);
   std::printf("\nwith 30%% packet loss on the 71-node line:\n");
-  std::printf("  oblivious: %4d retransmissions, %.3e J\n",
-              NoisyBase.Retransmissions, NoisyBase.totalJoules());
-  std::printf("  conscious: %4d retransmissions, %.3e J\n",
-              NoisyUcc.Retransmissions, NoisyUcc.totalJoules());
+  std::printf("  oblivious: %4lld retransmissions, %.3e J\n",
+              static_cast<long long>(NoisyBase.Retransmissions),
+              NoisyBase.totalJoules());
+  std::printf("  conscious: %4lld retransmissions, %.3e J\n",
+              static_cast<long long>(NoisyUcc.Retransmissions),
+              NoisyUcc.totalJoules());
 
   // Lifetime view for the most burdened node (next to the sink).
   Topology Line = Topology::line(71);
-  DisseminationResult Base = disseminate(Line, BaseBytes);
-  DisseminationResult Ucc = disseminate(Line, UccBytes);
+  FleetResult Base = flood(Line, BaseBytes);
+  FleetResult Ucc = flood(Line, UccBytes);
   // A 2700 mAh battery at 3 V holds ~29 kJ.
   double BatteryJ = 2.7 * 3600.0 * 3.0;
   std::printf("\nbusiest relay node spends %.2e J (oblivious) vs %.2e J "

@@ -36,7 +36,6 @@
 
 #include "core/CompileCache.h"
 #include "core/Compiler.h"
-#include "net/Network.h"
 
 #include <functional>
 #include <memory>

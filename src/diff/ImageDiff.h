@@ -9,8 +9,10 @@
 /// package a sink disseminates: per-function edit scripts (functions are
 /// aligned by name; SAVR encodes branch targets function-relative and calls
 /// by table index, so surviving functions diff cleanly no matter how their
-/// neighbors grew), the new function order, the data-segment delta and the
-/// entry point. `applyUpdate` is the complete sensor-side reprogramming
+/// neighbors grew — but not when a function is inserted or removed: table
+/// indices follow source order, so every call to a function after the
+/// insertion point changes its immediate), the new function order, the
+/// data-segment delta and the entry point. `applyUpdate` is the complete sensor-side reprogramming
 /// step; the tests verify it reproduces the freshly compiled image bit for
 /// bit.
 ///

@@ -9,10 +9,9 @@
 /// calendar queue of slot-timestamped events (pooled per-slot buckets with
 /// an occupancy bitmap, plus an overflow heap for far-off timers) with
 /// deterministic tie-breaking by (slot, node, kind, seq), packed into one
-/// integer key per event. Where net/Network's seed engine advanced an
-/// ideal radio one BFS level per round, this engine models the phenomena
-/// that make update size matter in the first place (paper sections 1 and
-/// 2.2, and the GCP dissemination regimes):
+/// integer key per event. It is the library's one dissemination engine,
+/// and it models the phenomena that make update size matter in the first
+/// place (paper sections 1 and 2.2, and the GCP dissemination regimes):
 ///
 ///  - a link/radio layer with per-directed-link loss (base rate plus
 ///    hash-derived per-link jitter and up/down asymmetry),
@@ -46,18 +45,19 @@
 /// the queue a batch (all events of one slot) at a time, so results and
 /// `net.*` counters are a function of (topology, config, seed) alone.
 ///
-/// The paper-figure model — one BFS level per round over an ideal air —
-/// is net/Network's `disseminate()`; this engine is the full radio model
-/// beside it, not a replacement.
+/// Fleet update campaigns (runUpdateCampaign, defined in net/Network.cpp)
+/// flood one script per deployed-version cohort through the same engine.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef UCC_NET_EVENTSIM_H
 #define UCC_NET_EVENTSIM_H
 
+#include "energy/EnergyModel.h"
 #include "net/Network.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace ucc {
@@ -105,8 +105,8 @@ struct FleetConfig {
 /// Per-state time/energy totals over the whole fleet (the Contiki
 /// energest idiom: account every radio/CPU state, not just the packets).
 /// Listen/sleep states are tracked only under a duty-cycle schedule; with
-/// the radio always on they stay zero, matching the seed engine's
-/// packet-energy-only model.
+/// the radio always on they stay zero, and the ledger holds packet energy
+/// only.
 struct EnergyLedger {
   double TxSeconds = 0.0;
   double RxSeconds = 0.0;
@@ -155,6 +155,60 @@ struct FleetResult {
 /// a topology of more than 2^29 nodes throws std::length_error.
 FleetResult simulateFlood(const Topology &T, size_t ScriptBytes,
                           const FleetConfig &Cfg = FleetConfig());
+
+//===----------------------------------------------------------------------===//
+// Fleet update campaigns
+//===----------------------------------------------------------------------===//
+//
+// After a few incremental updates a deployed network is rarely uniform:
+// nodes that slept through a round still run an older version. A campaign
+// brings every node to one target version by flooding, per deployed-version
+// cohort, the script that takes exactly that version to the target. The
+// script for each cohort is supplied by a callback so this layer stays
+// ignorant of how patches are planned (the serving layer binds its planner
+// into it).
+
+/// The nodes sharing one deployed version, and the flood that updates them.
+struct UpdateCohort {
+  int FromVersion = -1;         ///< version this cohort currently runs
+  std::vector<int> Nodes;       ///< node ids in the cohort
+  size_t ScriptBytes = 0;       ///< script taking FromVersion -> target
+  FleetResult Flood;            ///< outcome of this cohort's flood; its
+                                ///< NodesIncomplete counts the nodes (of
+                                ///< the whole fleet) it never reached
+};
+
+/// Outcome of one whole fleet campaign.
+struct CampaignResult {
+  int TargetVersion = -1;
+  std::vector<UpdateCohort> Cohorts; ///< one per distinct stale version
+  int NodesUpdated = 0;              ///< nodes in the stale cohorts
+  int NodesCurrent = 0;              ///< nodes already at the target
+
+  double totalJoules() const;
+  size_t totalBytesOnAir() const;
+};
+
+/// The distinct deployed versions in \p NodeVersions that still need an
+/// update to \p TargetVersion, sorted ascending. Node 0 (the sink) is
+/// skipped, matching runUpdateCampaign's cohort grouping — this is the set
+/// of scripts a campaign must plan before any flood, exposed so planners
+/// (store- or service-backed) and precompute passes agree on it.
+std::vector<int> staleVersions(const std::vector<int> &NodeVersions,
+                               int TargetVersion);
+
+/// Brings every node of \p T to \p TargetVersion. \p NodeVersions[i] is the
+/// version node i currently runs (the sink, node 0, is assumed current and
+/// its entry is ignored). \p ScriptBytesFor maps a deployed version to the
+/// byte size of the script taking it to the target; every distinct stale
+/// version triggers one network-wide simulateFlood of that script under
+/// \p Cfg (all nodes relay, but only the cohort applies it). Cohort K
+/// floods with seed Cfg.Seed + K, which decorrelates loss between floods.
+CampaignResult
+runUpdateCampaign(const Topology &T, const std::vector<int> &NodeVersions,
+                  int TargetVersion,
+                  const std::function<size_t(int)> &ScriptBytesFor,
+                  const FleetConfig &Cfg = FleetConfig());
 
 } // namespace ucc
 

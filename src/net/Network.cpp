@@ -1,29 +1,22 @@
-//===- net/Network.cpp - multi-hop dissemination simulator ----------------===//
+//===- net/Network.cpp - topologies, packets and fleet campaigns ---------===//
 //
 // Part of the UCC reproduction library.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Topology builders (line/grid/star), BFS hop distances, and the flood
-/// model: every reached node receives the whole script once, forwarding
-/// nodes pay per-packet Tx energy (with loss-driven retransmissions) from
-/// the Mica2 current table. Each flood runs under the `net` telemetry span
-/// and reports packet/byte/energy totals (`net.*` counters and gauges).
-/// The flood advances one BFS level per round; with trace events enabled
-/// it emits per-node `packet.tx`/`packet.rx`/`packet.retx` instants,
-/// per-node cumulative `energy/node<N>` samples, and a per-round
-/// `net.progress` counter (nodes reached so far).
-///
-/// The full radio model (per-link loss, contention, duty cycling) is the
-/// separate discrete-event engine in net/EventSim.h.
+/// Topology builders (line/grid/star), BFS hop distances, the
+/// packetization arithmetic behind PacketFormat, and the fleet campaign
+/// declared in net/EventSim.h: one simulateFlood per deployed-version
+/// cohort. The campaign lives here, not in EventSim.cpp, because a caller
+/// of simulateFlood inside that file changes how GCC inlines the flood's
+/// event loop.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "net/Network.h"
 
-#include "support/Format.h"
-#include "support/RNG.h"
+#include "net/EventSim.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
@@ -132,131 +125,6 @@ std::vector<int> Topology::hopDistances() const {
   return Dist;
 }
 
-DisseminationResult ucc::disseminate(const Topology &T, size_t ScriptBytes,
-                                     const PacketFormat &Fmt,
-                                     const Mica2Power &Power,
-                                     const RadioChannel &Channel) {
-  ScopedSpan Span("net");
-  DisseminationResult R;
-  R.Packets = Fmt.packetsFor(ScriptBytes);
-  R.BytesOnAir = Fmt.bytesOnAir(ScriptBytes);
-  R.PerNodeJoules.assign(static_cast<size_t>(T.NumNodes), 0.0);
-
-  std::vector<int> Dist = T.hopDistances();
-  for (int D : Dist)
-    R.MaxHops = std::max(R.MaxHops, D);
-
-  double PacketBits =
-      R.Packets > 0
-          ? static_cast<double>(R.BytesOnAir) * 8.0 / R.Packets
-          : 0.0;
-  double TxPerPacketJ = PacketBits * Power.radioTxEnergyPerBit();
-  double RxPerPacketJ = PacketBits * Power.radioRxEnergyPerBit();
-
-  RNG Rng(Channel.Seed);
-  // Attempts needed to get one packet across the lossy link.
-  auto attemptsForPacket = [&]() {
-    int Attempts = 1;
-    while (Attempts < Channel.MaxAttempts &&
-           Rng.unitReal() < Channel.LossRate)
-      ++Attempts;
-    if (Attempts >= Channel.MaxAttempts &&
-        Rng.unitReal() < Channel.LossRate)
-      ++R.FailedPackets; // gave up; the group must be refetched later
-    return Attempts;
-  };
-
-  // The flood proceeds in rounds, one BFS level per round: in round d the
-  // nodes at hop d-1 that cover a farther neighbor transmit, and the
-  // nodes at hop d receive the whole script (duplicate suppression: every
-  // node receives exactly once). Lost packets cost the sender a
-  // retransmission each. With trace events enabled, every per-node
-  // send/receive/retransmit lands on that node's track and each round
-  // closes with a `net.progress` sample.
-  std::vector<std::vector<int>> ByHop(static_cast<size_t>(R.MaxHops) + 1);
-  for (int Node = 0; Node < T.NumNodes; ++Node)
-    if (Dist[static_cast<size_t>(Node)] >= 0)
-      ByHop[static_cast<size_t>(Dist[static_cast<size_t>(Node)])]
-          .push_back(Node);
-
-  Telemetry *Ev = eventTelemetry();
-  auto emitEnergySample = [&](int Node) {
-    Ev->recordEvent(
-        TelemetryEvent::Phase::Counter, "net",
-        format("energy/node%d", Node), Node,
-        {{"joules", R.PerNodeJoules[static_cast<size_t>(Node)]}});
-  };
-
-  int Reached = ByHop.empty() ? 0 : static_cast<int>(ByHop[0].size());
-  for (int Round = 1; Round <= R.MaxHops; ++Round) {
-    // Transmissions: nodes one hop closer that cover someone this round.
-    for (int Node : ByHop[static_cast<size_t>(Round - 1)]) {
-      bool Forwards = false;
-      for (int N : T.Neighbors[static_cast<size_t>(Node)])
-        Forwards |= Dist[static_cast<size_t>(N)] >
-                    Dist[static_cast<size_t>(Node)];
-      if (!Forwards)
-        continue;
-      int Attempts = 0;
-      for (int P = 0; P < R.Packets; ++P) {
-        int A = attemptsForPacket();
-        Attempts += A;
-        if (Ev) {
-          Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
-                          "packet.tx", Node,
-                          {{"round", static_cast<double>(Round)},
-                           {"packet", static_cast<double>(P)},
-                           {"attempts", static_cast<double>(A)}});
-          if (A > 1)
-            Ev->recordEvent(TelemetryEvent::Phase::Instant, "net",
-                            "packet.retx", Node,
-                            {{"round", static_cast<double>(Round)},
-                             {"packet", static_cast<double>(P)},
-                             {"extra", static_cast<double>(A - 1)}});
-        }
-      }
-      R.Retransmissions += Attempts - R.Packets;
-      double Tx = TxPerPacketJ * Attempts;
-      ++R.Transmitters;
-      R.TotalTxJoules += Tx;
-      R.PerNodeJoules[static_cast<size_t>(Node)] += Tx;
-      if (Ev)
-        emitEnergySample(Node);
-    }
-    // Receptions: every node at this hop hears the whole script once.
-    for (int Node : ByHop[static_cast<size_t>(Round)]) {
-      double Rx = RxPerPacketJ * R.Packets;
-      R.TotalRxJoules += Rx;
-      R.PerNodeJoules[static_cast<size_t>(Node)] += Rx;
-      if (Ev) {
-        Ev->recordEvent(TelemetryEvent::Phase::Instant, "net", "packet.rx",
-                        Node,
-                        {{"round", static_cast<double>(Round)},
-                         {"packets", static_cast<double>(R.Packets)}});
-        emitEnergySample(Node);
-      }
-    }
-    Reached += static_cast<int>(ByHop[static_cast<size_t>(Round)].size());
-    if (Ev)
-      Ev->recordEvent(TelemetryEvent::Phase::Counter, "net", "net.progress",
-                      0,
-                      {{"round", static_cast<double>(Round)},
-                       {"reached", static_cast<double>(Reached)}});
-  }
-  if (Telemetry *Tel = currentTelemetry()) {
-    Tel->addCounter("net.floods");
-    Tel->addCounter("net.packets", R.Packets);
-    Tel->addCounter("net.bytes_on_air",
-                    static_cast<int64_t>(R.BytesOnAir));
-    Tel->addCounter("net.transmitters", R.Transmitters);
-    Tel->addCounter("net.retransmissions", R.Retransmissions);
-    Tel->addCounter("net.failed_packets", R.FailedPackets);
-    Tel->addGauge("net.tx_joules", R.TotalTxJoules);
-    Tel->addGauge("net.rx_joules", R.TotalRxJoules);
-  }
-  return R;
-}
-
 double CampaignResult::totalJoules() const {
   double J = 0.0;
   for (const UpdateCohort &C : Cohorts)
@@ -289,8 +157,7 @@ ucc::runUpdateCampaign(const Topology &T,
                        const std::vector<int> &NodeVersions,
                        int TargetVersion,
                        const std::function<size_t(int)> &ScriptBytesFor,
-                       const PacketFormat &Fmt, const Mica2Power &Power,
-                       const RadioChannel &Channel) {
+                       const FleetConfig &Cfg) {
   assert(static_cast<int>(NodeVersions.size()) == T.NumNodes &&
          "one deployed version per node");
   ScopedSpan Span("campaign");
@@ -339,14 +206,14 @@ ucc::runUpdateCampaign(const Topology &T,
     // Every cohort gets its own whole-network flood (all nodes relay; only
     // the cohort applies the script). Offsetting the seed decorrelates
     // packet loss between the floods.
-    RadioChannel CohortChannel = Channel;
-    CohortChannel.Seed = Channel.Seed + static_cast<uint64_t>(CohortIdx);
+    FleetConfig CohortCfg = Cfg;
+    CohortCfg.Seed = Cfg.Seed + static_cast<uint64_t>(CohortIdx);
     {
       std::optional<TraceContextScope> CohortTrace;
       if (CampaignCtx.TraceId != 0)
         CohortTrace.emplace(TraceContext{
             CampaignCtx.TraceId, static_cast<uint64_t>(CohortIdx) + 1});
-      C.Flood = disseminate(T, C.ScriptBytes, Fmt, Power, CohortChannel);
+      C.Flood = simulateFlood(T, C.ScriptBytes, CohortCfg);
     }
     R.NodesUpdated += static_cast<int>(C.Nodes.size());
     if (Ev) {

@@ -316,8 +316,7 @@ std::optional<CampaignResult>
 ucc::planFleetCampaign(const PlanService &Service, const Topology &T,
                        const std::vector<int> &NodeVersions,
                        int TargetVersion, DiagnosticEngine &Diag,
-                       const PacketFormat &Fmt, const Mica2Power &Power,
-                       const RadioChannel &Channel) {
+                       const FleetConfig &Cfg) {
   if (TargetVersion < 0 ||
       static_cast<size_t>(TargetVersion) >= Service.versionCount()) {
     Diag.error({}, format("unknown target version %d", TargetVersion));
@@ -344,5 +343,5 @@ ucc::planFleetCampaign(const PlanService &Service, const Topology &T,
   }
   return runUpdateCampaign(
       T, NodeVersions, TargetVersion,
-      [&](int From) { return BytesFor.at(From); }, Fmt, Power, Channel);
+      [&](int From) { return BytesFor.at(From); }, Cfg);
 }

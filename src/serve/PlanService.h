@@ -40,6 +40,7 @@
 #define UCC_SERVE_PLANSERVICE_H
 
 #include "core/VersionStore.h"
+#include "net/EventSim.h"
 
 #include <atomic>
 #include <cstdint>
@@ -186,16 +187,14 @@ private:
 
 /// The serving-layer fleet campaign: plans every cohort's script through
 /// the service (so repeated campaigns over similar fleets hit the cache)
-/// and floods them via net/runUpdateCampaign. Fails (nullopt, with a
+/// and floods them via net/runUpdateCampaign under \p Cfg. Fails (nullopt, with a
 /// diagnostic) for an unknown target or any cohort the service cannot
 /// plan, before any flood runs.
 std::optional<CampaignResult>
 planFleetCampaign(const PlanService &Service, const Topology &T,
                   const std::vector<int> &NodeVersions, int TargetVersion,
                   DiagnosticEngine &Diag,
-                  const PacketFormat &Fmt = PacketFormat(),
-                  const Mica2Power &Power = Mica2Power(),
-                  const RadioChannel &Channel = RadioChannel());
+                  const FleetConfig &Cfg = FleetConfig());
 
 } // namespace ucc
 

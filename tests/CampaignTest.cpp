@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/VersionStore.h"
+#include "net/EventSim.h"
 #include "net/Network.h"
 #include "serve/PlanService.h"
 #include "support/Telemetry.h"
@@ -79,30 +80,44 @@ TEST(Campaign, AllNodesCurrentMeansNoFloods) {
 TEST(Campaign, EnergyIsTheSumOfPerCohortFloods) {
   Topology T = Topology::grid(4, 3);
   std::vector<int> Versions = {2, 0, 1, 0, 1, 0, 2, 1, 0, 1, 0, 2};
-  RadioChannel Channel;
-  Channel.LossRate = 0.2;
-  Channel.Seed = 77;
-  CampaignResult R = runUpdateCampaign(T, Versions, 2, fakeBytes,
-                                       PacketFormat(), Mica2Power(),
-                                       Channel);
+  FleetConfig Cfg;
+  Cfg.Link.LossRate = 0.2;
+  Cfg.Seed = 77;
+  CampaignResult R = runUpdateCampaign(T, Versions, 2, fakeBytes, Cfg);
   ASSERT_EQ(R.Cohorts.size(), 2u);
 
-  // Each cohort's flood must match a standalone dissemination with the
+  // Each cohort's flood must match a standalone flood with the
   // cohort-offset seed — the campaign adds bookkeeping, not new physics.
   double Total = 0.0;
   int Idx = 0;
   for (const UpdateCohort &C : R.Cohorts) {
-    RadioChannel CohortChannel = Channel;
-    CohortChannel.Seed = Channel.Seed + static_cast<uint64_t>(Idx);
-    DisseminationResult Alone =
-        disseminate(T, C.ScriptBytes, PacketFormat(), Mica2Power(),
-                    CohortChannel);
+    FleetConfig CohortCfg = Cfg;
+    CohortCfg.Seed = Cfg.Seed + static_cast<uint64_t>(Idx);
+    FleetResult Alone = simulateFlood(T, C.ScriptBytes, CohortCfg);
     EXPECT_DOUBLE_EQ(C.Flood.totalJoules(), Alone.totalJoules());
     EXPECT_EQ(C.Flood.Retransmissions, Alone.Retransmissions);
+    EXPECT_EQ(C.Flood.NodesIncomplete, 0);
     Total += Alone.totalJoules();
     ++Idx;
   }
   EXPECT_DOUBLE_EQ(R.totalJoules(), Total);
+}
+
+TEST(Campaign, DisconnectedNodesShowUpAsIncomplete) {
+  // Nodes 3 and 4 have no path to the sink: no cohort flood reaches them,
+  // and each flood says so.
+  Topology T;
+  T.NumNodes = 5;
+  T.Neighbors = {{1}, {0, 2}, {1}, {4}, {3}};
+  std::vector<int> Versions = {2, 0, 1, 0, 1};
+  CampaignResult R = runUpdateCampaign(T, Versions, 2, fakeBytes);
+  ASSERT_EQ(R.Cohorts.size(), 2u);
+  for (const UpdateCohort &C : R.Cohorts) {
+    EXPECT_EQ(C.Flood.NodesComplete, 3);
+    EXPECT_EQ(C.Flood.NodesIncomplete, 2);
+    EXPECT_EQ(C.Flood.PerNodeJoules[3], 0.0);
+    EXPECT_EQ(C.Flood.PerNodeJoules[4], 0.0);
+  }
 }
 
 TEST(Campaign, EmitsPerCohortTelemetry) {

@@ -1,6 +1,7 @@
 //===- tests/EnergyNetworkTest.cpp - energy model and dissemination -------===//
 
 #include "energy/EnergyModel.h"
+#include "net/EventSim.h"
 #include "net/Network.h"
 #include "support/Telemetry.h"
 
@@ -95,71 +96,70 @@ TEST(Network, PacketizationRoundsUp) {
 
 TEST(Network, EveryNonSinkNodeReceivesOnce) {
   Topology T = Topology::line(10);
-  DisseminationResult R = disseminate(T, 100);
-  // 9 receivers, and every node except the last must forward.
-  double RxPerNode = R.TotalRxJoules / 9.0;
+  FleetResult R = simulateFlood(T, 100);
+  // An ideal channel: each node assembles the script from the one burst
+  // of its upstream neighbor, and every node except the last forwards.
+  EXPECT_EQ(R.NodesComplete, 10);
+  EXPECT_EQ(R.Retransmissions, 0);
+  EXPECT_EQ(R.FailedPackets, 0);
+  double PacketBits = static_cast<double>(R.BytesOnAir) * 8.0 / R.Packets;
+  double RxScript =
+      PacketBits * Mica2Power().radioRxEnergyPerBit() * R.Packets;
   for (int Node = 1; Node < 10; ++Node)
-    EXPECT_GE(R.PerNodeJoules[static_cast<size_t>(Node)],
-              RxPerNode * 0.999);
+    EXPECT_GE(R.PerNodeJoules[static_cast<size_t>(Node)], RxScript * 0.999);
   EXPECT_EQ(R.Transmitters, 9); // nodes 0..8 cover their next neighbor
   EXPECT_EQ(R.MaxHops, 9);
 }
 
 TEST(Network, EnergyScalesWithScriptSize) {
   Topology T = Topology::grid(8, 8);
-  DisseminationResult Small = disseminate(T, 50);
-  DisseminationResult Large = disseminate(T, 500);
+  FleetResult Small = simulateFlood(T, 50);
+  FleetResult Large = simulateFlood(T, 500);
   EXPECT_GT(Large.totalJoules(), Small.totalJoules() * 5.0);
 }
 
 TEST(Network, StarCheaperThanLineForSameScript) {
-  DisseminationResult Line = disseminate(Topology::line(64), 200);
-  DisseminationResult Star = disseminate(Topology::star(64), 200);
+  FleetResult Line = simulateFlood(Topology::line(64), 200);
+  FleetResult Star = simulateFlood(Topology::star(64), 200);
   // The star has one transmitter; the line has 63.
-  EXPECT_LT(Star.TotalTxJoules, Line.TotalTxJoules);
+  EXPECT_EQ(Star.Transmitters, 1);
+  EXPECT_LT(Star.Energy.TxJoules, Line.Energy.TxJoules);
 }
 
 TEST(Network, PerfectChannelHasNoRetransmissions) {
-  DisseminationResult R = disseminate(Topology::line(20), 300);
+  FleetResult R = simulateFlood(Topology::line(20), 300);
   EXPECT_EQ(R.Retransmissions, 0);
   EXPECT_EQ(R.FailedPackets, 0);
 }
 
 TEST(Network, LossyChannelCostsRetransmissionEnergy) {
-  PacketFormat Fmt;
-  Mica2Power Power;
-  RadioChannel Clean;
-  RadioChannel Lossy;
-  Lossy.LossRate = 0.5;
-
-  DisseminationResult A =
-      disseminate(Topology::line(20), 300, Fmt, Power, Clean);
-  DisseminationResult B =
-      disseminate(Topology::line(20), 300, Fmt, Power, Lossy);
+  FleetConfig Lossy;
+  Lossy.Link.LossRate = 0.5;
+  FleetResult A = simulateFlood(Topology::line(20), 300);
+  FleetResult B = simulateFlood(Topology::line(20), 300, Lossy);
   EXPECT_GT(B.Retransmissions, 0);
-  EXPECT_GT(B.TotalTxJoules, A.TotalTxJoules * 1.5)
-      << "50% loss should roughly double transmission energy";
-  EXPECT_DOUBLE_EQ(B.TotalRxJoules, A.TotalRxJoules)
-      << "receivers only decode the successful attempt";
+  EXPECT_GT(B.Energy.TxJoules, A.Energy.TxJoules * 1.5)
+      << "50% loss should at least half again the transmission energy";
+  EXPECT_GT(B.Energy.RxJoules, A.Energy.RxJoules)
+      << "every neighbor in range hears the repeat bursts";
 }
 
 TEST(Network, LossyChannelIsDeterministicPerSeed) {
-  RadioChannel Lossy;
-  Lossy.LossRate = 0.3;
-  DisseminationResult A = disseminate(Topology::grid(6, 6), 500,
-                                      PacketFormat(), Mica2Power(), Lossy);
-  DisseminationResult B = disseminate(Topology::grid(6, 6), 500,
-                                      PacketFormat(), Mica2Power(), Lossy);
+  FleetConfig Lossy;
+  Lossy.Link.LossRate = 0.3;
+  FleetResult A = simulateFlood(Topology::grid(6, 6), 500, Lossy);
+  FleetResult B = simulateFlood(Topology::grid(6, 6), 500, Lossy);
   EXPECT_EQ(A.Retransmissions, B.Retransmissions);
   EXPECT_DOUBLE_EQ(A.totalJoules(), B.totalJoules());
 }
 
 TEST(Network, HopelessChannelReportsFailures) {
-  RadioChannel Awful;
-  Awful.LossRate = 1.0;
-  Awful.MaxAttempts = 4;
-  DisseminationResult R = disseminate(Topology::line(3), 100,
-                                      PacketFormat(), Mica2Power(), Awful);
+  // Loss clamps at 0.999: the bursts and pull requests run out long
+  // before the far nodes hold the script.
+  FleetConfig Awful;
+  Awful.Link.LossRate = 1.0;
+  FleetResult R = simulateFlood(Topology::line(3), 100, Awful);
+  EXPECT_GT(R.NodesIncomplete, 0);
   EXPECT_GT(R.FailedPackets, 0);
 }
 
@@ -167,8 +167,9 @@ TEST(Network, DisconnectedNodesSpendNothing) {
   Topology T;
   T.NumNodes = 3;
   T.Neighbors = {{1}, {0}, {}}; // node 2 unreachable
-  DisseminationResult R = disseminate(T, 64);
+  FleetResult R = simulateFlood(T, 64);
   EXPECT_EQ(R.PerNodeJoules[2], 0.0);
+  EXPECT_EQ(R.NodesIncomplete, 1);
 }
 
 TEST(Network, HopDistancesMarkDisconnectedComponents) {
@@ -212,42 +213,14 @@ TEST(Network, PacketFormatClampsInvalidSizes) {
   EXPECT_EQ(Tel.counter("net.bad_packet_format"), Before);
 
   // And a flood over a broken format survives end to end.
-  DisseminationResult R =
-      disseminate(Topology::line(3), 64, ZeroPayload);
+  FleetConfig Cfg;
+  Cfg.Fmt = ZeroPayload;
+  int64_t BeforeFlood = Tel.counter("net.bad_packet_format");
+  FleetResult R = simulateFlood(Topology::line(3), 64, Cfg);
   EXPECT_EQ(R.Packets, 64);
+  EXPECT_EQ(R.NodesIncomplete, 0);
   EXPECT_GT(R.totalJoules(), 0.0);
-}
-
-// Pins the MaxAttempts boundary semantics: a packet that exhausts its
-// attempt budget still counts every extra attempt in Retransmissions
-// (the sender spent that energy) *and* counts once in FailedPackets.
-TEST(Network, ExhaustedAttemptsCountInBothLedgers) {
-  RadioChannel Hopeless;
-  Hopeless.LossRate = 1.0;
-  Hopeless.MaxAttempts = 4;
-  DisseminationResult R = disseminate(Topology::line(2), 100, PacketFormat(),
-                                      Mica2Power(), Hopeless);
-  ASSERT_GT(R.Packets, 0);
-  // One transmitter; every packet burns all 4 attempts and fails.
-  EXPECT_EQ(R.Transmitters, 1);
-  EXPECT_EQ(R.Retransmissions, 3 * R.Packets);
-  EXPECT_EQ(R.FailedPackets, R.Packets);
-  // The energy ledger includes the failed attempts.
-  double PacketBits = static_cast<double>(R.BytesOnAir) * 8.0 / R.Packets;
-  EXPECT_DOUBLE_EQ(R.TotalTxJoules, PacketBits *
-                                        Mica2Power().radioTxEnergyPerBit() *
-                                        4.0 * R.Packets);
-}
-
-TEST(Network, SingleAttemptChannelNeverRetransmits) {
-  RadioChannel OneShot;
-  OneShot.LossRate = 1.0;
-  OneShot.MaxAttempts = 1;
-  DisseminationResult R = disseminate(Topology::line(2), 100, PacketFormat(),
-                                      Mica2Power(), OneShot);
-  // With a single attempt there are no retries to count, only failures.
-  EXPECT_EQ(R.Retransmissions, 0);
-  EXPECT_EQ(R.FailedPackets, R.Packets);
+  EXPECT_GT(Tel.counter("net.bad_packet_format"), BeforeFlood);
 }
 
 } // namespace

@@ -43,9 +43,13 @@ TEST(FleetSim, IdealChannelFloodCompletesTheFleet) {
   EXPECT_GT(R.EventsProcessed, 0);
   EXPECT_GT(R.SimSeconds, 0.0);
   // Ideal channel, no duty cycle: the ledger is packet energy only, and
-  // Tx matches the seed model (one burst per forwarder).
-  DisseminationResult Legacy = disseminate(Topology::line(10), 200);
-  EXPECT_DOUBLE_EQ(R.Energy.TxJoules, Legacy.TotalTxJoules);
+  // Tx is one burst per forwarder: 9 forwarders x Packets x bits per packet.
+  PacketFormat Fmt;
+  ASSERT_EQ(R.Packets, Fmt.packetsFor(200));
+  double PacketBits =
+      static_cast<double>(Fmt.bytesOnAir(200)) * 8.0 / R.Packets;
+  EXPECT_DOUBLE_EQ(R.Energy.TxJoules, 9 * R.Packets * PacketBits *
+                                          Mica2Power().radioTxEnergyPerBit());
   EXPECT_DOUBLE_EQ(R.Energy.ListenJoules, 0.0);
   EXPECT_DOUBLE_EQ(R.Energy.SleepJoules, 0.0);
 }

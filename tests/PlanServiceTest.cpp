@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "net/EventSim.h"
+#include "net/Network.h"
 #include "serve/PlanService.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -465,9 +467,9 @@ TEST(PlanService, CampaignThroughServiceMatchesStoreBackedCampaign) {
   VersionStore Store = buildChain();
   Topology T = Topology::line(9);
   std::vector<int> Deployed = {3, 0, 1, 2, 0, 1, 3, 2, 0};
-  RadioChannel Channel;
-  Channel.LossRate = 0.15;
-  Channel.Seed = 7;
+  FleetConfig Cfg;
+  Cfg.Link.LossRate = 0.15;
+  Cfg.Seed = 7;
 
   CampaignResult ViaStore = runUpdateCampaign(
       T, Deployed, 3,
@@ -476,13 +478,12 @@ TEST(PlanService, CampaignThroughServiceMatchesStoreBackedCampaign) {
         EXPECT_TRUE(P.has_value());
         return P ? P->ScriptBytes : 0;
       },
-      PacketFormat(), Mica2Power(), Channel);
+      Cfg);
 
   DiagnosticEngine Diag;
   PlanService Service(buildChain());
   auto ViaService =
-      planFleetCampaign(Service, T, Deployed, 3, Diag, PacketFormat(),
-                        Mica2Power(), Channel);
+      planFleetCampaign(Service, T, Deployed, 3, Diag, Cfg);
   ASSERT_TRUE(ViaService.has_value()) << Diag.str();
 
   ASSERT_EQ(ViaService->Cohorts.size(), ViaStore.Cohorts.size());

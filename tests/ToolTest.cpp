@@ -435,6 +435,13 @@ TEST_F(ToolFixture, StoreWorkflowCommitHistoryPlanCampaign) {
   EXPECT_NE(capturedOutput().find("4 node(s) updated, 1 already current"),
             std::string::npos)
       << capturedOutput();
+  // Each cohort line splits its joules over the radio states.
+  for (const char *Column : {"(tx ", ", rx ", ", listen ", ", sleep "})
+    EXPECT_NE(capturedOutput().find(Column), std::string::npos)
+        << Column << "\n"
+        << capturedOutput();
+  EXPECT_EQ(capturedOutput().find("incomplete"), std::string::npos)
+      << capturedOutput();
 
   // Planning to a downgrade target works too: the rollback composes
   // through the version graph and competes with the direct diff.
@@ -479,6 +486,25 @@ TEST_F(ToolFixture, StoreCliDiagnostics) {
                  " --target 0 --deployed 0,0 --topology line:5"),
             2);
   EXPECT_NE(capturedOutput().find("2 versions but the topology has 5"),
+            std::string::npos)
+      << capturedOutput();
+
+  // Non-positive dimensions and node counts past the int range are
+  // rejected before any topology is built: no abort, no wrapped count.
+  std::string Campaign =
+      "campaign --store " + path("store") + " --target 0 --deployed 0,0";
+  for (const char *Bad : {"line:-1", "star:-2"}) {
+    EXPECT_EQ(uccc(Campaign + " --topology " + Bad), 2) << Bad;
+    EXPECT_NE(capturedOutput().find("needs positive dimensions"),
+              std::string::npos)
+        << capturedOutput();
+  }
+  EXPECT_EQ(uccc(Campaign + " --topology grid:50000x50000"), 2);
+  EXPECT_NE(capturedOutput().find("the topology has 2500000000 nodes"),
+            std::string::npos)
+      << capturedOutput();
+  EXPECT_EQ(uccc(Campaign + " --topology grid:65536x65536"), 2);
+  EXPECT_NE(capturedOutput().find("the topology has 4294967296 nodes"),
             std::string::npos)
       << capturedOutput();
 }

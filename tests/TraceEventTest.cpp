@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "codegen/SAVR.h"
+#include "net/EventSim.h"
 #include "net/Network.h"
 #include "sim/Simulator.h"
 #include "support/Json.h"
@@ -376,34 +377,34 @@ TEST(TraceEvent, SimulatorSamplesEnergyTimeline) {
 TEST(TraceEvent, DisseminationEmitsPerNodeAndProgressEvents) {
   Telemetry T;
   T.enableEvents();
-  DisseminationResult R;
+  FleetResult R;
   {
     TelemetryScope Scope(T);
-    R = disseminate(Topology::line(4), 100);
+    R = simulateFlood(Topology::line(4), 100);
   }
   int Tx = 0, Rx = 0, Progress = 0;
-  double LastReached = 0.0;
+  double LastReached = 1.0; // the sink holds the script from the start
   for (const TelemetryEvent *E : T.eventsInOrder()) {
     if (E->Category != "net")
       continue;
-    if (E->Name == "packet.tx") {
+    if (E->Name == "burst.tx") {
       ++Tx;
-      EXPECT_GT(E->Track, -1);
+      EXPECT_GE(E->Track, 0) << "bursts live on their node's track";
     }
-    if (E->Name == "packet.rx")
+    if (E->Name == "burst.rx")
       ++Rx;
     if (E->Name == "net.progress") {
       ++Progress;
       EXPECT_EQ(E->Track, 0) << "progress lives on the pipeline track";
       ASSERT_EQ(E->Args.size(), 2u);
       EXPECT_GT(E->Args[1].second, LastReached)
-          << "reached-node count must grow every round";
+          << "reached-node count must grow with every sample";
       LastReached = E->Args[1].second;
     }
   }
-  EXPECT_EQ(Tx, 3 * R.Packets) << "3 forwarding nodes on a 4-line";
-  EXPECT_EQ(Rx, 3) << "one rx event per covered node";
-  EXPECT_EQ(Progress, R.MaxHops);
+  EXPECT_EQ(Tx, 3) << "3 forwarding nodes on a 4-line, one burst each";
+  EXPECT_EQ(Rx, 3) << "one decoding burst per non-sink node";
+  EXPECT_EQ(Progress, R.MaxHops) << "one completion per hop on a line";
   EXPECT_EQ(static_cast<int>(LastReached), 4);
   checkChromeTrace(T.toChromeTrace());
 }
@@ -411,21 +412,20 @@ TEST(TraceEvent, DisseminationEmitsPerNodeAndProgressEvents) {
 TEST(TraceEvent, DisseminationQuietWithoutEvents) {
   // The aggregate results must be identical with and without the event
   // layer: instrumentation must not perturb the RNG-driven outcomes.
-  RadioChannel Lossy;
-  Lossy.LossRate = 0.3;
-  DisseminationResult Plain = disseminate(Topology::grid(5, 5), 300,
-                                          PacketFormat(), Mica2Power(),
-                                          Lossy);
+  FleetConfig Lossy;
+  Lossy.Link.LossRate = 0.3;
+  FleetResult Plain = simulateFlood(Topology::grid(5, 5), 300, Lossy);
   Telemetry T;
   T.enableEvents();
-  DisseminationResult Traced;
+  FleetResult Traced;
   {
     TelemetryScope Scope(T);
-    Traced = disseminate(Topology::grid(5, 5), 300, PacketFormat(),
-                         Mica2Power(), Lossy);
+    Traced = simulateFlood(Topology::grid(5, 5), 300, Lossy);
   }
   EXPECT_EQ(Plain.Retransmissions, Traced.Retransmissions);
+  EXPECT_EQ(Plain.EventsProcessed, Traced.EventsProcessed);
   EXPECT_DOUBLE_EQ(Plain.totalJoules(), Traced.totalJoules());
+  EXPECT_EQ(Plain.PerNodeJoules, Traced.PerNodeJoules);
   EXPECT_FALSE(T.eventsInOrder().empty());
 }
 

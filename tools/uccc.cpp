@@ -25,6 +25,7 @@
 ///   uccc plan     --store dir --batch F:T,F:T,... [--cache N]
 ///   uccc campaign --store dir --target N --deployed v,v,...
 ///                 [--topology line:40|grid:8x5|star:20] [--loss p]
+///                 [--seed N]
 ///
 /// The batch and campaign paths go through serve/PlanService: one store
 /// open, one service, every request against the same snapshot and cache.
@@ -36,13 +37,15 @@
 /// `--stats` (print a human-readable telemetry summary after the command).
 ///
 /// Exit codes: 0 success, 1 operational failure (bad input file, failed
-/// compile), 2 command-line usage error (unknown flag/command, missing
-/// option value, malformed number).
+/// compile, a campaign that left nodes incomplete), 2 command-line usage
+/// error (unknown flag/command, missing option value, malformed number).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Compiler.h"
 #include "core/VersionStore.h"
+#include "net/EventSim.h"
+#include "net/Network.h"
 #include "serve/PlanService.h"
 #include "sim/Simulator.h"
 #include "support/Format.h"
@@ -51,6 +54,7 @@
 
 #include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -678,6 +682,43 @@ int cmdPlan(Args &A) {
   return 0;
 }
 
+/// Builds the --topology fleet: line:<n>, grid:<w>x<h> or star:<n>, or a
+/// line of \p Deployed nodes when \p Spec is empty. Every dimension must
+/// be positive and the node count, taken in 64 bits, must equal
+/// \p Deployed, all checked before any Topology is built.
+Topology parseTopology(const std::string &Spec, size_t Deployed) {
+  if (Spec.empty())
+    return Topology::line(static_cast<int>(Deployed));
+  std::string Kind = Spec.substr(0, Spec.find(':'));
+  std::string Dims =
+      Kind.size() < Spec.size() ? Spec.substr(Kind.size() + 1) : "";
+  int W = 0, H = 1;
+  if (Kind == "line") {
+    W = parseInt(Dims, "--topology line:<n>");
+  } else if (Kind == "star") {
+    W = parseInt(Dims, "--topology star:<n>");
+  } else if (Kind == "grid") {
+    size_t X = Dims.find('x');
+    if (X == std::string::npos)
+      dieCli("--topology grid expects grid:<w>x<h>");
+    W = parseInt(Dims.substr(0, X), "--topology grid:<w>");
+    H = parseInt(Dims.substr(X + 1), "--topology grid:<h>");
+  } else {
+    dieCli("unknown --topology '" + Spec +
+           "' (expected line:<n>, grid:<w>x<h> or star:<n>)");
+  }
+  if (W <= 0 || H <= 0)
+    dieCli("--topology '" + Spec + "' needs positive dimensions");
+  int64_t Nodes = static_cast<int64_t>(W) * H;
+  if (Nodes != static_cast<int64_t>(Deployed))
+    dieCli(format("--deployed lists %zu versions but the topology has %lld "
+                  "nodes",
+                  Deployed, static_cast<long long>(Nodes)));
+  if (Kind == "grid")
+    return Topology::grid(W, H);
+  return Kind == "line" ? Topology::line(W) : Topology::star(W);
+}
+
 int cmdCampaign(Args &A) {
   std::string TargetArg = A.option("--target");
   std::string Deployed = A.option("--deployed");
@@ -699,57 +740,47 @@ int cmdCampaign(Args &A) {
         parseInt(Deployed.substr(At, Comma - At), "--deployed"));
     At = Comma + 1;
   }
+  Topology T = parseTopology(TopoArg, NodeVersions.size());
 
-  Topology T;
-  if (TopoArg.empty() || TopoArg.rfind("line:", 0) == 0) {
-    int N = TopoArg.empty()
-                ? static_cast<int>(NodeVersions.size())
-                : parseInt(TopoArg.substr(5), "--topology line:<n>");
-    T = Topology::line(N);
-  } else if (TopoArg.rfind("grid:", 0) == 0) {
-    std::string Spec = TopoArg.substr(5);
-    size_t X = Spec.find('x');
-    if (X == std::string::npos)
-      dieCli("--topology grid expects grid:<w>x<h>");
-    T = Topology::grid(parseInt(Spec.substr(0, X), "--topology grid:<w>"),
-                       parseInt(Spec.substr(X + 1), "--topology grid:<h>"));
-  } else if (TopoArg.rfind("star:", 0) == 0) {
-    T = Topology::star(parseInt(TopoArg.substr(5), "--topology star:<n>"));
-  } else {
-    dieCli("unknown --topology '" + TopoArg +
-           "' (expected line:<n>, grid:<w>x<h> or star:<n>)");
-  }
-  if (static_cast<int>(NodeVersions.size()) != T.NumNodes)
-    dieCli(format("--deployed lists %zu versions but the topology has %d "
-                  "nodes",
-                  NodeVersions.size(), T.NumNodes));
-
-  RadioChannel Channel;
+  FleetConfig Cfg;
   if (!LossArg.empty())
-    Channel.LossRate = parseDouble(LossArg, "--loss");
+    Cfg.Link.LossRate = parseDouble(LossArg, "--loss");
   if (!SeedArg.empty())
-    Channel.Seed = static_cast<uint64_t>(parseInt(SeedArg, "--seed"));
+    Cfg.Seed = static_cast<uint64_t>(parseInt(SeedArg, "--seed"));
 
   // Campaigns run through the serving layer: one store open, one service,
   // so repeated cohort pairs (and repeated campaigns in one process) plan
   // once. Plans are byte-identical to the store-backed path.
   PlanService Service(openStoreOrDie(StoreDir));
   DiagnosticEngine Diag;
-  auto R = planFleetCampaign(Service, T, NodeVersions, Target, Diag,
-                             PacketFormat(), Mica2Power(), Channel);
+  auto R = planFleetCampaign(Service, T, NodeVersions, Target, Diag, Cfg);
   if (!R) {
     reportDiagnostics(Diag);
     return 1;
   }
   std::printf("campaign to v%d: %d node(s) updated, %d already current\n",
               R->TargetVersion, R->NodesUpdated, R->NodesCurrent);
-  for (const UpdateCohort &C : R->Cohorts)
+  int IncompleteCohorts = 0;
+  for (const UpdateCohort &C : R->Cohorts) {
+    const EnergyLedger &E = C.Flood.Energy;
     std::printf("  cohort v%-3d %3zu node(s)  script %6zu bytes  "
-                "%4d packets  %.6f J\n",
+                "%4d packets  %.6f J  (tx %.6f, rx %.6f, listen %.6f, "
+                "sleep %.6f J)\n",
                 C.FromVersion, C.Nodes.size(), C.ScriptBytes,
-                C.Flood.Packets, C.Flood.totalJoules());
+                C.Flood.Packets, C.Flood.totalJoules(), E.TxJoules,
+                E.RxJoules, E.ListenJoules, E.SleepJoules);
+    if (C.Flood.NodesIncomplete > 0) {
+      std::printf("    %d node(s) incomplete\n", C.Flood.NodesIncomplete);
+      ++IncompleteCohorts;
+    }
+  }
   std::printf("total: %zu bytes on air, %.6f J\n", R->totalBytesOnAir(),
               R->totalJoules());
+  if (IncompleteCohorts > 0) {
+    std::fprintf(stderr, "uccc: %d cohort flood(s) left nodes incomplete\n",
+                 IncompleteCohorts);
+    return 1;
+  }
   return 0;
 }
 
